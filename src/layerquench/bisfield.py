@@ -4,9 +4,12 @@ dynamical fields on them, and winding numbers.
 Contours are zero sets of a signed source criterion (the quench-axis
 field component h_j, or its mode-shifted version for subspace data)
 extracted by marching squares on the periodic sampling cell, so torus
-wrapping is handled natively and every contour is closed.  Crossing
-edges are refined by bisection; contour orientation is canonicalized so
-that the negative side of the source lies to the right of travel.
+wrapping is handled natively and every contour is closed.  All crossing
+edges are refined together by batched bisection, with one source
+evaluation per step over every edge still open, and the loops are
+linked by walking the crossing cells only.  Contour orientation is
+canonicalized so that the negative side of the source lies to the right
+of travel.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -65,15 +68,14 @@ def polarization_evaluator(cfg, j, observable=("global",)):
     kind = observable[0]
     if kind == "global":
         return lambda kx, ky: tasp_closed_form(kx, ky, cfg, j)
-    if kind == "subspace":
-        r = observable[1]
-        return lambda kx, ky: gtasp_abba(kx, ky, cfg, j, r)
-    if kind == "bilayer":
-        if cfg.layers != 2:
-            raise UsageError("bilayer observables require layers = 2")
-        r = observable[1]
-        return lambda kx, ky: gtasp_abba(kx, ky, cfg, j, r)
-    raise UsageError(f"unknown observable kind {kind!r}")
+    if kind not in ("subspace", "bilayer"):
+        raise UsageError(f"unknown observable kind {kind!r}")
+    if kind == "bilayer" and cfg.layers != 2:
+        raise UsageError("bilayer observables require layers = 2")
+    r = observable[1]
+    if not 1 <= r <= cfg.layers:
+        raise UsageError(f"{kind} mode index {r} is outside 1..{cfg.layers}")
+    return lambda kx, ky: gtasp_abba(kx, ky, cfg, j, r)
 
 
 def source_function(grid):
@@ -143,133 +145,124 @@ def sample_grid(cfg, j, observable=("global",), resolution=256, threads=1, cell=
                     cell=cell, values=values)
 
 
+# sides of a marching-squares cell, in the order the linking walk tries them
+BOTTOM, RIGHT, TOP, LEFT = range(4)
+# for each exit side: the (di, dl) step to the next cell and the side entered there
+_STEP = np.array([[0, -1], [1, 0], [0, 1], [-1, 0]])
+_ENTRY = np.array([TOP, LEFT, BOTTOM, RIGHT])
+# exit side for each entry side of a saddle cell whose centre has the sign
+# of its first corner (bottom-right, top-left) or the other sign
+# (left-bottom, right-top); the latter is tried from the left side first
+_SADDLE_SAME = np.array([RIGHT, BOTTOM, LEFT, TOP])
+_SADDLE_OTHER = np.array([LEFT, TOP, RIGHT, BOTTOM])
+_SADDLE_OTHER_ORDER = np.array([LEFT, BOTTOM, RIGHT, TOP])
+
+
+def _bisect_edges(phi, a, b):
+    """Sign-change roots of phi on the segments a-b, refined together.
+
+    Each bracket is halved until its two ends agree to 1e-9 in both
+    coordinates and is then frozen; phi is called once per step, on the
+    midpoints of the brackets still open.
+    """
+    flip = (phi(a[:, 0], a[:, 1]) > 0)[:, None]
+    lo = np.where(flip, b, a)  # non-positive end
+    hi = np.where(flip, a, b)
+    live = np.arange(len(a))
+    for _ in range(64):
+        mid = 0.5 * (lo[live] + hi[live])
+        up = phi(mid[:, 0], mid[:, 1]) > 0
+        hi[live[up]] = mid[up]
+        lo[live[~up]] = mid[~up]
+        live = live[np.max(np.abs(hi[live] - lo[live]), axis=1) > 1e-9]
+        if not len(live):
+            break
+    return 0.5 * (lo + hi)
+
+
 def _marching_loops(phi, nodes, nx, ny):
     """Zero loops of a signed function on the unit torus.
 
-    phi maps fractional (u, v) scalars to a signed value; nodes is the
+    phi maps arrays of fractional (u, v) to signed values; nodes is the
     precomputed (nx, ny) node array of phi.  Returns a list of
     (points, wraps): unwrapped fractional polylines and their integer
     period counts.  Nodes exactly at zero are classed with the negative
     side, so zero sets through nodes still produce closed loops.
+
+    All sign-change edges are bisected in one batch and saddle cells are
+    resolved by one batch of centre samples.  Loops are then linked by
+    walking the crossing cells only, started in raster order, so the
+    work beyond the grid-wide sign test grows with the contour length.
     """
     pos = nodes > 0
+    # edge h[i, l] joins nodes (i, l) and (i+1, l); edge v[i, l] joins (i, l) and (i, l+1)
+    hcross = pos != np.roll(pos, -1, axis=0)
+    vcross = pos != np.roll(pos, -1, axis=1)
+    hi, hl = np.nonzero(hcross)
+    vi, vl = np.nonzero(vcross)
+    nh, nv = len(hi), len(vi)
+    if nh + nv == 0:
+        return []
+    a = np.concatenate([np.stack([hi / nx, hl / ny], axis=1),
+                        np.stack([vi / nx, vl / ny], axis=1)])
+    step = np.repeat([[1.0 / nx, 0.0], [0.0, 1.0 / ny]], [nh, nv], axis=0)
+    roots = _bisect_edges(phi, a, a + step)
 
-    def bisect(pa, pb):
-        fa = phi(*pa)
-        pa = np.asarray(pa, dtype=float).copy()
-        pb = np.asarray(pb, dtype=float).copy()
-        if fa > 0:  # keep pa on the non-positive side
-            pa, pb = pb, pa
-        for _ in range(64):
-            pm = 0.5 * (pa + pb)
-            if phi(*pm) > 0:
-                pb = pm
-            else:
-                pa = pm
-            if np.max(np.abs(pb - pa)) <= 1e-9:
-                break
-        return 0.5 * (pa + pb)
+    # crossing cells in raster order and the edge on each side (-1: no sign change)
+    cells = np.flatnonzero(hcross | np.roll(vcross, -1, axis=0)
+                           | np.roll(hcross, -1, axis=1) | vcross)
+    ci, cl = np.divmod(cells, ny)
+    hid = np.full((nx, ny), -1)
+    hid[hi, hl] = np.arange(nh)
+    vid = np.full((nx, ny), -1)
+    vid[vi, vl] = nh + np.arange(nv)
+    side_edge = np.stack([hid[ci, cl], vid[(ci + 1) % nx, cl],
+                          hid[ci, (cl + 1) % ny], vid[ci, cl]], axis=1)
+    crossing = side_edge >= 0
 
-    root_cache = {}
+    # a cell has 2 or 4 crossing sides; pair the two, or resolve the saddle
+    exit_side = np.zeros_like(side_edge)
+    order = np.tile(np.arange(4), (len(cells), 1))
+    n_crossing = crossing.sum(axis=1)
+    regular = np.flatnonzero(n_crossing == 2)
+    pair = np.nonzero(crossing[regular])[1].reshape(-1, 2)
+    exit_side[regular, pair[:, 0]] = pair[:, 1]
+    exit_side[regular, pair[:, 1]] = pair[:, 0]
+    saddle = np.flatnonzero(n_crossing == 4)
+    if len(saddle):
+        centre = phi((ci[saddle] + 0.5) / nx, (cl[saddle] + 0.5) / ny) > 0
+        same = (centre == pos[ci[saddle], cl[saddle]])[:, None]
+        exit_side[saddle] = np.where(same, _SADDLE_SAME, _SADDLE_OTHER)
+        order[saddle] = np.where(same, np.arange(4), _SADDLE_OTHER_ORDER)
 
-    def edge_root(edge):
-        axis, i, l = edge
-        key = (axis, i % nx, l % ny)
-        if key not in root_cache:
-            a = np.array([(i % nx) / nx, (l % ny) / ny])
-            step = np.array([1.0 / nx, 0.0]) if axis == "h" else np.array([0.0, 1.0 / ny])
-            root_cache[key] = bisect(a, a + step)
-        return root_cache[key]
+    # slot 4 k + e is crossing cell k entered through side e: the slot it
+    # leads to, the slot of its exit side, its root in the frame of cell
+    # k, and the frame shift of stepping past the last or first column or row
+    k = np.arange(len(cells))[:, None]
+    wrap_i, next_i = np.divmod(ci[:, None] + _STEP[exit_side, 0], nx)
+    wrap_l, next_l = np.divmod(cl[:, None] + _STEP[exit_side, 1], ny)
+    succ = 4 * np.searchsorted(cells, next_i * ny + next_l) + _ENTRY[exit_side]
+    mate = 4 * k + exit_side
+    base = np.stack([ci / nx, cl / ny], axis=1)[:, None, :]
+    span = np.array([1.0 / nx, 1.0 / ny])
+    r = roots[np.where(crossing, side_edge, 0)]
+    r = np.where(r < base - 0.5 * span, r + 1.0, r)
+    r = np.where(r > base + 1.5 * span, r - 1.0, r).reshape(-1, 2)
+    shift = np.stack([wrap_i, wrap_l], axis=-1).reshape(-1, 2)
+    starts = (4 * k + order)[np.take_along_axis(crossing, order, axis=1)]
 
-    pair_cache = {}
-
-    def cell_pairs(ci, cl):
-        key = (ci % nx, cl % ny)
-        if key in pair_cache:
-            return pair_cache[key]
-        i, l = key
-        c = [pos[i, l], pos[(i + 1) % nx, l],
-             pos[(i + 1) % nx, (l + 1) % ny], pos[i, (l + 1) % ny]]
-        bottom, right = ("h", i, l), ("v", (i + 1) % nx, l)
-        top, left = ("h", i, (l + 1) % ny), ("v", i, l)
-        crossing = [e for e, (sa, sb) in ((bottom, (c[0], c[1])), (right, (c[1], c[2])),
-                                          (top, (c[3], c[2])), (left, (c[0], c[3])))
-                    if sa != sb]
-        if not crossing:
-            pairs = {}
-        elif len(crossing) == 2:
-            a, b = crossing
-            pairs = {a: b, b: a}
-        elif len(crossing) == 4:
-            # saddle cell: resolve the pairing with a centre sample
-            center = phi((i + 0.5) / nx, (l + 0.5) / ny) > 0
-            if center == c[0]:
-                pl = [(bottom, right), (top, left)]
-            else:
-                pl = [(left, bottom), (right, top)]
-            pairs = {}
-            for a, b in pl:
-                pairs[a] = b
-                pairs[b] = a
-        else:
-            raise RuntimeError("inconsistent sign pattern in marching squares")
-        pair_cache[key] = pairs
-        return pairs
-
-    def cells_of_edge(axis, i, l):
-        if axis == "h":
-            return ((i, l), (i, (l - 1) % ny))
-        return ((i, l), ((i - 1) % nx, l))
-
-    visited = set()
+    succ, mate = succ.ravel().tolist(), mate.ravel().tolist()
+    visited = [False] * len(succ)
     loops = []
-    for ci in range(nx):
-        for cl in range(ny):
-            for start_edge in cell_pairs(ci, cl):
-                if ((ci, cl), start_edge) in visited:
-                    continue
-                pts = []
-                cell = (ci, cl)
-                offset = np.zeros(2)
-                entry = start_edge
-                while True:
-                    if (cell, entry) in visited:
-                        break
-                    # mark both ends so the reverse traversal is blocked too
-                    visited.add((cell, entry))
-                    visited.add((cell, cell_pairs(*cell)[entry]))
-                    r = edge_root(entry).copy()
-                    # wrap the cached root into the frame of the current cell
-                    base = np.array([cell[0] / nx, cell[1] / ny])
-                    span = np.array([1.0 / nx, 1.0 / ny])
-                    for d in range(2):
-                        while r[d] < base[d] - 0.5 * span[d]:
-                            r[d] += 1.0
-                        while r[d] > base[d] + 1.5 * span[d]:
-                            r[d] -= 1.0
-                    pts.append(r + offset)
-                    exit_edge = cell_pairs(*cell)[entry]
-                    cands = cells_of_edge(*exit_edge)
-                    nxt = cands[0] if cands[0] != cell else cands[1]
-                    axis = exit_edge[0]
-                    if axis == "v":
-                        if exit_edge == ("v", (cell[0] + 1) % nx, cell[1]):
-                            if cell[0] == nx - 1:
-                                offset[0] += 1.0
-                        else:
-                            if cell[0] == 0:
-                                offset[0] -= 1.0
-                    else:
-                        if exit_edge == ("h", cell[0], (cell[1] + 1) % ny):
-                            if cell[1] == ny - 1:
-                                offset[1] += 1.0
-                        else:
-                            if cell[1] == 0:
-                                offset[1] -= 1.0
-                    cell = nxt
-                    entry = exit_edge
-                if len(pts) >= 3:
-                    loops.append((np.array(pts), np.rint(offset).astype(int)))
+    for s in starts.tolist():
+        seq = []
+        while not visited[s]:
+            visited[s] = visited[mate[s]] = True
+            seq.append(s)
+            s = succ[s]
+        if seq:
+            steps = shift[seq]
+            loops.append((r[seq] + (np.cumsum(steps, axis=0) - steps), steps.sum(axis=0)))
     return loops
 
 
@@ -296,8 +289,10 @@ def _orient(points, frac, src):
 
 
 def _extract(grid, node_source, src, tag, ev):
-    loops = _marching_loops(lambda uu, vv: float(src(*grid.cell.k_at(uu, vv))),
-                            node_source, grid.nx, grid.ny)
+    def phi(u, v):
+        return src(*grid.cell.k_at(u, v))
+
+    loops = _marching_loops(phi, node_source, grid.nx, grid.ny)
     out = []
     for frac, wraps in loops:
         kx, ky = grid.cell.k_at(frac[:, 0], frac[:, 1])
@@ -365,7 +360,7 @@ def dynamical_field(contour, grid, delta=1e-4):
     nrm = np.hypot(gx, gy)
     if np.any(nrm < 1e-12):
         p = int(np.argmin(nrm))
-        raise DegenerateFieldError(f"source gradient vanishes at k={tuple(k[p])}")
+        raise DegenerateFieldError(f"source gradient vanishes at k=({float(k[p, 0])}, {float(k[p, 1])})")
     nhx, nhy = gx / nrm, gy / nrm
     tp = ev(k[:, 0] + delta * nhx, k[:, 1] + delta * nhy)
     tm = ev(k[:, 0] - delta * nhx, k[:, 1] - delta * nhy)
@@ -373,7 +368,7 @@ def dynamical_field(contour, grid, delta=1e-4):
     L = np.hypot(g[:, 0], g[:, 1])
     if np.any(L < 1e-12):
         p = int(np.argmin(L))
-        raise DegenerateFieldError(f"dynamical field vanishes at k={tuple(k[p])}")
+        raise DegenerateFieldError(f"dynamical field vanishes at k=({float(k[p, 0])}, {float(k[p, 1])})")
     contour.gfield = g / L[:, None]
     return contour.gfield
 

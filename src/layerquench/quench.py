@@ -19,6 +19,14 @@ from .spectra import DEG_TOL_DEFAULT, degeneracy_groups, sine_modes, subsystem_f
 SINGULAR_E2 = 1e-20
 
 
+def _require_gap(e2, cfg):
+    """Raise SingularPointError if a squared level in e2 (levels on the last axis) vanishes."""
+    if np.any(e2 < SINGULAR_E2):
+        idx = np.unravel_index(int(np.argmin(e2)), e2.shape)
+        at = tuple(int(i) for i in idx[:-1])
+        raise SingularPointError(f"gap closes (E=0) for {cfg} at sample index {at}")
+
+
 def mixed_state(N, j, sign=-1):
     """Fully layer-mixed, spin-polarized density matrix (1/N) (x) (1 + sign*s_j)/2."""
     return np.kron(np.eye(N) / N, 0.5 * (np.eye(2) + sign * PAULI[j - 1]))
@@ -125,9 +133,7 @@ def _ba_matrix(h, cfg):
     hx, hy, hz = h[..., 0, None], h[..., 1, None], h[..., 2, None]
     u = np.sqrt(hx ** 2 + hy ** 2 + tc ** 2)
     e2 = hz ** 2 + (u + tc) ** 2
-    if np.any(e2 < SINGULAR_E2):
-        idx = np.unravel_index(int(np.argmin(e2)), e2.shape)
-        raise SingularPointError(f"gap closes (E=0) for {cfg} at sample index {idx[:-1]}")
+    _require_gap(e2, cfg)
     perp = e2 - hz ** 2
     G = perp + hx ** 2 + hy ** 2
     ok = G > 1e-30
@@ -160,9 +166,7 @@ def tasp_closed_form(kx, ky, cfg, j, sign=-1):
     if cfg.stacking == "abba":
         hr = subsystem_fields(kx, ky, cfg)
         e2 = np.sum(hr ** 2, axis=-1)
-        if np.any(e2 < SINGULAR_E2):
-            idx = np.unravel_index(int(np.argmin(e2)), e2.shape)
-            raise SingularPointError(f"gap closes (E=0) for {cfg} at sample index {idx[:-1]}")
+        _require_gap(e2, cfg)
         out = -np.sum(hr * hr[..., j - 1, None] / e2[..., None], axis=-2) / cfg.layers
     else:
         h = monolayer_field(cfg, kx, ky)
@@ -182,9 +186,7 @@ def gtasp_abba(kx, ky, cfg, j, r=None, sign=-1):
     """
     hr = subsystem_fields(kx, ky, cfg)
     e2 = np.sum(hr ** 2, axis=-1)
-    if np.any(e2 < SINGULAR_E2):
-        idx = np.unravel_index(int(np.argmin(e2)), e2.shape)
-        raise SingularPointError(f"gap closes (E=0) for {cfg} at sample index {idx[:-1]}")
+    _require_gap(e2, cfg)
     out = -hr * hr[..., j - 1, None] / e2[..., None]
     if sign > 0:
         out = -out

@@ -8,6 +8,7 @@ from layerquench import (
     DegenerateFieldError,
     LayeredConfig,
     UsageError,
+    bisfield,
     characterize,
     component_zero_curves,
     dynamical_field,
@@ -56,6 +57,21 @@ class TestSampleGrid:
         assert singular_mask(np.array(0.0), np.array(0.0), cfg)
         grid = sample_grid(cfg, 3, ("global",), 32)
         assert np.all(np.isfinite(grid.values))
+
+
+class TestModeIndex:
+    @pytest.mark.parametrize("observable", [("subspace", 0), ("subspace", 3), ("bilayer", 5)])
+    def test_out_of_range_mode_is_rejected(self, observable):
+        cfg = LayeredConfig("abba", 2, 0.4)
+        with pytest.raises(UsageError, match=r"outside 1\.\.2"):
+            bisfield.polarization_evaluator(cfg, 3, observable)
+        with pytest.raises(UsageError):
+            sample_grid(cfg, 3, observable, 32)
+
+    def test_every_mode_in_range_is_accepted(self):
+        cfg = LayeredConfig("abba", 3, 0.4)
+        for r in (1, 2, 3):
+            assert sample_grid(cfg, 3, ("subspace", r), 16).values.shape == (16, 16, 3)
 
 
 class TestExtractBis:
@@ -159,8 +175,21 @@ class TestDynamicalField:
             wraps=np.array([0, 0]),
             residual=0.0,
         )
-        with pytest.raises(DegenerateFieldError):
+        with pytest.raises(DegenerateFieldError) as exc:
             dynamical_field(fake, grid)
+        # plain floats, not numpy scalar reprs
+        assert "np." not in str(exc.value)
+        assert "k=(-3.14159" in str(exc.value)
+
+    def test_vanishing_field_message_has_plain_floats(self, monkeypatch):
+        cfg = LayeredConfig("abba", 2, 0.4)
+        grid = sample_grid(cfg, 3, ("subspace", 1), 64)
+        c = extract_bis(grid)[0]
+        monkeypatch.setattr(bisfield, "polarization_evaluator",
+                            lambda *args: lambda kx, ky: np.zeros(np.shape(kx) + (3,)))
+        with pytest.raises(DegenerateFieldError, match="dynamical field vanishes") as exc:
+            dynamical_field(c, grid)
+        assert "np." not in str(exc.value)
 
 
 class TestWinding:

@@ -89,6 +89,22 @@ class TestConfigFile:
         assert exc.value.code == 2
 
 
+class TestModeIndex:
+    @pytest.mark.parametrize("command, observable", [
+        ("tasp", "subspace:0"),
+        ("tasp", "subspace:3"),
+        ("bis", "bilayer:5"),
+    ])
+    def test_out_of_range_mode_is_a_usage_error(self, tmp_path, capsys, command, observable):
+        assert run(command, "--layers", "2", "--observable", observable, "--grid", "32",
+                   "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+        assert "outside 1..2" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestBisAndWinding:
     def test_winding_report(self, tmp_path):
         assert run("winding", "--grid", "128", "--out", tmp_path) == 0

@@ -152,6 +152,21 @@ def test_singular_point_on_transition_curve():
         gtasp_abba(kx, 0.0, cfg, 3, 2)
 
 
+@pytest.mark.parametrize("stacking, evaluate", [
+    ("abba", lambda kx, ky, cfg: tasp_closed_form(kx, ky, cfg, 3)),
+    ("abba", lambda kx, ky, cfg: gtasp_abba(kx, ky, cfg, 3, 1)),
+    ("ba", lambda kx, ky, cfg: tasp_closed_form(kx, ky, cfg, 3)),
+])
+def test_singular_point_message_has_plain_ints(stacking, evaluate):
+    # the monolayer gap closes at k = (0, 0) for m = 2 and t = 0
+    cfg = LayeredConfig(stacking, 1, 0.0, m=2.0)
+    kx = np.array([[0.5, 0.0], [1.0, 0.3]])
+    with pytest.raises(SingularPointError) as exc:
+        evaluate(kx, np.zeros_like(kx), cfg)
+    assert "np." not in str(exc.value)
+    assert str(exc.value).endswith("at sample index (0, 1)")
+
+
 def test_profile_lemma_mixed_state():
     """Every mixed axis-3 TASP component is -h3 times a common profile."""
     rng = np.random.default_rng(33)
