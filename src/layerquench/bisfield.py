@@ -376,16 +376,19 @@ def dynamical_field(contour, grid, delta=1e-4):
 def winding(contour, layer_factor=1):
     """Accumulated angle of the dynamical field around the contour over 2 pi.
 
-    Requires dynamical_field to have been evaluated and at least 32
-    contour points.  The pre-rounding residual must stay below 0.05;
-    the rounded integer is stored on the contour and the returned value
-    carries the layer factor (1 for abba subspaces, N for ba data).
+    Requires dynamical_field to have been evaluated.  A contour of fewer
+    than 32 points, or a pre-rounding residual of 0.05 or more, raises
+    NonQuantizedWindingError.  The rounded integer is stored on the
+    contour and the returned value carries the layer factor (1 for abba
+    subspaces, N for ba data).
     """
     if contour.gfield is None:
         raise UsageError("winding requires the dynamical field; call dynamical_field first")
     g = contour.gfield
     if len(g) < 32:
-        raise UsageError(f"contour has only {len(g)} points; at least 32 required")
+        raise NonQuantizedWindingError(
+            f"contour has only {len(g)} points, at least 32 are needed for a winding; "
+            "use a larger --grid")
     a = g
     b = np.roll(g, -1, axis=0)
     ang = np.arctan2(a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],

@@ -55,6 +55,11 @@ class LayeredConfig:
         if not np.isfinite(self.t) or not np.isfinite(self.m):
             raise UsageError("t and m must be finite")
 
+    def __str__(self):
+        # plain numbers, also for a config built from numpy scalars
+        return (f"LayeredConfig(stacking={self.stacking!r}, layers={int(self.layers)}, "
+                f"t={float(self.t)!r}, model={self.model!r}, m={float(self.m)!r})")
+
 
 @dataclass(frozen=True)
 class Cell:

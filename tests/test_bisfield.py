@@ -7,6 +7,7 @@ from layerquench import (
     BisContour,
     DegenerateFieldError,
     LayeredConfig,
+    NonQuantizedWindingError,
     UsageError,
     bisfield,
     characterize,
@@ -213,7 +214,7 @@ class TestWinding:
             residual=c.residual,
             gfield=c.gfield[:8],
         )
-        with pytest.raises(UsageError):
+        with pytest.raises(NonQuantizedWindingError, match="only 8 points"):
             winding(short)
 
     @pytest.mark.parametrize("r", [1, 2])

@@ -127,6 +127,17 @@ class TestBisAndWinding:
         assert lines[1].endswith(",s3")
 
 
+    def test_too_coarse_contour_is_a_numerical_failure(self, tmp_path, capsys):
+        # near m = 2 the BIS is a 4-point ring at grid 64: valid input, but
+        # no winding can be read off it
+        assert run("winding", "--m", "2.0", "--grid", "64", "--out", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: contour has only 4 points")
+        assert "--grid" in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestChern:
     def test_half_filling_report(self, tmp_path):
         assert run("chern", "--grid", "60", "--out", tmp_path) == 0

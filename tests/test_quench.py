@@ -167,6 +167,15 @@ def test_singular_point_message_has_plain_ints(stacking, evaluate):
     assert str(exc.value).endswith("at sample index (0, 1)")
 
 
+def test_singular_point_message_has_plain_floats():
+    # a config built from numpy scalars still prints t and m as plain floats
+    cfg = LayeredConfig("abba", 1, np.float64(0.0), m=np.float64(2.0))
+    with pytest.raises(SingularPointError) as exc:
+        tasp_closed_form(np.zeros(3), np.zeros(3), cfg, 3)
+    assert "np." not in str(exc.value)
+    assert "t=0.0, model='qwz', m=2.0" in str(exc.value)
+
+
 def test_profile_lemma_mixed_state():
     """Every mixed axis-3 TASP component is -h3 times a common profile."""
     rng = np.random.default_rng(33)
