@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DegenerateFieldError, NonQuantizedWindingError, SingularPointError,
                      UsageError)
-from .models import monolayer_field, sampling_cell
+from .models import MIN_GRID, monolayer_field, sampling_cell
 from .quench import gtasp_abba, singular_mask, tasp_closed_form
 from .spectra import sine_modes
 
@@ -113,8 +113,8 @@ def sample_grid(cfg, j, observable=("global",), resolution=256, threads=1, cell=
         nx = ny = resolution
     else:
         nx, ny = resolution
-    if nx < 16 or ny < 16:
-        raise UsageError("grid resolution must be at least 16 per axis")
+    if nx < MIN_GRID or ny < MIN_GRID:
+        raise UsageError(f"grid resolution must be at least {MIN_GRID} per axis")
     if cell is None:
         cell = sampling_cell(cfg.model)
     ev = polarization_evaluator(cfg, j, observable)

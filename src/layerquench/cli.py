@@ -56,17 +56,25 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
-def _cell(v):
-    if isinstance(v, (float, np.floating)):
-        return _fmt(v)
-    return str(v)
+def _write_csv(path, header, columns):
+    """Write equal-length columns as CSV rows.
 
-
-def _write_csv(path, header, rows):
+    A float array is written with 17 significant digits, any other
+    column through str; the whole body is one %-format over the values
+    in row-major order.
+    """
+    rows = len(columns[0])
+    fmts, flat = [], [None] * (rows * len(columns))
+    for c, col in enumerate(columns):
+        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+            fmts.append("%.17g")
+            flat[c::len(columns)] = col.tolist()
+        else:
+            fmts.append("%s")
+            flat[c::len(columns)] = [str(v) for v in col]
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_cell(v) for v in row) + "\n")
+        f.write((",".join(fmts) + "\n") * rows % tuple(flat))
 
 
 def _write_json(path, obj):
@@ -192,9 +200,8 @@ def cmd_tasp(opts):
     files = []
     for comp in (1, 2, 3):
         name = f"tasp_s{comp}.csv"
-        rows = ((KX[i, l], KY[i, l], grid.values[i, l, comp - 1])
-                for i in range(nx) for l in range(ny))
-        _write_csv(os.path.join(out, name), ["kx", "ky", "value"], rows)
+        _write_csv(os.path.join(out, name), ["kx", "ky", "value"],
+                   [KX.ravel(), KY.ravel(), grid.values[..., comp - 1].ravel()])
         files.append(name)
     _write_json(os.path.join(out, "tasp_manifest.json"),
                 _manifest("tasp", opts, {"files": files, "rows": nx * ny}))
@@ -249,9 +256,9 @@ def cmd_bis(opts):
     files = []
     for n, c in enumerate(contours):
         name = f"bis_contour_{n:02d}.csv"
-        rows = ((c.points[p, 0], c.points[p, 1], c.gfield[p, 0], c.gfield[p, 1], c.source)
-                for p in range(len(c.points)))
-        _write_csv(os.path.join(out, name), ["kx", "ky", "g1", "g2", "source"], rows)
+        _write_csv(os.path.join(out, name), ["kx", "ky", "g1", "g2", "source"],
+                   [c.points[:, 0], c.points[:, 1], c.gfield[:, 0], c.gfield[:, 1],
+                    [c.source] * len(c.points)])
         files.append(name)
     _write_json(os.path.join(out, "bis_summary.json"),
                 _manifest("bis", opts, _bis_summary(opts, contours, total, lf, files)))
@@ -279,12 +286,10 @@ def cmd_phase_diagram(opts):
                        opts["steps"], model=opts["model"], grid_n=min(nx, 64),
                        threads=opts["threads"])
     out = _outdir(opts)
-    rows = []
-    for i in range(len(pd.ts)):
-        for l in range(len(pd.ms)):
-            c = "boundary" if pd.boundary[i, l] else str(int(pd.chern[i, l]))
-            rows.append((pd.ts[i], pd.ms[l], c, pd.gap_min[i, l]))
-    _write_csv(os.path.join(out, "phase_diagram.csv"), ["t", "m", "chern", "gap_min"], rows)
+    T, M = np.meshgrid(pd.ts, pd.ms, indexing="ij")
+    chern = np.where(pd.boundary, "boundary", pd.chern.astype(str))
+    _write_csv(os.path.join(out, "phase_diagram.csv"), ["t", "m", "chern", "gap_min"],
+               [T.ravel(), M.ravel(), chern.ravel(), pd.gap_min.ravel()])
     with open(os.path.join(out, "phase_matrix.dat"), "w", encoding="utf-8", newline="") as f:
         for i in range(len(pd.ts)):
             f.write(" ".join("nan" if pd.boundary[i, l] else str(int(pd.chern[i, l]))

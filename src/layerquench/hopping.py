@@ -4,14 +4,14 @@ abba: the subspace-I polarization s1 component vanishes both on the
 band-inversion set and on the curve h1(k) = -t; points of the second
 kind are recognized by their nonvanishing s3 response and -h1 averaged
 over them recovers t.  ba: closed-form magnitudes at three reference
-momenta are inverted, via rational forms for the m = 1 bilayer and a
-bracketed root solve otherwise.
+momenta are inverted, via rational forms for the m = 1 bilayer quenched
+along j = 3 and a bracketed root solve otherwise; scipy is imported by
+the root solve only.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bisfield import TaspGrid, component_zero_curves, polarization_evaluator, sample_grid
 from .errors import InconsistentSampleError, TrivialRegimeError, UsageError
@@ -30,6 +30,10 @@ REFERENCE_MOMENTA = {
 SIGMA3_FLOOR = 1e-3
 
 MIN_BRANCH_POINTS = 8
+
+# a ba channel whose closed-form magnitude stays at or below this for
+# every t carries no information about t (e.g. s2 and s3 for j = 1)
+VANISHING_CHANNEL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,11 +115,26 @@ def _invert_rational(key, mag):
 
 
 def _invert_numeric(key, mag, m, layers, j, t_max=10.0):
+    """Smallest t in [0, t_max] whose |key| magnitude equals mag.
+
+    Returns None for a channel that vanishes for every t and was
+    sampled as 0: it says nothing about t.
+    """
+    # scipy costs more to import than the rest of the package; only this
+    # solve needs it
+    from scipy.optimize import brentq
+
     def f(t):
         return ba_reference_magnitudes(t, m, layers, j)[key] - mag
 
     tgrid = np.linspace(0.0, t_max, 101)
     fvals = np.array([f(t) for t in tgrid])
+    if np.all(fvals + mag <= VANISHING_CHANNEL):
+        if mag <= VANISHING_CHANNEL:
+            return None
+        raise InconsistentSampleError(
+            f"|{key}| = {mag} but the {key} channel vanishes for every t at "
+            f"m = {m}, layers = {layers}, j = {j}")
     idx = np.flatnonzero(np.sign(fvals[:-1]) * np.sign(fvals[1:]) <= 0)
     if len(idx) == 0:
         raise InconsistentSampleError(
@@ -133,6 +152,8 @@ def estimate_t_ba(samples, m=1.0, layers=2, j=3):
     values at the reference momenta (pi/4, 0), (0, pi/4), (0, 0); signs
     are ignored.  At least one channel is required; the combined
     estimate is the channel mean and the residual the max-abs spread.
+    A channel that vanishes for every t at this (m, layers, j) is left
+    out when sampled as 0; at least one channel must remain.
     """
     names = [k for k in ("s1", "s2", "s3") if k in samples]
     if not names:
@@ -140,14 +161,21 @@ def estimate_t_ba(samples, m=1.0, layers=2, j=3):
     unknown = set(samples) - set(REFERENCE_MOMENTA)
     if unknown:
         raise UsageError(f"unknown sample channels {sorted(unknown)}")
-    rational = (m == 1.0 and layers == 2)
+    # the rational forms are those of the m = 1 bilayer quenched along j = 3
+    rational = (m == 1.0 and layers == 2 and j == 3)
     ests = []
     for key in names:
         mag = abs(float(samples[key]))
         if rational:
             ests.append(_invert_rational(key, mag))
         else:
-            ests.append(_invert_numeric(key, mag, m, layers, j))
+            t = _invert_numeric(key, mag, m, layers, j)
+            if t is not None:
+                ests.append(t)
+    if not ests:
+        raise InconsistentSampleError(
+            f"no sampled channel ({', '.join(names)}) depends on t at m = {m}, "
+            f"layers = {layers}, j = {j}")
     t_hat = float(np.mean(ests))
     return HoppingEstimate(t_hat=t_hat,
                            method="ba-rational" if rational else "ba-numeric",

@@ -34,6 +34,15 @@ TRI_B = np.array([[-SQ3, 0.0], [-SQ3 / 2, 1.5], [-SQ3 / 2, -1.5]])
 STACKINGS = ("abba", "ba")
 MODELS = ("qwz", "haldane")
 
+# coarsest momentum grid per axis; on coarser grids the integer
+# invariants degenerate (a 2 x 2 grid gives Chern number 0 for a -2
+# phase, with both oracles agreeing)
+MIN_GRID = 16
+
+# largest Bloch-Hamiltonian stack build_layered may allocate; its
+# temporaries and an eigensolve each need about as much again
+LAYERED_BYTES_MAX = 10 ** 9
+
 
 @dataclass(frozen=True)
 class LayeredConfig:
@@ -174,9 +183,18 @@ def build_layered(kx, ky, cfg):
 
     Returns shape (..., 2N, 2N) for array input, (2N, 2N) for scalars.
     For N = 1 both stackings reduce to the bare monolayer h . sigma.
+    Raises UsageError, before allocating, when the stack would exceed
+    LAYERED_BYTES_MAX.
     """
-    h = monolayer_field(cfg, kx, ky)
     N = cfg.layers
+    size = np.prod(np.broadcast_shapes(np.shape(kx), np.shape(ky)), dtype=float)
+    nbytes = size * (2 * N) ** 2 * 16
+    if nbytes > LAYERED_BYTES_MAX:
+        raise UsageError(
+            f"{int(size)} momenta x {2 * N}x{2 * N} Hamiltonians need "
+            f"{nbytes / 1e9:.1f} GB, above the {LAYERED_BYTES_MAX / 1e9:.1f} GB limit; "
+            f"use fewer layers or a coarser grid")
+    h = monolayer_field(cfg, kx, ky)
     eye = np.eye(N)
     H = sum(h[..., i, None, None] * np.kron(eye, PAULI[i]) for i in range(3))
     return H + coupling_matrix(cfg)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GaplessError, NonQuantizedWindingError
-from .models import LayeredConfig, build_layered, monolayer_field, sampling_cell
+from .errors import GaplessError, NonQuantizedWindingError, UsageError
+from .models import MIN_GRID, LayeredConfig, build_layered, monolayer_field, sampling_cell
 from .spectra import analytic_positive_levels, sine_modes
 
 FHS_ORIENTATION = -1.0
@@ -41,6 +41,8 @@ SCAN_CHUNK_BYTES = 1 << 17
 
 
 def _cell_nodes(cell, n):
+    if n < MIN_GRID:
+        raise UsageError(f"grid resolution must be at least {MIN_GRID} per axis, got {n}")
     u = np.arange(n)[:, None] / n
     v = np.arange(n)[None, :] / n
     return cell.k_at(u, v)
@@ -255,10 +257,9 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz",
     the link-variable Chern number, one cell at a time.  Worker threads
     take whole chunks.
     """
-    if isinstance(steps, int):
-        st = sm = steps
-    else:
-        st, sm = steps
+    st, sm = (steps, steps) if np.ndim(steps) == 0 else steps
+    if st < 1 or sm < 1:
+        raise UsageError(f"steps must be at least 1, got {st} x {sm}")
     ts = t_range[0] + (np.arange(st) + 0.5) * (t_range[1] - t_range[0]) / st
     ms = m_range[0] + (np.arange(sm) + 0.5) * (m_range[1] - m_range[0]) / sm
     cell = sampling_cell(model)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from layerquench import models
 from layerquench.cli import main, parse_grid, parse_observable
 from layerquench.errors import UsageError
 
@@ -198,8 +199,43 @@ class TestEstimateT:
         assert run("estimate-t", "--true-t", "1.2", "--grid", "96",
                    "--out", tmp_path) == 1
 
+    @pytest.mark.parametrize("axis", ["1", "2"])
+    def test_ba_round_trip_along_in_plane_axes(self, tmp_path, axis):
+        assert run("estimate-t", "--stacking", "ba", "--true-t", "0.4", "--axis", axis,
+                   "--out", tmp_path) == 0
+        rep = load_json(tmp_path / "estimate.json")
+        assert rep["method"] == "ba-numeric"
+        assert rep["error"] < 1e-9
+
     def test_requires_some_input(self, tmp_path):
         assert run("estimate-t", "--out", tmp_path) == 2
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("argv, message", [
+        (["chern", "--grid", "2"], "error: grid resolution must be at least 16"),
+        (["phase-diagram", "--grid", "8"], "error: grid resolution must be at least 16"),
+        (["phase-diagram", "--steps", "-1"], "error: steps must be at least 1"),
+        (["phase-diagram", "--steps", "0"], "error: steps must be at least 1"),
+    ])
+    def test_usage_errors(self, tmp_path, capsys, argv, message):
+        assert run(*argv, "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_oversized_hamiltonian_stack(self, tmp_path, capsys, monkeypatch):
+        # about 10 GB; the bound must fire before the field is even evaluated
+        def no_field(*args):
+            raise AssertionError("build_layered went past its memory check")
+
+        monkeypatch.setattr(models, "monolayer_field", no_field)
+        assert run("chern", "--layers", "50", "--grid", "256", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 65536 momenta x 100x100 Hamiltonians need 10.5 GB")
+        assert len(err.splitlines()) == 1
 
 
 def test_selftest_battery(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """Tests for interlayer-hopping estimation from polarization data."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -110,3 +113,41 @@ class TestBaEstimator:
     def test_numeric_inversion_rejects_unreachable_magnitude(self):
         with pytest.raises(InconsistentSampleError):
             estimate_t_ba({"s1": 0.9}, m=0.8)
+
+
+class TestBaQuenchAxis:
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1.0, 0.8])
+    def test_round_trip_on_every_axis(self, j, m):
+        for t in (0.0, 0.4, 1.3):
+            est = estimate_t_ba(ba_reference_magnitudes(t, m=m, j=j), m=m, j=j)
+            assert est.method == ("ba-rational" if (m, j) == (1.0, 3) else "ba-numeric")
+            assert abs(est.t_hat - t) < 1e-9
+
+    def test_vanishing_channel_with_nonzero_sample(self):
+        # for j = 1 the s2 and s3 magnitudes vanish for every t
+        with pytest.raises(InconsistentSampleError, match="vanishes for every t"):
+            estimate_t_ba({"s1": 0.46, "s2": 0.1}, j=1)
+
+    def test_only_vanishing_channels(self):
+        with pytest.raises(InconsistentSampleError, match="no sampled channel"):
+            estimate_t_ba({"s2": 0.0, "s3": 0.0}, j=1)
+
+
+SCIPY_PROBE = """
+import sys
+import layerquench
+print(any(m.split(".")[0] == "scipy" for m in sys.modules))
+est = layerquench.estimate_t_ba(layerquench.ba_reference_magnitudes(0.7, m=0.8), m=0.8)
+print(est.method, abs(est.t_hat - 0.7) < 1e-8, "scipy" in sys.modules)
+"""
+
+
+def test_scipy_is_loaded_by_the_numeric_inversion_only():
+    import layerquench
+    src = os.path.dirname(os.path.dirname(os.path.abspath(layerquench.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout.split("\n")
+    assert out[0] == "False"
+    assert out[1] == "ba-numeric True True"

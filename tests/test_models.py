@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from layerquench import (LayeredConfig, UsageError, anticommutator_table, build_layered,
                          coupling_matrix, haldane_field, monolayer_field, qwz_field,
                          sampling_cell)
+from layerquench import models
 from layerquench.models import PAULI, interlayer_alternating, interlayer_chain
 
 
@@ -129,3 +130,25 @@ def test_anticommutator_table_abba_has_nonzero_diagonal_pair():
     assert table[("1.s1", "Sig1.s1")] > 1.0
     assert table[("1.s2", "Sig1.s1")] == 0.0
     assert table[("1.s3", "Sig1.s1")] == 0.0
+
+
+def _no_field(*args):
+    raise AssertionError("build_layered went past its memory check")
+
+
+def test_build_layered_bound_is_checked_before_allocating(monkeypatch):
+    # zero-stride momenta cost nothing; the field is never evaluated, so
+    # no (256, 256, 100, 100) stack is ever requested
+    monkeypatch.setattr(models, "monolayer_field", _no_field)
+    k = np.broadcast_to(0.0, (256, 256))
+    with pytest.raises(UsageError, match=r"10\.5 GB"):
+        build_layered(k, k, LayeredConfig("abba", 50, 0.4))
+
+
+def test_build_layered_bound_counts_the_broadcast_shape(monkeypatch):
+    monkeypatch.setattr(models, "monolayer_field", _no_field)
+    kx = np.broadcast_to(0.0, (4096, 1))
+    ky = np.broadcast_to(0.0, (1, 4096))
+    # 4096 x 4096 momenta x 4 x 4 x 16 bytes = 4.3 GB for a bilayer
+    with pytest.raises(UsageError, match=r"4\.3 GB"):
+        build_layered(kx, ky, LayeredConfig("ba", 2, 0.4))

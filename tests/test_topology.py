@@ -6,6 +6,7 @@ import pytest
 from layerquench import (
     GaplessError,
     LayeredConfig,
+    UsageError,
     chern_fhs,
     chern_two_band,
     phase_diagram,
@@ -146,3 +147,26 @@ class TestTransitionCurves:
         assert segment_crosses_transition(2, (0.1, 1.95), (0.9, 1.95))
         assert not segment_crosses_transition(2, (0.25, 1.0), (0.3, 1.1))
         assert not segment_crosses_transition(2, (1.5, 2.8), (1.9, 2.9))
+
+
+class TestInputFloors:
+    CFG = LayeredConfig("abba", 2, 0.4)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 15])
+    def test_grids_below_the_floor_are_usage_errors(self, n):
+        # a 2 x 2 grid used to give Chern number 0 here from both oracles
+        with pytest.raises(UsageError, match="at least 16"):
+            chern_fhs(self.CFG, grid_n=n)
+        with pytest.raises(UsageError, match="at least 16"):
+            total_chern_abba(self.CFG, grid_n=n)
+        for stacking in ("abba", "ba"):
+            with pytest.raises(UsageError, match="at least 16"):
+                phase_diagram(stacking, 2, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=n)
+
+    def test_floor_grid_is_accepted(self):
+        assert chern_two_band(subsystem_field_fn(self.CFG, 1), 16) == -1
+
+    @pytest.mark.parametrize("steps", [0, -1, (4, 0), (0, 4), (-2, 3)])
+    def test_steps_below_one_are_usage_errors(self, steps):
+        with pytest.raises(UsageError, match="steps must be at least 1"):
+            phase_diagram("abba", 2, (0.0, 2.0), (-1.0, 3.0), steps)
