@@ -11,14 +11,12 @@ from .models import (LayeredConfig, Cell, PAULI, anticommutator_table, build_lay
                      coupling_matrix, haldane_field, hamiltonian_terms,
                      interlayer_alternating, interlayer_chain, monolayer_field,
                      qwz_field, sampling_cell)
-from .spectra import (SineModes, SpectrumSample, SubsystemField, abba_transform,
-                      analytic_levels, analytic_positive_levels, analytic_spectrum,
-                      block_diagonalize_abba, degeneracy_groups, eigvec_identities,
+from .spectra import (SineModes, SpectrumSample, abba_transform, analytic_levels,
+                      analytic_positive_levels, degeneracy_groups, eigvec_identities,
                       level_labels, numeric_levels, numeric_spectrum, sine_modes,
                       subsystem_fields)
-from .quench import (BaCoefficients, ba_coefficients, bilayer_observable, gtasp_abba,
-                     global_observable, mixed_state, polarization_profile, pure_state,
-                     pure_state_check, singular_mask, subspace_observable,
+from .quench import (gtasp_abba, global_observable, mixed_state, polarization_profile,
+                     pure_state, pure_state_check, singular_mask, subspace_observable,
                      tasp_closed_form, time_averaged_expectation,
                      time_integrated_expectation)
 from .bisfield import (BisContour, TaspGrid, characterize, component_zero_curves,

@@ -68,13 +68,11 @@ def polarization_evaluator(cfg, j, observable=("global",)):
     kind = observable[0]
     if kind == "global":
         return lambda kx, ky: tasp_closed_form(kx, ky, cfg, j)
-    if kind not in ("subspace", "bilayer"):
+    if kind != "subspace":
         raise UsageError(f"unknown observable kind {kind!r}")
-    if kind == "bilayer" and cfg.layers != 2:
-        raise UsageError("bilayer observables require layers = 2")
     r = observable[1]
     if not 1 <= r <= cfg.layers:
-        raise UsageError(f"{kind} mode index {r} is outside 1..{cfg.layers}")
+        raise UsageError(f"subspace mode index {r} is outside 1..{cfg.layers}")
     return lambda kx, ky: gtasp_abba(kx, ky, cfg, j, r)
 
 
@@ -86,7 +84,7 @@ def source_function(grid):
     """
     cfg, j = grid.cfg, grid.j
     shift = 0.0
-    if grid.observable[0] in ("subspace", "bilayer") and j == 1:
+    if grid.observable[0] == "subspace" and j == 1:
         r = grid.observable[1]
         shift = 2.0 * cfg.t * np.cos(sine_modes(cfg.layers).theta[r - 1])
 
@@ -310,8 +308,12 @@ def extract_bis(grid, tol_bis=1e-6, include_rejected=False):
 
     Contours failing the all-components check (possible for synthetic or
     mode-mixed data) are excluded; pass include_rejected=True to get
-    them in a second list instead of dropping them.
+    them in a second list instead of dropping them.  tol_bis must be
+    positive: a contour's residual is never negative, so no other value
+    can accept one.
     """
+    if not tol_bis > 0:
+        raise UsageError(f"tol_bis must be positive, got {float(tol_bis)}")
     src = source_function(grid)
     u = np.arange(grid.nx)[:, None] / grid.nx
     v = np.arange(grid.ny)[None, :] / grid.ny
@@ -348,8 +350,11 @@ def dynamical_field(contour, grid, delta=1e-4):
     At each contour point the inward normal is the normalized gradient
     of the source criterion (pointing toward positive source values);
     the two non-j polarization components are differentiated along it
-    with a central step delta and the negated derivative is normalized.
+    with a central step delta (finite and positive) and the negated
+    derivative is normalized.
     """
+    if not (np.isfinite(delta) and delta > 0):
+        raise UsageError(f"delta must be finite and positive, got {float(delta)}")
     src = source_function(grid)
     ev = polarization_evaluator(grid.cfg, grid.j, grid.observable)
     pq = FIELD_COMPONENTS[grid.j]
@@ -395,34 +400,33 @@ def winding(contour, layer_factor=1):
                      a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]).sum()
     total = ang / (2 * np.pi)
     nearest = np.rint(total)
-    if abs(total - nearest) >= WINDING_RESIDUAL_TOL:
+    if not abs(total - nearest) < WINDING_RESIDUAL_TOL:  # also fails a NaN sum
         raise NonQuantizedWindingError(
             f"winding {total} is not integer within {WINDING_RESIDUAL_TOL}")
     contour.w = int(nearest)
     return contour.w * layer_factor
 
 
-def characterize(cfg, j=3, resolution=256, delta=1e-4, tol_bis=1e-6, threads=1):
+def characterize(cfg, j=3, resolution=256, delta=1e-4, tol_bis=1e-6, threads=1,
+                 observable=("global",)):
     """Full dynamical characterization: contours, fields and windings.
 
-    abba stacks are analysed mode by mode (layer factor 1 each); ba
-    stacks from the global polarization with layer factor N.  Returns a
-    dict with the contour list, per-contour windings and the total
-    invariant.  An empty contour list is a valid trivial result.
+    Global data of an abba stack is analysed mode by mode (layer factor
+    1 each), global ba data with layer factor N, and ("subspace", r)
+    data from its one mode grid with layer factor 1.  Returns a dict
+    with the contour list, per-contour windings and the total invariant.
+    An empty contour list is a valid trivial result.
     """
+    if observable[0] != "global":
+        layer_factor, observables = 1, [observable]
+    elif cfg.stacking == "abba":
+        layer_factor, observables = 1, [("subspace", r) for r in range(1, cfg.layers + 1)]
+    else:
+        layer_factor, observables = cfg.layers, [observable]
     contours = []
     total = 0
-    if cfg.stacking == "abba":
-        layer_factor = 1
-        for r in range(1, cfg.layers + 1):
-            grid = sample_grid(cfg, j, ("subspace", r), resolution, threads=threads)
-            for c in extract_bis(grid, tol_bis):
-                dynamical_field(c, grid, delta)
-                total += winding(c, layer_factor)
-                contours.append(c)
-    else:
-        layer_factor = cfg.layers
-        grid = sample_grid(cfg, j, ("global",), resolution, threads=threads)
+    for obs in observables:
+        grid = sample_grid(cfg, j, obs, resolution, threads=threads)
         for c in extract_bis(grid, tol_bis):
             dynamical_field(c, grid, delta)
             total += winding(c, layer_factor)

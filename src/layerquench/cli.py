@@ -19,12 +19,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bisfield import dynamical_field, extract_bis, sample_grid, winding
+from .bisfield import characterize, sample_grid
+# unused here, but the traced benchmark run (perfbench/jobs.py) wraps them in this module
+from .bisfield import dynamical_field, extract_bis, winding
 from .errors import LayerQuenchError, UnsupportedStackingError, UsageError
 from .hopping import ba_reference_magnitudes, estimate_t_abba, estimate_t_ba
 from .models import LayeredConfig
 from .quench import tasp_closed_form, time_averaged_expectation, mixed_state, global_observable
-from .topology import chern_fhs, phase_diagram, total_chern_abba
+from .topology import PHASE_FHS_GRID, chern_fhs, phase_diagram, total_chern_abba
 
 # option name -> (type, default); the single source of truth for config
 # file keys, flag resolution and manifest echo
@@ -39,7 +41,6 @@ OPTIONS = {
     "grid": (str, "256"),
     "out": (str, "."),
     "tol_bis": (float, 1e-6),
-    "tol_deg": (float, 1e-9),
     "threads": (int, None),  # None -> QT_THREADS env or 1
     "delta": (float, 1e-4),
     "t_min": (float, 0.0),
@@ -150,8 +151,11 @@ def parse_grid(spec):
         raise UsageError(f"cannot parse grid spec {spec!r}")
 
 
-def parse_observable(spec):
-    """'global' | 'subspace:R' | 'bilayer:W' -> observable tuple."""
+def parse_observable(spec, layers):
+    """'global' | 'subspace:R' | 'bilayer:W' -> observable tuple.
+
+    'bilayer:W' is an alias of 'subspace:W' for a stack of two layers.
+    """
     parts = str(spec).split(":")
     if parts[0] == "global":
         if len(parts) != 1:
@@ -161,9 +165,14 @@ def parse_observable(spec):
         if len(parts) != 2:
             raise UsageError(f"observable {parts[0]!r} needs an index, e.g. {parts[0]}:1")
         try:
-            return (parts[0], int(parts[1]))
+            r = int(parts[1])
         except ValueError:
             raise UsageError(f"bad observable index {parts[1]!r}")
+        if parts[0] == "bilayer" and layers != 2:
+            raise UsageError("bilayer observables require layers = 2")
+        if parts[0] == "bilayer" and not 1 <= r <= 2:
+            raise UsageError(f"bilayer mode index {r} is outside 1..2")
+        return ("subspace", r)
     raise UsageError(f"unknown observable kind {parts[0]!r}")
 
 
@@ -176,7 +185,7 @@ def _manifest(command, opts, extra):
     # threads is an execution detail: leaving it out keeps serial and
     # parallel runs byte-identical
     echo = {k: opts[k] for k in ("model", "m", "stacking", "layers", "t", "axis",
-                                 "observable", "grid", "tol_bis", "tol_deg")}
+                                 "observable", "grid", "tol_bis")}
     obj = {"command": command, "config": echo, "version": __version__}
     obj.update(extra)
     return obj
@@ -191,7 +200,7 @@ def _outdir(opts):
 def cmd_tasp(opts):
     cfg = layered_config(opts)
     nx, ny = parse_grid(opts["grid"])
-    obs = parse_observable(opts["observable"])
+    obs = parse_observable(opts["observable"], opts["layers"])
     grid = sample_grid(cfg, opts["axis"], obs, (nx, ny), threads=opts["threads"])
     u = np.arange(nx)[:, None] / nx
     v = np.arange(ny)[None, :] / ny
@@ -209,81 +218,63 @@ def cmd_tasp(opts):
     return 0
 
 
-def _bis_run(cfg, opts):
+def _characterize(opts):
     """Contours with dynamical fields and windings for the configured observable."""
-    j = opts["axis"]
-    nx, ny = parse_grid(opts["grid"])
-    obs = parse_observable(opts["observable"])
-    contours = []
-    total = 0
-    if obs[0] == "global" and cfg.stacking == "abba":
-        layer_factor = 1
-        grids = [sample_grid(cfg, j, ("subspace", r), (nx, ny), threads=opts["threads"])
-                 for r in range(1, cfg.layers + 1)]
-    elif obs[0] == "global":
-        layer_factor = cfg.layers
-        grids = [sample_grid(cfg, j, obs, (nx, ny), threads=opts["threads"])]
-    else:
-        layer_factor = 1
-        grids = [sample_grid(cfg, j, obs, (nx, ny), threads=opts["threads"])]
-    for grid in grids:
-        for c in extract_bis(grid, opts["tol_bis"]):
-            dynamical_field(c, grid, opts["delta"])
-            total += winding(c, layer_factor)
-            contours.append(c)
-    return contours, int(total), layer_factor
+    return characterize(layered_config(opts), opts["axis"], parse_grid(opts["grid"]),
+                        opts["delta"], opts["tol_bis"], opts["threads"],
+                        parse_observable(opts["observable"], opts["layers"]))
 
 
-def _bis_summary(opts, contours, total, layer_factor, files=None):
+def _bis_summary(res, files=None):
     entries = []
-    for n, c in enumerate(contours):
+    for n, c in enumerate(res["contours"]):
         e = {"source": c.source, "points": int(len(c.points)),
              "winding": int(c.w), "wraps": [int(w) for w in c.wraps],
              "residual": float(c.residual)}
         if files is not None:
             e["file"] = files[n]
         entries.append(e)
-    extra = {"contours": entries, "total_w": total, "layer_factor": layer_factor}
-    if not contours:
+    extra = {"contours": entries, "total_w": res["total_w"],
+             "layer_factor": res["layer_factor"]}
+    if not entries:
         extra["note"] = "no BIS"
     return extra
 
 
 def cmd_bis(opts):
-    cfg = layered_config(opts)
-    contours, total, lf = _bis_run(cfg, opts)
+    res = _characterize(opts)
     out = _outdir(opts)
     files = []
-    for n, c in enumerate(contours):
+    for n, c in enumerate(res["contours"]):
         name = f"bis_contour_{n:02d}.csv"
         _write_csv(os.path.join(out, name), ["kx", "ky", "g1", "g2", "source"],
                    [c.points[:, 0], c.points[:, 1], c.gfield[:, 0], c.gfield[:, 1],
                     [c.source] * len(c.points)])
         files.append(name)
     _write_json(os.path.join(out, "bis_summary.json"),
-                _manifest("bis", opts, _bis_summary(opts, contours, total, lf, files)))
-    if contours:
-        print(f"{len(contours)} contour(s), total_w = {total}")
+                _manifest("bis", opts, _bis_summary(res, files)))
+    if files:
+        print(f"{len(files)} contour(s), total_w = {res['total_w']}")
     else:
         print("no BIS; total_w = 0")
     return 0
 
 
 def cmd_winding(opts):
-    cfg = layered_config(opts)
-    contours, total, lf = _bis_run(cfg, opts)
+    res = _characterize(opts)
     out = _outdir(opts)
     _write_json(os.path.join(out, "winding.json"),
-                _manifest("winding", opts, _bis_summary(opts, contours, total, lf)))
-    print(f"total_w = {total} (layer_factor {lf})")
+                _manifest("winding", opts, _bis_summary(res)))
+    print(f"total_w = {res['total_w']} (layer_factor {res['layer_factor']})")
     return 0
 
 
 def cmd_phase_diagram(opts):
     nx, _ = parse_grid(opts["grid"])
+    scan_grid = min(nx, 64)
     pd = phase_diagram(opts["stacking"], opts["layers"],
                        (opts["t_min"], opts["t_max"]), (opts["m_min"], opts["m_max"]),
-                       opts["steps"], model=opts["model"], grid_n=min(nx, 64),
+                       opts["steps"], model=opts["model"], grid_n=scan_grid,
                        threads=opts["threads"])
     out = _outdir(opts)
     T, M = np.meshgrid(pd.ts, pd.ms, indexing="ij")
@@ -296,7 +287,9 @@ def cmd_phase_diagram(opts):
                              for l in range(len(pd.ms))) + "\n")
     extra = {"t_range": [opts["t_min"], opts["t_max"]],
              "m_range": [opts["m_min"], opts["m_max"]], "steps": opts["steps"],
-             "boundary_cells": int(pd.boundary.sum())}
+             "boundary_cells": int(pd.boundary.sum()), "scan_grid": scan_grid}
+    if opts["stacking"] == "ba":
+        extra["fhs_grid"] = PHASE_FHS_GRID
     _write_json(os.path.join(out, "phase_manifest.json"), _manifest("phase-diagram", opts, extra))
     print(f"phase diagram {len(pd.ts)}x{len(pd.ms)} written to {out}")
     return 0
@@ -354,7 +347,7 @@ def cmd_estimate_t(opts, samples):
 
 
 def cmd_selftest(opts):
-    from .spectra import abba_transform, analytic_levels, block_diagonalize_abba, numeric_levels
+    from .spectra import abba_transform, analytic_levels, numeric_levels, subsystem_fields
     from .models import build_layered, PAULI
     failures = []
 
@@ -366,12 +359,12 @@ def cmd_selftest(opts):
     rng = np.random.default_rng(1234)
     cfg3 = LayeredConfig(stacking="abba", layers=3, t=0.7)
     kx, ky = rng.uniform(-np.pi, np.pi, 2)
-    fields, S = block_diagonalize_abba(kx, ky, cfg3)
+    S = abba_transform(3)
+    hr = subsystem_fields(kx, ky, cfg3)
     Hb = S @ build_layered(kx, ky, cfg3) @ S.T
     blocks = np.zeros_like(Hb)
-    for f in fields:
-        blk = sum(f.h[i] * PAULI[i] for i in range(3))
-        blocks[2 * (f.r - 1):2 * f.r, 2 * (f.r - 1):2 * f.r] = blk
+    for r in range(3):
+        blocks[2 * r:2 * r + 2, 2 * r:2 * r + 2] = sum(hr[r, i] * PAULI[i] for i in range(3))
     check("block-diagonalization", np.max(np.abs(Hb - blocks)) < 1e-12)
 
     ok = True
@@ -392,15 +385,8 @@ def cmd_selftest(opts):
     mono = LayeredConfig(stacking="abba", layers=1, t=0.0, m=1.0)
     check("monolayer-chern", chern_fhs(mono, 1, grid_n=40) == -1)
 
-    res = {}
     cfg = LayeredConfig(stacking="abba", layers=2, t=0.4)
-    total = 0
-    for r in (1, 2):
-        grid = sample_grid(cfg, 3, ("subspace", r), 128)
-        for c in extract_bis(grid):
-            dynamical_field(c, grid)
-            total += winding(c, 1)
-    check("bilayer-winding", total == -2)
+    check("bilayer-winding", characterize(cfg, 3, 128)["total_w"] == -2)
 
     est = estimate_t_ba(ba_reference_magnitudes(0.4))
     check("hopping-round-trip", abs(est.t_hat - 0.4) < 1e-12)
@@ -425,7 +411,6 @@ def build_parser():
     common.add_argument("--grid", help="resolution, N or NXxNY")
     common.add_argument("--out", help="output directory")
     common.add_argument("--tol-bis", dest="tol_bis", type=float)
-    common.add_argument("--tol-deg", dest="tol_deg", type=float)
     common.add_argument("--threads", type=int, help="worker threads (QT_THREADS fallback)")
     common.add_argument("--delta", type=float, help="normal step for the dynamical field")
 

@@ -60,7 +60,7 @@ def estimate_t_abba(source, resolution=256, j=3):
     """
     if isinstance(source, TaspGrid):
         grid = source
-        if grid.observable[0] not in ("subspace", "bilayer") or grid.observable[1] != 1:
+        if grid.observable != ("subspace", 1):
             raise UsageError("estimate_t_abba needs subspace-1 polarization data")
     elif isinstance(source, LayeredConfig):
         if source.stacking != "abba":

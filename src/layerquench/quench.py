@@ -7,8 +7,6 @@ mixed state (1/N) (x) (1 - s_j)/2 prepared by a deep quench along axis j.
 Signs flip together with the initial polarization.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SingularPointError
@@ -62,12 +60,6 @@ def subspace_observable(N, r, i):
     return N * np.kron(np.outer(a, a), PAULI[i - 1])
 
 
-def bilayer_observable(which, i):
-    """(1 + s1) (x) s_i for which=1, (1 - s1) (x) s_i for which=2 (N=2 only)."""
-    sgn = 1.0 if which == 1 else -1.0
-    return np.kron(np.eye(2) + sgn * PAULI[0], PAULI[i - 1])
-
-
 def time_averaged_expectation(H, rho0, O, tol_deg=DEG_TOL_DEFAULT):
     """Exact infinite-time average sum_E Tr[P_E rho0 P_E O].
 
@@ -107,13 +99,6 @@ def time_integrated_expectation(H, rho0, O, T=2000.0, dt=0.01):
     return float(np.sum(coef * mean_ph).real)
 
 
-@dataclass(frozen=True)
-class BaCoefficients:
-    """Symmetric coefficient matrix A of the ba closed form TASP_i = -h_i h_j A_ij."""
-
-    matrix: np.ndarray
-
-
 def _ba_matrix(h, cfg):
     """Vectorized A matrix; h has shape (..., 3), result (..., 3, 3).
 
@@ -147,12 +132,6 @@ def _ba_matrix(h, cfg):
     A[..., 0, 2] = A[..., 1, 2] = A[..., 2, 0] = A[..., 2, 1] = (1.0 / N) * s_a3
     A[..., 2, 2] = (0.5 / N) * s_33
     return A
-
-
-def ba_coefficients(kx, ky, cfg):
-    """Coefficient set of the ba closed form at one momentum."""
-    h = monolayer_field(cfg, kx, ky)
-    return BaCoefficients(matrix=_ba_matrix(h, cfg))
 
 
 def tasp_closed_form(kx, ky, cfg, j, sign=-1):

@@ -49,26 +49,9 @@ def subsystem_fields(kx, ky, cfg):
     return out
 
 
-@dataclass(frozen=True)
-class SubsystemField:
-    r: int
-    h: np.ndarray
-
-
 def abba_transform(N):
     """Orthogonal S = A (x) 1 with rows of A the sine modes; S H S^T is block diagonal."""
     return np.kron(sine_modes(N).vectors, np.eye(2))
-
-
-def block_diagonalize_abba(kx, ky, cfg):
-    """Sine-transform decomposition of the abba Hamiltonian at one momentum.
-
-    Returns (fields, S) where fields is a list of SubsystemField and
-    S build_layered(...) S^T equals the direct sum of the h_r . sigma blocks.
-    """
-    fields = subsystem_fields(kx, ky, cfg)
-    S = abba_transform(cfg.layers)
-    return [SubsystemField(r=r + 1, h=fields[..., r, :]) for r in range(cfg.layers)], S
 
 
 def analytic_positive_levels(kx, ky, cfg):
@@ -93,12 +76,6 @@ def analytic_levels(kx, ky, cfg):
     """All 2N analytic eigenvalues sorted ascending; shape (..., 2N)."""
     ep = analytic_positive_levels(kx, ky, cfg)
     return np.sort(np.concatenate([-ep, ep], axis=-1), axis=-1)
-
-
-def analytic_spectrum(kx, ky, cfg):
-    """Sequence of (r, E_plus, E_minus) triples at a single momentum."""
-    ep = np.atleast_1d(analytic_positive_levels(kx, ky, cfg))
-    return [(r + 1, float(ep[..., r]), -float(ep[..., r])) for r in range(cfg.layers)]
 
 
 def degeneracy_groups(energies, tol_deg=DEG_TOL_DEFAULT):

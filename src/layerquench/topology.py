@@ -39,6 +39,9 @@ FIELD_FLOOR = 1e-9
 # size scanned about 25 % slower on a 2-vCPU Xeon)
 SCAN_CHUNK_BYTES = 1 << 17
 
+# base grid of the link-variable Chern number of a ba scan cell
+PHASE_FHS_GRID = 40
+
 
 def _cell_nodes(cell, n):
     if n < MIN_GRID:
@@ -51,13 +54,15 @@ def _cell_nodes(cell, n):
 def chern_fhs(cfg, filled=None, grid_n=100, gap_tol=GAP_TOL_DEFAULT, cell=None):
     """Chern number of the lowest `filled` bands via plaquette link variables.
 
-    filled defaults to half filling (N of the 2N bands).  The spectral
-    gap above the filled bands must exceed gap_tol everywhere on the
-    grid.  The summed plaquette field strength is rounded to an integer;
-    doubling grid_n must reproduce it (see tests).
+    filled defaults to half filling (N of the 2N bands) and must lie in
+    1..2N.  The spectral gap above the filled bands must exceed gap_tol
+    everywhere on the grid.  The summed plaquette field strength is
+    rounded to an integer; doubling grid_n must reproduce it (see tests).
     """
     if filled is None:
         filled = cfg.layers
+    if not 1 <= filled <= 2 * cfg.layers:
+        raise UsageError(f"filled must be in 1..{2 * int(cfg.layers)}, got {int(filled)}")
     if cell is None:
         cell = sampling_cell(cfg.model)
     KX, KY = _cell_nodes(cell, grid_n)
@@ -247,7 +252,7 @@ def _abba_cells(tables, t, l):
 
 
 def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz",
-                  grid_n=48, gap_tol=GAP_TOL_DEFAULT, threads=1, fhs_grid=40):
+                  grid_n=48, gap_tol=GAP_TOL_DEFAULT, threads=1, fhs_grid=PHASE_FHS_GRID):
     """Scan half-filling Chern numbers over a (t, m) window.
 
     steps may be an int or a (t_steps, m_steps) pair; cells are sampled

@@ -61,7 +61,7 @@ class TestSampleGrid:
 
 
 class TestModeIndex:
-    @pytest.mark.parametrize("observable", [("subspace", 0), ("subspace", 3), ("bilayer", 5)])
+    @pytest.mark.parametrize("observable", [("subspace", 0), ("subspace", 3), ("subspace", 5)])
     def test_out_of_range_mode_is_rejected(self, observable):
         cfg = LayeredConfig("abba", 2, 0.4)
         with pytest.raises(UsageError, match=r"outside 1\.\.2"):
@@ -120,6 +120,14 @@ class TestExtractBis:
         assert len(rejected) >= 1
         assert all(c.residual >= 1e-6 for c in rejected)
 
+    @pytest.mark.parametrize("tol_bis", [0.0, -1.0, np.nan])
+    def test_nonpositive_tol_bis_is_a_usage_error(self, tol_bis):
+        # no residual is below a tolerance <= 0, so -1 used to report
+        # "no BIS" for a stack whose invariant is -2
+        grid = sample_grid(LayeredConfig("abba", 2, 0.4), 3, ("subspace", 1), 32)
+        with pytest.raises(UsageError, match="tol_bis must be positive"):
+            extract_bis(grid, tol_bis)
+
     def test_component_zero_curves_find_sigma1_branch(self):
         cfg = LayeredConfig("abba", 2, 0.4)
         grid = sample_grid(cfg, 3, ("subspace", 1), 96)
@@ -159,6 +167,16 @@ class TestDynamicalField:
         )
         so /= np.linalg.norm(so, axis=1, keepdims=True)
         assert np.max(np.abs(c.gfield - so)) < 1e-5
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-4, np.nan, np.inf])
+    def test_nonpositive_or_nonfinite_delta_is_a_usage_error(self, delta):
+        # delta = 0 used to end in a NaN field and a ValueError traceback
+        cfg = LayeredConfig("abba", 2, 0.4)
+        grid = sample_grid(cfg, 3, ("subspace", 1), 64)
+        c = extract_bis(grid)[0]
+        with pytest.raises(UsageError, match="delta must be finite and positive"):
+            dynamical_field(c, grid, delta)
+        assert c.gfield is None
 
     def test_vanishing_source_gradient_raises(self):
         # on the m=0 lattice the mass gradient is (sin kx, sin ky),
@@ -217,6 +235,16 @@ class TestWinding:
         with pytest.raises(NonQuantizedWindingError, match="only 8 points"):
             winding(short)
 
+    def test_nan_field_is_not_quantized(self):
+        cfg = LayeredConfig("abba", 2, 0.4)
+        grid = sample_grid(cfg, 3, ("subspace", 1), 128)
+        c = extract_bis(grid)[0]
+        dynamical_field(c, grid)
+        c.gfield[3] = np.nan
+        with pytest.raises(NonQuantizedWindingError, match="not integer"):
+            winding(c)
+        assert c.w is None
+
     @pytest.mark.parametrize("r", [1, 2])
     def test_bilayer_modes_each_wind_once(self, r):
         cfg = LayeredConfig("abba", 2, 0.4)
@@ -259,6 +287,14 @@ class TestCharacterize:
         assert sorted(ws) == [-1, -1]
         sources = {c.source for c in result["contours"]}
         assert len(sources) == 2
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_subspace_observable_uses_its_one_mode(self, r):
+        cfg = LayeredConfig("abba", 2, 0.4)
+        result = characterize(cfg, resolution=128, observable=("subspace", r))
+        assert result["total_w"] == -1
+        assert result["layer_factor"] == 1
+        assert [c.source for c in result["contours"]] == [f"mode{r}.s3"]
 
     def test_trivial_coupling_has_no_net_winding(self):
         cfg = LayeredConfig("abba", 2, 1.2)

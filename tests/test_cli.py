@@ -30,13 +30,17 @@ class TestParsers:
             parse_grid("12q")
 
     def test_observable_specs(self):
-        assert parse_observable("global") == ("global",)
-        assert parse_observable("subspace:2") == ("subspace", 2)
-        assert parse_observable("bilayer:1") == ("bilayer", 1)
+        assert parse_observable("global", 2) == ("global",)
+        assert parse_observable("subspace:2", 2) == ("subspace", 2)
+        assert parse_observable("bilayer:1", 2) == ("subspace", 1)
         with pytest.raises(UsageError):
-            parse_observable("subspace")
+            parse_observable("subspace", 2)
         with pytest.raises(UsageError):
-            parse_observable("orbit:1")
+            parse_observable("orbit:1", 2)
+        with pytest.raises(UsageError, match="bilayer observables require layers = 2"):
+            parse_observable("bilayer:1", 3)
+        with pytest.raises(UsageError, match=r"bilayer mode index 3 is outside 1\.\.2"):
+            parse_observable("bilayer:3", 2)
 
 
 class TestTasp:
@@ -83,6 +87,14 @@ class TestConfigFile:
         cfgfile = tmp_path / "run.conf"
         cfgfile.write_text("bogus = 1\n")
         assert run("tasp", "--config", cfgfile, "--out", tmp_path) == 2
+
+    def test_tol_deg_is_not_an_option(self, tmp_path):
+        cfgfile = tmp_path / "run.conf"
+        cfgfile.write_text("tol_deg = 1e-9\n")
+        assert run("tasp", "--config", cfgfile, "--out", tmp_path) == 2
+        with pytest.raises(SystemExit) as exc:
+            run("tasp", "--tol-deg", "1e-9")
+        assert exc.value.code == 2
 
     def test_bad_flag_value_exits_via_argparse(self):
         with pytest.raises(SystemExit) as exc:
@@ -168,12 +180,24 @@ class TestPhaseDiagram:
         manifest = load_json(tmp_path / "phase_manifest.json")
         assert manifest["steps"] == 6
         assert isinstance(manifest["boundary_cells"], int)
+        assert manifest["scan_grid"] == 32
+        assert "fhs_grid" not in manifest
         # cell centred on (1/6, 4/3) lies inside the doubly inverted phase
         hit = [r for r in rows[1:]
                if r.split(",")[2] == "-2"
                and abs(float(r.split(",")[0]) - 1 / 6) < 1e-12
                and abs(float(r.split(",")[1]) - 4 / 3) < 1e-12]
         assert len(hit) == 1
+
+    def test_manifest_records_the_ba_resolutions(self, tmp_path):
+        # the scan is capped at 64 and ba Chern numbers use their own grid,
+        # whatever --grid was typed
+        assert run("phase-diagram", "--stacking", "ba", "--steps", "2",
+                   "--out", tmp_path) == 0
+        manifest = load_json(tmp_path / "phase_manifest.json")
+        assert manifest["config"]["grid"] == "256"
+        assert manifest["scan_grid"] == 64
+        assert manifest["fhs_grid"] == 40
 
 
 class TestEstimateT:
@@ -236,6 +260,52 @@ class TestRejectedInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: 65536 momenta x 100x100 Hamiltonians need 10.5 GB")
         assert len(err.splitlines()) == 1
+
+
+# (expected exit code, argv): every input main accepts ends in 0, 1
+# (numerical failure) or 2 (usage error) and never in a traceback
+EXIT_SWEEP = [
+    (0, ["bis", "--grid", "64"]),
+    (0, ["winding", "--observable", "bilayer:2", "--grid", "64"]),
+    (0, ["chern", "--filled", "4", "--grid", "32"]),
+    (1, ["winding", "--m", "2.0", "--grid", "64"]),
+    (2, ["bis", "--tol-bis", "-1", "--grid", "64"]),
+    (2, ["bis", "--tol-bis", "nan", "--grid", "64"]),
+    (2, ["bis", "--delta", "0", "--grid", "64"]),
+    (2, ["winding", "--delta", "nan", "--grid", "64"]),
+    (2, ["chern", "--filled", "9", "--grid", "32"]),
+    (2, ["chern", "--filled", "0", "--grid", "32"]),
+    (2, ["tasp", "--observable", "orbit:1", "--grid", "16"]),
+    (2, ["tasp", "--observable", "global:1", "--grid", "16"]),
+    (2, ["tasp", "--observable", "subspace", "--grid", "16"]),
+    (2, ["tasp", "--observable", "subspace:x", "--grid", "16"]),
+    (2, ["tasp", "--observable", "subspace:0", "--grid", "16"]),
+    (2, ["bis", "--observable", "subspace:3", "--grid", "16"]),
+    (2, ["bis", "--observable", "bilayer:3", "--grid", "16"]),
+    (2, ["bis", "--observable", "bilayer:1", "--layers", "3", "--grid", "16"]),
+    (2, ["winding", "--stacking", "ba", "--observable", "subspace:1", "--grid", "16"]),
+    (2, ["tasp", "--grid", "8"]),
+    (2, ["bis", "--grid", "15x32"]),
+    (2, ["chern", "--grid", "2"]),
+    (2, ["phase-diagram", "--grid", "8"]),
+    (2, ["phase-diagram", "--steps", "0"]),
+    (2, ["tasp", "--t", "nan", "--grid", "16"]),
+    (2, ["bis", "--t", "inf", "--grid", "16"]),
+    (2, ["phase-diagram", "--t-min", "nan", "--steps", "2", "--grid", "16"]),
+    (2, ["tasp", "--threads", "0", "--grid", "16"]),
+]
+
+
+@pytest.mark.parametrize("code, argv", EXIT_SWEEP,
+                         ids=["_".join(argv).replace("--", "") for _, argv in EXIT_SWEEP])
+def test_exit_code_sweep(tmp_path, capsys, code, argv):
+    assert run(*argv, "--out", tmp_path) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+    else:
+        assert err == ""
 
 
 def test_selftest_battery(tmp_path, capsys):

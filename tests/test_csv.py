@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import reference_csv
-from layerquench.bisfield import sample_grid
-from layerquench.cli import (_bis_run, _write_csv, build_parser, layered_config, main,
-                             parse_grid, parse_observable, resolve_options)
+from layerquench.bisfield import characterize, sample_grid
+from layerquench.cli import (_write_csv, build_parser, layered_config, main, parse_grid,
+                             parse_observable, resolve_options)
 from layerquench.topology import phase_diagram
 
 
@@ -28,7 +28,7 @@ def test_tasp_files(tmp_path, argv):
     opts = run(argv, tmp_path / "cli")
     nx, ny = parse_grid(opts["grid"])
     grid = sample_grid(layered_config(opts), opts["axis"],
-                       parse_observable(opts["observable"]), (nx, ny))
+                       parse_observable(opts["observable"], opts["layers"]), (nx, ny))
     KX, KY = grid.cell.k_at(np.arange(nx)[:, None] / nx, np.arange(ny)[None, :] / ny)
     for comp in (1, 2, 3):
         name = f"tasp_s{comp}.csv"
@@ -39,7 +39,8 @@ def test_tasp_files(tmp_path, argv):
 
 def test_bis_files_with_source_column(tmp_path):
     opts = run(["bis", "--layers", "3", "--grid", "96"], tmp_path / "cli")
-    contours, _, _ = _bis_run(layered_config(opts), opts)
+    contours = characterize(layered_config(opts), opts["axis"], parse_grid(opts["grid"]),
+                            opts["delta"], opts["tol_bis"])["contours"]
     assert len(contours) >= 2
     for n, c in enumerate(contours):
         name = f"bis_contour_{n:02d}.csv"

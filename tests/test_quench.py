@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from layerquench import (LayeredConfig, SingularPointError, ba_coefficients,
-                         bilayer_observable, build_layered, global_observable, gtasp_abba,
-                         mixed_state, monolayer_field, polarization_profile, pure_state,
-                         pure_state_check, singular_mask, subspace_observable,
-                         tasp_closed_form, time_averaged_expectation,
+from layerquench import (PAULI, LayeredConfig, SingularPointError, build_layered,
+                         global_observable, gtasp_abba, mixed_state, monolayer_field,
+                         polarization_profile, pure_state, pure_state_check, singular_mask,
+                         subspace_observable, tasp_closed_form, time_averaged_expectation,
                          time_integrated_expectation)
+from layerquench.quench import _ba_matrix
 
 
 def random_k(rng):
@@ -40,8 +40,10 @@ def test_pure_state_properties():
 def test_subspace_observable_matches_bilayer_form():
     """For N = 2 the mode observables are (1 +- s1) (x) s_i."""
     for i in (1, 2, 3):
-        assert np.max(np.abs(subspace_observable(2, 1, i) - bilayer_observable(1, i))) < 1e-12
-        assert np.max(np.abs(subspace_observable(2, 2, i) - bilayer_observable(2, i))) < 1e-12
+        plus = np.kron(np.eye(2) + PAULI[0], PAULI[i - 1])
+        minus = np.kron(np.eye(2) - PAULI[0], PAULI[i - 1])
+        assert np.max(np.abs(subspace_observable(2, 1, i) - plus)) < 1e-12
+        assert np.max(np.abs(subspace_observable(2, 2, i) - minus)) < 1e-12
 
 
 def test_time_average_preserves_commuting_observable():
@@ -98,7 +100,8 @@ def test_positive_polarization_flips_sign():
 
 
 def test_ba_coefficient_matrix_symmetric():
-    A = ba_coefficients(0.7, -0.4, LayeredConfig("ba", 2, 0.9)).matrix
+    cfg = LayeredConfig("ba", 2, 0.9)
+    A = _ba_matrix(monolayer_field(cfg, 0.7, -0.4), cfg)
     assert np.max(np.abs(A - np.swapaxes(A, -1, -2))) < 1e-14
 
 

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerquench import (DegenerateSpectrumError, LayeredConfig, UnsupportedStackingError,
-                         analytic_levels, analytic_positive_levels, analytic_spectrum,
-                         block_diagonalize_abba, build_layered, degeneracy_groups,
-                         eigvec_identities, level_labels, monolayer_field, numeric_levels,
-                         numeric_spectrum, sine_modes, subsystem_fields)
+                         abba_transform, analytic_levels, analytic_positive_levels,
+                         build_layered, degeneracy_groups, eigvec_identities, level_labels,
+                         monolayer_field, numeric_levels, numeric_spectrum, sine_modes,
+                         subsystem_fields)
 from layerquench.models import PAULI
 
 
@@ -42,13 +42,14 @@ def test_block_diagonalization(N):
     cfg = LayeredConfig("abba", N, 0.8, m=0.3)
     rng = np.random.default_rng(N)
     kx, ky = rng.uniform(-np.pi, np.pi, 2)
-    fields, S = block_diagonalize_abba(kx, ky, cfg)
+    S = abba_transform(N)
+    hr = subsystem_fields(kx, ky, cfg)
     assert np.max(np.abs(S @ S.T - np.eye(2 * N))) < 1e-12
     Hb = S @ build_layered(kx, ky, cfg) @ S.T
     expected = np.zeros_like(Hb)
-    for f in fields:
-        blk = sum(f.h[i] * PAULI[i] for i in range(3))
-        sl = slice(2 * (f.r - 1), 2 * f.r)
+    for r in range(N):
+        blk = sum(hr[r, i] * PAULI[i] for i in range(3))
+        sl = slice(2 * r, 2 * r + 2)
         expected[sl, sl] = blk
     assert np.max(np.abs(Hb - expected)) < 1e-12
 
@@ -88,10 +89,11 @@ def test_ba_quartic_identity():
 
 def test_analytic_spectrum_triples():
     cfg = LayeredConfig("abba", 2, 0.4)
-    trips = analytic_spectrum(0.3, 0.7, cfg)
-    assert [r for r, _, _ in trips] == [1, 2]
-    for _, ep, em in trips:
-        assert ep > 0 and em == -ep
+    ep = analytic_positive_levels(0.3, 0.7, cfg)
+    assert ep.shape == (2,)  # one branch per mode r = 1, 2
+    assert np.all(ep > 0)
+    levels = analytic_levels(0.3, 0.7, cfg)
+    assert np.array_equal(levels, -levels[::-1])
 
 
 def test_degeneracy_groups_absolute_and_relative():

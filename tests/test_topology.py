@@ -166,6 +166,13 @@ class TestInputFloors:
     def test_floor_grid_is_accepted(self):
         assert chern_two_band(subsystem_field_fn(self.CFG, 1), 16) == -1
 
+    @pytest.mark.parametrize("filled", [0, -1, 5, 9])
+    def test_filled_outside_the_bands_is_a_usage_error(self, filled):
+        # filled = 9 used to give a clean 0 (all four bands taken), and
+        # filled = 0 a numerical gap error
+        with pytest.raises(UsageError, match=r"filled must be in 1\.\.4"):
+            chern_fhs(self.CFG, filled, grid_n=16)
+
     @pytest.mark.parametrize("steps", [0, -1, (4, 0), (0, 4), (-2, 3)])
     def test_steps_below_one_are_usage_errors(self, steps):
         with pytest.raises(UsageError, match="steps must be at least 1"):
