@@ -12,7 +12,6 @@ canonicalized so that the negative side of the source lies to the right
 of travel.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,8 @@ WINDING_RESIDUAL_TOL = 0.05
 
 @dataclass
 class TaspGrid:
-    """Per-node polarization vectors on the periodic sampling cell."""
+    """Per-node polarization vectors on the periodic sampling cell; kx, ky
+    are the momenta sampled, with nudged nodes at their nudged momenta."""
 
     cfg: object
     j: int
@@ -41,6 +41,8 @@ class TaspGrid:
     ny: int
     cell: object
     values: np.ndarray  # (nx, ny, 3)
+    kx: np.ndarray  # (nx, ny), as ky
+    ky: np.ndarray
 
 
 @dataclass
@@ -100,12 +102,14 @@ def source_tag(grid):
     return f"mode{grid.observable[1]}.s{grid.j}"
 
 
-def sample_grid(cfg, j, observable=("global",), resolution=256, threads=1, cell=None):
+def sample_grid(cfg, j, observable=("global",), resolution=256):
     """Evaluate the closed-form polarization on an nx x ny periodic grid.
 
-    Nodes sit at fractions (i/nx, l/ny) of the sampling cell.  Nodes that
-    hit a gap closing exactly are offset by half a grid step; if still
-    singular the error is re-raised with the node location.
+    Nodes sit at fractions (i/nx, l/ny) of the sampling cell of
+    cfg.model, and all nodes are evaluated in one serial array pass.
+    Nodes that hit a gap closing exactly are offset by half a grid step
+    (the grid's kx, ky record the offset); if still singular the error
+    is re-raised with the node location.
     """
     if isinstance(resolution, int):
         nx = ny = resolution
@@ -113,8 +117,7 @@ def sample_grid(cfg, j, observable=("global",), resolution=256, threads=1, cell=
         nx, ny = resolution
     if nx < MIN_GRID or ny < MIN_GRID:
         raise UsageError(f"grid resolution must be at least {MIN_GRID} per axis")
-    if cell is None:
-        cell = sampling_cell(cfg.model)
+    cell = sampling_cell(cfg.model)
     ev = polarization_evaluator(cfg, j, observable)
     u = np.arange(nx)[:, None] / nx
     v = np.arange(ny)[None, :] / ny
@@ -130,17 +133,8 @@ def sample_grid(cfg, j, observable=("global",), resolution=256, threads=1, cell=
             i0, l0 = np.argwhere(still)[0]
             raise SingularPointError(
                 f"gap closes at grid node ({i0}, {l0}), k=({KX[i0, l0]}, {KY[i0, l0]})")
-    if threads and threads > 1:
-        values = np.empty((nx, ny, 3))
-        chunks = np.array_split(np.arange(nx), min(threads, nx))
-        def work(rows):
-            values[rows] = ev(KX[rows], KY[rows])
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, chunks))
-    else:
-        values = ev(KX, KY)
     return TaspGrid(cfg=cfg, j=j, observable=tuple(observable), nx=nx, ny=ny,
-                    cell=cell, values=values)
+                    cell=cell, values=ev(KX, KY), kx=KX, ky=KY)
 
 
 # sides of a marching-squares cell, in the order the linking walk tries them
@@ -407,7 +401,7 @@ def winding(contour, layer_factor=1):
     return contour.w * layer_factor
 
 
-def characterize(cfg, j=3, resolution=256, delta=1e-4, tol_bis=1e-6, threads=1,
+def characterize(cfg, j=3, resolution=256, delta=1e-4, tol_bis=1e-6,
                  observable=("global",)):
     """Full dynamical characterization: contours, fields and windings.
 
@@ -426,7 +420,7 @@ def characterize(cfg, j=3, resolution=256, delta=1e-4, tol_bis=1e-6, threads=1,
     contours = []
     total = 0
     for obs in observables:
-        grid = sample_grid(cfg, j, obs, resolution, threads=threads)
+        grid = sample_grid(cfg, j, obs, resolution)
         for c in extract_bis(grid, tol_bis):
             dynamical_field(c, grid, delta)
             total += winding(c, layer_factor)

@@ -41,7 +41,7 @@ OPTIONS = {
     "grid": (str, "256"),
     "out": (str, "."),
     "tol_bis": (float, 1e-6),
-    "threads": (int, None),  # None -> QT_THREADS env or 1
+    "threads": (int, None),  # None -> QT_THREADS env or 1; sizes the phase-scan pool
     "delta": (float, 1e-4),
     "t_min": (float, 0.0),
     "t_max": (float, 2.0),
@@ -201,16 +201,13 @@ def cmd_tasp(opts):
     cfg = layered_config(opts)
     nx, ny = parse_grid(opts["grid"])
     obs = parse_observable(opts["observable"], opts["layers"])
-    grid = sample_grid(cfg, opts["axis"], obs, (nx, ny), threads=opts["threads"])
-    u = np.arange(nx)[:, None] / nx
-    v = np.arange(ny)[None, :] / ny
-    KX, KY = grid.cell.k_at(u, v)
+    grid = sample_grid(cfg, opts["axis"], obs, (nx, ny))
     out = _outdir(opts)
     files = []
     for comp in (1, 2, 3):
         name = f"tasp_s{comp}.csv"
         _write_csv(os.path.join(out, name), ["kx", "ky", "value"],
-                   [KX.ravel(), KY.ravel(), grid.values[..., comp - 1].ravel()])
+                   [grid.kx.ravel(), grid.ky.ravel(), grid.values[..., comp - 1].ravel()])
         files.append(name)
     _write_json(os.path.join(out, "tasp_manifest.json"),
                 _manifest("tasp", opts, {"files": files, "rows": nx * ny}))
@@ -221,7 +218,7 @@ def cmd_tasp(opts):
 def _characterize(opts):
     """Contours with dynamical fields and windings for the configured observable."""
     return characterize(layered_config(opts), opts["axis"], parse_grid(opts["grid"]),
-                        opts["delta"], opts["tol_bis"], opts["threads"],
+                        opts["delta"], opts["tol_bis"],
                         parse_observable(opts["observable"], opts["layers"]))
 
 
@@ -411,7 +408,7 @@ def build_parser():
     common.add_argument("--grid", help="resolution, N or NXxNY")
     common.add_argument("--out", help="output directory")
     common.add_argument("--tol-bis", dest="tol_bis", type=float)
-    common.add_argument("--threads", type=int, help="worker threads (QT_THREADS fallback)")
+    common.add_argument("--threads", type=int, help="phase-scan threads (QT_THREADS fallback)")
     common.add_argument("--delta", type=float, help="normal step for the dynamical field")
 
     p = argparse.ArgumentParser(prog="layerquench",

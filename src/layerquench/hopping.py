@@ -1,12 +1,14 @@
 """Interlayer-hopping estimation from polarization data.
 
 abba: the subspace-I polarization s1 component vanishes both on the
-band-inversion set and on the curve h1(k) = -t; points of the second
-kind are recognized by their nonvanishing s3 response and -h1 averaged
-over them recovers t.  ba: closed-form magnitudes at three reference
-momenta are inverted, via rational forms for the m = 1 bilayer quenched
-along j = 3 and a bracketed root solve otherwise; scipy is imported by
-the root solve only.
+band-inversion set and on the curve h1(k) = -2 t cos(theta_1); points
+of the second kind are recognized by their nonvanishing s3 response,
+and -h1 / (2 cos(theta_1)) averaged over them recovers t with its sign,
+which subspace-I data tells from -t.  ba: closed-form magnitudes at
+three reference momenta, even in t, are inverted for t >= 0, via
+rational forms for the m = 1 bilayer quenched along j = 3 and a
+bracketed root solve otherwise; scipy is imported by the root solve
+only.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ from .bisfield import TaspGrid, component_zero_curves, polarization_evaluator, s
 from .errors import InconsistentSampleError, TrivialRegimeError, UsageError
 from .models import LayeredConfig, monolayer_field
 from .quench import tasp_closed_form
+from .spectra import sine_modes
 
 # reference momenta of the ba inversion channels (component -> k)
 REFERENCE_MOMENTA = {
@@ -35,10 +38,14 @@ MIN_BRANCH_POINTS = 8
 # every t carries no information about t (e.g. s2 and s3 for j = 1)
 VANISHING_CHANNEL = 1e-12
 
+# the numeric ba inversion searches t in [0, T_SEARCH_MAX]
+T_SEARCH_MAX = 10.0
+
 
 @dataclass(frozen=True)
 class HoppingEstimate:
-    """Nonnegative hopping estimate (the closed forms are even in t)."""
+    """Hopping estimate: signed for abba subspace-I data, nonnegative for ba
+    magnitudes (their closed forms are even in t)."""
 
     t_hat: float
     method: str
@@ -50,25 +57,29 @@ def estimate_t_abba(source, resolution=256, j=3):
 
     source is either a sampled subspace-I TaspGrid or a LayeredConfig
     from which one is generated.  The s1-component zero curves are
-    traced; points with |s3| above SIGMA3_FLOOR lie on h1 = -t rather
-    than on the band-inversion set, and the estimate is the mean of -h1
-    there with the max-abs deviation as residual.  Raises
-    TrivialRegimeError when no such branch exists (t > 1 for the
-    square-lattice monolayer near m = 1); exactly at the critical
-    coupling the zero line degenerates onto a gap closing and tracing
-    raises SingularPointError instead.
+    traced; points with |s3| above SIGMA3_FLOOR lie on h1 = -2 t cos(theta_1)
+    rather than on the band-inversion set, and the estimate is the mean
+    of -h1 / (2 cos(theta_1)) there, sign kept, with the max-abs
+    deviation as residual.  A single layer has no coupling to estimate
+    and raises UsageError.  Raises TrivialRegimeError when no such
+    branch exists (2 t cos(theta_1) > 1 for the square-lattice monolayer
+    near m = 1); exactly at the critical coupling the zero line
+    degenerates onto a gap closing and tracing raises SingularPointError
+    instead.
     """
+    cfg = source.cfg if isinstance(source, TaspGrid) else source
+    if not isinstance(cfg, LayeredConfig):
+        raise UsageError(f"cannot estimate from {type(source).__name__}")
+    if cfg.stacking != "abba":
+        raise UsageError("estimate_t_abba requires the abba stacking")
+    if cfg.layers < 2:
+        raise UsageError("estimate_t_abba needs layers >= 2: one layer has no interlayer coupling")
     if isinstance(source, TaspGrid):
         grid = source
         if grid.observable != ("subspace", 1):
             raise UsageError("estimate_t_abba needs subspace-1 polarization data")
-    elif isinstance(source, LayeredConfig):
-        if source.stacking != "abba":
-            raise UsageError("estimate_t_abba requires the abba stacking")
-        grid = sample_grid(source, j, ("subspace", 1), resolution)
     else:
-        raise UsageError(f"cannot estimate from {type(source).__name__}")
-    cfg = grid.cfg
+        grid = sample_grid(cfg, j, ("subspace", 1), resolution)
     curves = component_zero_curves(grid, 1)
     ev = polarization_evaluator(cfg, grid.j, grid.observable)
     kept = []
@@ -82,10 +93,11 @@ def estimate_t_abba(source, resolution=256, j=3):
             "no s1 zero curve with nonzero s3 response; "
             "the hopping does not imprint a zero line in this regime")
     pts = np.concatenate(kept)
-    minus_h1 = -monolayer_field(cfg, pts[:, 0], pts[:, 1])[..., 0]
-    t_hat = float(np.mean(minus_h1))
+    shift = 2.0 * np.cos(sine_modes(cfg.layers).theta[0])
+    ests = -monolayer_field(cfg, pts[:, 0], pts[:, 1])[..., 0] / shift
+    t_hat = float(np.mean(ests))
     return HoppingEstimate(t_hat=t_hat, method="abba-zero-line",
-                           residual=float(np.max(np.abs(minus_h1 - t_hat))))
+                           residual=float(np.max(np.abs(ests - t_hat))))
 
 
 def ba_reference_magnitudes(t, m=1.0, layers=2, j=3):
@@ -114,8 +126,8 @@ def _invert_rational(key, mag):
     return np.sqrt(2.0 * (1.0 - mag) / (2.0 * mag - 1.0))
 
 
-def _invert_numeric(key, mag, m, layers, j, t_max=10.0):
-    """Smallest t in [0, t_max] whose |key| magnitude equals mag.
+def _invert_numeric(key, mag, m, layers, j):
+    """Smallest t in [0, T_SEARCH_MAX] whose |key| magnitude equals mag.
 
     Returns None for a channel that vanishes for every t and was
     sampled as 0: it says nothing about t.
@@ -127,7 +139,7 @@ def _invert_numeric(key, mag, m, layers, j, t_max=10.0):
     def f(t):
         return ba_reference_magnitudes(t, m, layers, j)[key] - mag
 
-    tgrid = np.linspace(0.0, t_max, 101)
+    tgrid = np.linspace(0.0, T_SEARCH_MAX, 101)
     fvals = np.array([f(t) for t in tgrid])
     if np.all(fvals + mag <= VANISHING_CHANNEL):
         if mag <= VANISHING_CHANNEL:
@@ -138,7 +150,7 @@ def _invert_numeric(key, mag, m, layers, j, t_max=10.0):
     idx = np.flatnonzero(np.sign(fvals[:-1]) * np.sign(fvals[1:]) <= 0)
     if len(idx) == 0:
         raise InconsistentSampleError(
-            f"|{key}| = {mag} not attained for any t in [0, {t_max}] at m = {m}")
+            f"|{key}| = {mag} not attained for any t in [0, {T_SEARCH_MAX}] at m = {m}")
     i = idx[0]
     if fvals[i] == 0.0:
         return float(tgrid[i])
@@ -150,10 +162,11 @@ def estimate_t_ba(samples, m=1.0, layers=2, j=3):
 
     samples maps channel names s1, s2, s3 to measured polarization
     values at the reference momenta (pi/4, 0), (0, pi/4), (0, 0); signs
-    are ignored.  At least one channel is required; the combined
-    estimate is the channel mean and the residual the max-abs spread.
-    A channel that vanishes for every t at this (m, layers, j) is left
-    out when sampled as 0; at least one channel must remain.
+    are ignored and a non-finite value is a UsageError.  At least one
+    channel is required; the combined estimate is the channel mean and
+    the residual the max-abs spread.  A channel that vanishes for every
+    t at this (m, layers, j) is left out when sampled as 0; at least one
+    channel must remain.
     """
     names = [k for k in ("s1", "s2", "s3") if k in samples]
     if not names:
@@ -166,6 +179,8 @@ def estimate_t_ba(samples, m=1.0, layers=2, j=3):
     ests = []
     for key in names:
         mag = abs(float(samples[key]))
+        if not np.isfinite(mag):
+            raise UsageError(f"sample {key} = {mag} is not a finite magnitude")
         if rational:
             ests.append(_invert_rational(key, mag))
         else:

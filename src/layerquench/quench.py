@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import SingularPointError
 from .models import PAULI, build_layered, monolayer_field
-from .spectra import DEG_TOL_DEFAULT, degeneracy_groups, sine_modes, subsystem_fields
+from .spectra import degeneracy_groups, sine_modes, subsystem_fields
 
 # squared eigenvalues below this are treated as an exact gap closing
 SINGULAR_E2 = 1e-20
@@ -60,7 +60,7 @@ def subspace_observable(N, r, i):
     return N * np.kron(np.outer(a, a), PAULI[i - 1])
 
 
-def time_averaged_expectation(H, rho0, O, tol_deg=DEG_TOL_DEFAULT):
+def time_averaged_expectation(H, rho0, O):
     """Exact infinite-time average sum_E Tr[P_E rho0 P_E O].
 
     Eigenvalues are grouped into degenerate subspaces first; with all
@@ -69,7 +69,7 @@ def time_averaged_expectation(H, rho0, O, tol_deg=DEG_TOL_DEFAULT):
     """
     E, V = np.linalg.eigh(H)
     out = 0.0
-    for g in degeneracy_groups(E, tol_deg):
+    for g in degeneracy_groups(E):
         Vg = V[:, g[0]:g[-1] + 1]
         R = Vg.conj().T @ rho0 @ Vg
         Q = Vg.conj().T @ O @ Vg
@@ -198,7 +198,7 @@ def polarization_profile(H, N):
     return out
 
 
-def pure_state_check(kline, cfg, rho0, tol_deg=DEG_TOL_DEFAULT):
+def pure_state_check(kline, cfg, rho0):
     """Best-fit proportionality of the exact time average to -h3 along a k-line.
 
     For each momentum on the line the exact infinite-time average T_i of
@@ -220,7 +220,7 @@ def pure_state_check(kline, cfg, rho0, tol_deg=DEG_TOL_DEFAULT):
         h3 = monolayer_field(cfg, kx, ky)[2]
         P[s] = -h3 * polarization_profile(H, N)
         for i in range(1, 4):
-            T[s, i - 1] = time_averaged_expectation(H, rho0, global_observable(N, i), tol_deg)
+            T[s, i - 1] = time_averaged_expectation(H, rho0, global_observable(N, i))
     scales = np.zeros(3)
     residual = 0.0
     for i in range(3):

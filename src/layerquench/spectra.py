@@ -78,14 +78,15 @@ def analytic_levels(kx, ky, cfg):
     return np.sort(np.concatenate([-ep, ep], axis=-1), axis=-1)
 
 
-def degeneracy_groups(energies, tol_deg=DEG_TOL_DEFAULT):
-    """Partition sorted eigenvalues into groups with |E_i - E_j| <= tol_deg*max(1,|E|)."""
+def degeneracy_groups(energies):
+    """Partition sorted eigenvalues into groups with |E_i - E_j| <= DEG_TOL_DEFAULT*max(1,|E|)."""
     groups = []
     i = 0
     n = len(energies)
     while i < n:
         j = i + 1
-        while j < n and abs(energies[j] - energies[j - 1]) <= tol_deg * max(1.0, abs(energies[i])):
+        while j < n and (abs(energies[j] - energies[j - 1])
+                         <= DEG_TOL_DEFAULT * max(1.0, abs(energies[i]))):
             j += 1
         groups.append(list(range(i, j)))
         i = j
@@ -103,7 +104,7 @@ class SpectrumSample:
     groups: list
 
 
-def numeric_spectrum(kx, ky, cfg, tol_deg=DEG_TOL_DEFAULT):
+def numeric_spectrum(kx, ky, cfg):
     H = build_layered(kx, ky, cfg)
     try:
         E, V = np.linalg.eigh(H)
@@ -111,7 +112,7 @@ def numeric_spectrum(kx, ky, cfg, tol_deg=DEG_TOL_DEFAULT):
         raise NonConvergenceError(
             f"eigensolver failed at k=({kx}, {ky}) for {cfg}") from exc
     return SpectrumSample(k=(float(kx), float(ky)), cfg=cfg, energies=E, states=V,
-                          groups=degeneracy_groups(E, tol_deg))
+                          groups=degeneracy_groups(E))
 
 
 def numeric_levels(kx, ky, cfg):
@@ -119,11 +120,11 @@ def numeric_levels(kx, ky, cfg):
     return np.linalg.eigvalsh(build_layered(kx, ky, cfg))
 
 
-def level_labels(kx, ky, cfg, energies, tol=1e-8):
+def level_labels(kx, ky, cfg, energies):
     """Match numeric eigenvalues to analytic branches.
 
     Returns (r, sign) integer arrays: energies[m] ~ sign[m] * E_{r[m]}.
-    Ties are broken toward the smaller r.
+    Branches within 1e-8 of the closest tie; ties are broken toward the smaller r.
     """
     ep = np.atleast_1d(analytic_positive_levels(kx, ky, cfg))
     cand = np.concatenate([ep, -ep])  # index r-1 -> +E_r, N + r-1 -> -E_r
@@ -131,7 +132,7 @@ def level_labels(kx, ky, cfg, energies, tol=1e-8):
     s_out = np.empty(len(energies), dtype=int)
     for m, E in enumerate(energies):
         d = np.abs(cand - E)
-        best = np.flatnonzero(d <= d.min() + tol)[0]
+        best = np.flatnonzero(d <= d.min() + 1e-8)[0]
         r_out[m] = best % cfg.layers + 1
         s_out[m] = 1 if best < cfg.layers else -1
     return r_out, s_out

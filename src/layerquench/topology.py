@@ -51,29 +51,28 @@ def _cell_nodes(cell, n):
     return cell.k_at(u, v)
 
 
-def chern_fhs(cfg, filled=None, grid_n=100, gap_tol=GAP_TOL_DEFAULT, cell=None):
+def chern_fhs(cfg, filled=None, grid_n=100):
     """Chern number of the lowest `filled` bands via plaquette link variables.
 
     filled defaults to half filling (N of the 2N bands) and must lie in
-    1..2N.  The spectral gap above the filled bands must exceed gap_tol
-    everywhere on the grid.  The summed plaquette field strength is
-    rounded to an integer; doubling grid_n must reproduce it (see tests).
+    1..2N.  The spectral gap above the filled bands must exceed
+    GAP_TOL_DEFAULT everywhere on the grid.  The summed plaquette field
+    strength is rounded to an integer; doubling grid_n must reproduce it
+    (see tests).
     """
     if filled is None:
         filled = cfg.layers
     if not 1 <= filled <= 2 * cfg.layers:
         raise UsageError(f"filled must be in 1..{2 * int(cfg.layers)}, got {int(filled)}")
-    if cell is None:
-        cell = sampling_cell(cfg.model)
-    KX, KY = _cell_nodes(cell, grid_n)
+    KX, KY = _cell_nodes(sampling_cell(cfg.model), grid_n)
     E, V = np.linalg.eigh(build_layered(KX, KY, cfg))
     nbands = E.shape[-1]
     if filled < nbands:
         gaps = E[..., filled] - E[..., filled - 1]
-        if gaps.min() <= gap_tol:
+        if gaps.min() <= GAP_TOL_DEFAULT:
             i, l = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
             raise GaplessError(
-                f"gap {gaps[i, l]:.3e} at k=({KX[i, l]}, {KY[i, l]}) below {gap_tol}")
+                f"gap {gaps[i, l]:.3e} at k=({KX[i, l]}, {KY[i, l]}) below {GAP_TOL_DEFAULT}")
     V = V[..., :filled]
     Vh = V.conj().swapaxes(-1, -2)
     o1 = Vh @ np.roll(V, -1, axis=0)
@@ -140,17 +139,15 @@ def _unit_degree(x, y, z):
     return area / (2 * np.pi), den_min
 
 
-def chern_two_band(field_fn, grid_n=100, cell=None, model="qwz"):
-    """Degree of the normalized field k -> h(k)/|h(k)| over the sampling cell.
+def chern_two_band(field_fn, grid_n=100, model="qwz"):
+    """Degree of the normalized field k -> h(k)/|h(k)| over the sampling cell of model.
 
     field_fn maps (kx, ky) arrays to (..., 3) field values.  Equals
     chern_fhs of the corresponding 2x2 Bloch Hamiltonian's lower band.
     Raises GaplessError when the field vanishes on the grid or comes
     close enough that a plaquette cannot be certified.
     """
-    if cell is None:
-        cell = sampling_cell(model)
-    KX, KY = _cell_nodes(cell, grid_n)
+    KX, KY = _cell_nodes(sampling_cell(model), grid_n)
     h = field_fn(KX, KY)
     nrm = np.linalg.norm(h, axis=-1)
     if nrm.min() < FIELD_FLOOR:
@@ -180,8 +177,7 @@ def subsystem_field_fn(cfg, r):
 
 def total_chern_abba(cfg, grid_n=100):
     """Sum of the two-band degrees of all abba sine-mode fields."""
-    cell = sampling_cell(cfg.model)
-    return sum(chern_two_band(subsystem_field_fn(cfg, r), grid_n, cell)
+    return sum(chern_two_band(subsystem_field_fn(cfg, r), grid_n, cfg.model)
                for r in range(1, cfg.layers + 1))
 
 
@@ -189,8 +185,8 @@ def total_chern_abba(cfg, grid_n=100):
 class PhaseDiagram:
     """Half-filling Chern numbers on a (t, m) grid of cell centres.
 
-    boundary marks cells whose gap minimum falls below gap_tol; their
-    chern entry is meaningless and reported as "boundary" downstream.
+    boundary marks cells whose gap minimum falls below GAP_TOL_DEFAULT;
+    their chern entry is meaningless and reported as "boundary" downstream.
     """
 
     stacking: str
@@ -251,16 +247,16 @@ def _abba_cells(tables, t, l):
     return 2.0 * e_min.min(axis=-1), chern, certified
 
 
-def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz",
-                  grid_n=48, gap_tol=GAP_TOL_DEFAULT, threads=1, fhs_grid=PHASE_FHS_GRID):
+def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n=48, threads=1):
     """Scan half-filling Chern numbers over a (t, m) window.
 
     steps may be an int or a (t_steps, m_steps) pair; cells are sampled
     at their centres so exact phase boundaries are met only through the
-    gap_tol flagging.  abba cells use the mode-degree sum, taken for a
-    chunk of cells and all their modes in one array pass; ba cells use
-    the link-variable Chern number, one cell at a time.  Worker threads
-    take whole chunks.
+    GAP_TOL_DEFAULT flagging.  abba cells use the mode-degree sum, taken
+    for a chunk of cells and all their modes in one array pass; ba cells
+    use the link-variable Chern number at PHASE_FHS_GRID, one cell at a
+    time.  With threads > 1, worker threads take whole chunks; this is
+    the only thread pool of the package.
     """
     st, sm = (steps, steps) if np.ndim(steps) == 0 else steps
     if st < 1 or sm < 1:
@@ -287,7 +283,7 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz",
                 if abba:
                     chern[i, l] = total_chern_abba(cfg, factor * grid_n)
                 else:
-                    chern[i, l] = chern_fhs(cfg, layers, factor * fhs_grid, gap_tol, cell)
+                    chern[i, l] = chern_fhs(cfg, layers, factor * PHASE_FHS_GRID)
                 return
             except (GaplessError, NonQuantizedWindingError):
                 continue
@@ -297,7 +293,7 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz",
         i, l = np.divmod(np.arange(*span), sm)
         if abba:
             g, c, ok = _abba_cells(tables, ts[i], l)
-            flat = g < gap_tol
+            flat = g < GAP_TOL_DEFAULT
             gap[i, l] = g
             boundary[i, l] = flat
             chern[i, l] = np.where(flat, 0, c)
@@ -307,7 +303,7 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz",
             return
         for i_, l_ in zip(i, l):
             gap[i_, l_] = _halffilling_gap(config(i_, l_), grid_n, cell)
-            if gap[i_, l_] < gap_tol:
+            if gap[i_, l_] < GAP_TOL_DEFAULT:
                 boundary[i_, l_] = True
             else:
                 refine(i_, l_, (1, 2, 4))

@@ -92,7 +92,7 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz",
                     if stacking == "abba":
                         chern[i, l] = total_chern_abba(cfg, factor * grid_n)
                     else:
-                        chern[i, l] = chern_fhs(cfg, layers, factor * fhs_grid, gap_tol, cell)
+                        chern[i, l] = chern_fhs(cfg, layers, factor * fhs_grid)
                     factor_used[i, l] = factor
                     break
                 except (GaplessError, NonQuantizedWindingError):

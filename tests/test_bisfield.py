@@ -44,13 +44,6 @@ class TestSampleGrid:
         with pytest.raises(UsageError):
             sample_grid(cfg, 3, ("global",), 8)
 
-    def test_threaded_rows_match_serial(self):
-        cfg = LayeredConfig("ba", 3, 0.7)
-        a = sample_grid(cfg, 3, ("global",), 32, threads=1)
-        b = sample_grid(cfg, 3, ("global",), 32, threads=4)
-        # row-parallel evaluation must not change a single bit
-        assert np.array_equal(a.values, b.values)
-
     def test_singular_node_is_nudged(self):
         # m=2 closes the gap exactly at k=(0,0), which is a node of any
         # even grid over the square cell; sampling must still succeed

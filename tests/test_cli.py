@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from layerquench import models
+from layerquench import LayeredConfig, models, tasp_closed_form
 from layerquench.cli import main, parse_grid, parse_observable
 from layerquench.errors import UsageError
 
@@ -71,6 +71,18 @@ class TestTasp:
         assert read_bytes(a / "tasp_s3.csv") == read_bytes(b / "tasp_s3.csv")
         monkeypatch.setenv("QT_THREADS", "many")
         assert run("tasp", "--grid", "32", "--out", tmp_path) == 2
+
+    def test_nudged_node_rows_give_the_sampled_momentum(self, tmp_path):
+        # m=2 closes the single-layer gap at node (16, 16) of the 32^2
+        # grid, k=(0, 0); that node is sampled half a step away
+        assert run("tasp", "--layers", "1", "--t", "0", "--m", "2", "--grid", "32",
+                   "--out", tmp_path) == 0
+        cfg = LayeredConfig("abba", 1, 0.0, m=2.0)
+        for comp in (1, 2, 3):
+            rows = (tmp_path / f"tasp_s{comp}.csv").read_text().splitlines()
+            kx, ky, value = rows[1 + 16 * 32 + 16].split(",")
+            assert kx == ky == "0.098174770424681146"
+            assert float(value) == tasp_closed_form(float(kx), float(ky), cfg, 3)[comp - 1]
 
 
 class TestConfigFile:
@@ -293,6 +305,10 @@ EXIT_SWEEP = [
     (2, ["bis", "--t", "inf", "--grid", "16"]),
     (2, ["phase-diagram", "--t-min", "nan", "--steps", "2", "--grid", "16"]),
     (2, ["tasp", "--threads", "0", "--grid", "16"]),
+    (2, ["estimate-t", "--layers", "1", "--true-t", "0.3", "--grid", "32"]),
+    (2, ["estimate-t", "--stacking", "ba", "--sample", "s1=nan"]),
+    (2, ["estimate-t", "--stacking", "ba", "--sample", "s3=nan"]),
+    (2, ["estimate-t", "--stacking", "ba", "--sample", "s1=inf"]),
 ]
 
 

@@ -30,6 +30,17 @@ class TestAbbaEstimator:
         assert abs(est.t_hat - t) < 1e-6
         assert est.residual < 1e-6
 
+    @pytest.mark.parametrize("layers, t", [(3, 0.3), (4, 0.3), (5, 0.2)])
+    def test_round_trip_beyond_the_bilayer(self, layers, t):
+        # mode 1 shifts h1 by 2 t cos(pi / (N + 1)), which is t only for N = 2
+        est = estimate_t_abba(LayeredConfig("abba", layers, t), resolution=128)
+        assert abs(est.t_hat - t) < 1e-6
+        assert est.residual < 1e-6
+
+    def test_sign_of_the_coupling_is_kept(self):
+        est = estimate_t_abba(LayeredConfig("abba", 2, -0.4), resolution=96)
+        assert abs(est.t_hat + 0.4) < 1e-6
+
     def test_accepts_pre_sampled_grid(self):
         cfg = LayeredConfig("abba", 2, 0.4)
         grid = sample_grid(cfg, 3, ("subspace", 1), 96)
@@ -57,6 +68,8 @@ class TestAbbaEstimator:
             estimate_t_abba(LayeredConfig("ba", 2, 0.4))
         with pytest.raises(UsageError):
             estimate_t_abba(0.4)
+        with pytest.raises(UsageError, match="layers >= 2"):
+            estimate_t_abba(LayeredConfig("abba", 1, 0.4))
 
     def test_estimate_is_immutable(self):
         est = estimate_t_abba(LayeredConfig("abba", 2, 0.4), resolution=96)
@@ -103,6 +116,9 @@ class TestBaEstimator:
             estimate_t_ba({})
         with pytest.raises(UsageError):
             estimate_t_ba({"sx": 0.3})
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(UsageError, match="s3 .* not a finite magnitude"):
+                estimate_t_ba({"s1": 0.4, "s3": value})
 
     def test_numeric_inversion_away_from_unit_mass(self):
         mags = ba_reference_magnitudes(0.7, m=0.8)

@@ -97,10 +97,10 @@ def test_analytic_spectrum_triples():
 
 
 def test_degeneracy_groups_absolute_and_relative():
-    assert degeneracy_groups([1.0, 2.0, 3.0], 1e-9) == [[0], [1], [2]]
-    assert degeneracy_groups([1.0, 1.0 + 1e-12, 2.0], 1e-9) == [[0, 1], [2]]
+    assert degeneracy_groups([1.0, 2.0, 3.0]) == [[0], [1], [2]]
+    assert degeneracy_groups([1.0, 1.0 + 1e-12, 2.0]) == [[0, 1], [2]]
     # tolerance scales with |E|
-    assert degeneracy_groups([1e6, 1e6 + 1e-4, 2e6], 1e-9) == [[0, 1], [2]]
+    assert degeneracy_groups([1e6, 1e6 + 1e-4, 2e6]) == [[0, 1], [2]]
 
 
 def test_level_labels_match_branches():
