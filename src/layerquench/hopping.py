@@ -60,8 +60,10 @@ def estimate_t_abba(source, resolution=256, j=3):
     traced; points with |s3| above SIGMA3_FLOOR lie on h1 = -2 t cos(theta_1)
     rather than on the band-inversion set, and the estimate is the mean
     of -h1 / (2 cos(theta_1)) there, sign kept, with the max-abs
-    deviation as residual.  A single layer has no coupling to estimate
-    and raises UsageError.  Raises TrivialRegimeError when no such
+    deviation as residual.  A single layer has no coupling to estimate,
+    and a quench along axis 1 leaves s1 = -h1r^2 / E^2 <= 0 without a
+    sign change, so no zero line to trace: both raise UsageError.
+    Raises TrivialRegimeError when no such
     branch exists (2 t cos(theta_1) > 1 for the square-lattice monolayer
     near m = 1); exactly at the critical coupling the zero line
     degenerates onto a gap closing and tracing raises SingularPointError
@@ -74,6 +76,11 @@ def estimate_t_abba(source, resolution=256, j=3):
         raise UsageError("estimate_t_abba requires the abba stacking")
     if cfg.layers < 2:
         raise UsageError("estimate_t_abba needs layers >= 2: one layer has no interlayer coupling")
+    if isinstance(source, TaspGrid):
+        j = source.j
+    if j == 1:
+        raise UsageError("estimate_t_abba needs quench axis 2 or 3: along axis 1 the "
+                         "subspace-1 s1 polarization never changes sign")
     if isinstance(source, TaspGrid):
         grid = source
         if grid.observable != ("subspace", 1):

@@ -39,8 +39,10 @@ MODELS = ("qwz", "haldane")
 # phase, with both oracles agreeing)
 MIN_GRID = 16
 
-# largest Bloch-Hamiltonian stack build_layered may allocate; its
-# temporaries and an eigensolve each need about as much again
+# largest Bloch-Hamiltonian stack build_layered may allocate; one term
+# of that size is alive beside it while it is summed, and an eigensolve
+# needs about as much again.  chern_fhs holds its eigensolver-free
+# frames, which never build the whole stack, to the same estimate
 LAYERED_BYTES_MAX = 10 ** 9
 
 
@@ -178,6 +180,16 @@ def coupling_matrix(cfg):
                           + np.kron(interlayer_alternating(N), PAULI[1]))
 
 
+def require_layered_size(size, layers):
+    """Raise UsageError when size momenta of 2N x 2N Hamiltonians exceed LAYERED_BYTES_MAX."""
+    nbytes = size * (2 * layers) ** 2 * 16
+    if nbytes > LAYERED_BYTES_MAX:
+        raise UsageError(
+            f"{int(size)} momenta x {2 * layers}x{2 * layers} Hamiltonians need "
+            f"{nbytes / 1e9:.1f} GB, above the {LAYERED_BYTES_MAX / 1e9:.1f} GB limit; "
+            f"use fewer layers or a coarser grid")
+
+
 def build_layered(kx, ky, cfg):
     """2N x 2N Bloch Hamiltonian; broadcasts over momentum arrays.
 
@@ -187,17 +199,15 @@ def build_layered(kx, ky, cfg):
     LAYERED_BYTES_MAX.
     """
     N = cfg.layers
-    size = np.prod(np.broadcast_shapes(np.shape(kx), np.shape(ky)), dtype=float)
-    nbytes = size * (2 * N) ** 2 * 16
-    if nbytes > LAYERED_BYTES_MAX:
-        raise UsageError(
-            f"{int(size)} momenta x {2 * N}x{2 * N} Hamiltonians need "
-            f"{nbytes / 1e9:.1f} GB, above the {LAYERED_BYTES_MAX / 1e9:.1f} GB limit; "
-            f"use fewer layers or a coarser grid")
+    require_layered_size(np.prod(np.broadcast_shapes(np.shape(kx), np.shape(ky)), dtype=float), N)
     h = monolayer_field(cfg, kx, ky)
     eye = np.eye(N)
-    H = sum(h[..., i, None, None] * np.kron(eye, PAULI[i]) for i in range(3))
-    return H + coupling_matrix(cfg)
+    # accumulated in place, so one product is alive beside the stack
+    H = np.zeros(h.shape[:-1] + (2 * N, 2 * N), dtype=complex)
+    for i in range(3):
+        H += h[..., i, None, None] * np.kron(eye, PAULI[i])
+    H += coupling_matrix(cfg)
+    return H
 
 
 def hamiltonian_terms(cfg):

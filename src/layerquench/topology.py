@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GaplessError, NonQuantizedWindingError, UsageError
-from .models import MIN_GRID, LayeredConfig, build_layered, monolayer_field, sampling_cell
+from .frames import projector_frames
+from .models import (MIN_GRID, LayeredConfig, build_layered, monolayer_field,
+                     require_layered_size, sampling_cell)
 from .spectra import analytic_positive_levels, sine_modes
 
 FHS_ORIENTATION = -1.0
@@ -42,6 +44,19 @@ SCAN_CHUNK_BYTES = 1 << 17
 # base grid of the link-variable Chern number of a ba scan cell
 PHASE_FHS_GRID = 40
 
+# half-filling frames come from the spectral projector up to this many
+# layers and from eigh beyond: each further level adds two products with
+# H to the projector, and at N = 4 and 5 (ba, 100^2 grid) a prototype
+# took 302 and 508 ms against 200 and 267 ms with eigh
+PROJECTOR_LAYERS_MAX = 3
+
+# largest admissible drift bound of a projector frame (the summed squared
+# sines of its angles to the filled bands): below it every angle is under
+# 0.1.  Rounding keeps the bound near 1e-14 on a gapped node; it is loose
+# by up to the bandwidth over the gap, so it exceeds this only at nodes
+# within about 1e-4 of a closing where two levels are small together
+FRAME_DRIFT_MAX = 1e-2
+
 
 def _cell_nodes(cell, n):
     if n < MIN_GRID:
@@ -51,34 +66,65 @@ def _cell_nodes(cell, n):
     return cell.k_at(u, v)
 
 
+def _det(o):
+    """Determinant over the two leading (matrix) axes."""
+    f = len(o)
+    if f == 1:
+        return o[0, 0]
+    if f == 2:
+        return o[0, 0] * o[1, 1] - o[0, 1] * o[1, 0]
+    if f == 3:
+        return (o[0, 0] * (o[1, 1] * o[2, 2] - o[1, 2] * o[2, 1])
+                - o[0, 1] * (o[1, 0] * o[2, 2] - o[1, 2] * o[2, 0])
+                + o[0, 2] * (o[1, 0] * o[2, 1] - o[1, 1] * o[2, 0]))
+    return np.linalg.det(np.moveaxis(o, (0, 1), (-2, -1)))
+
+
 def chern_fhs(cfg, filled=None, grid_n=100):
     """Chern number of the lowest `filled` bands via plaquette link variables.
 
     filled defaults to half filling (N of the 2N bands) and must lie in
     1..2N.  The spectral gap above the filled bands must exceed
-    GAP_TOL_DEFAULT everywhere on the grid.  The summed plaquette field
+    GAP_TOL_DEFAULT everywhere on the grid.  At half filling with at most
+    PROJECTOR_LAYERS_MAX layers the filled-band frames come from the
+    analytic levels (frames.projector_frames) and the gap is 2 min E_r;
+    otherwise from eigh.  A frame is fixed only up to a unitary per node,
+    which changes no plaquette phase.  The summed plaquette field
     strength is rounded to an integer; doubling grid_n must reproduce it
     (see tests).
     """
+    N = cfg.layers
     if filled is None:
-        filled = cfg.layers
-    if not 1 <= filled <= 2 * cfg.layers:
-        raise UsageError(f"filled must be in 1..{2 * int(cfg.layers)}, got {int(filled)}")
+        filled = N
+    if not 1 <= filled <= 2 * N:
+        raise UsageError(f"filled must be in 1..{2 * int(N)}, got {int(filled)}")
     KX, KY = _cell_nodes(sampling_cell(cfg.model), grid_n)
-    E, V = np.linalg.eigh(build_layered(KX, KY, cfg))
-    nbands = E.shape[-1]
-    if filled < nbands:
-        gaps = E[..., filled] - E[..., filled - 1]
-        if gaps.min() <= GAP_TOL_DEFAULT:
-            i, l = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+    projector = filled == N and N <= PROJECTOR_LAYERS_MAX
+    if projector:
+        require_layered_size(KX.size, N)
+        E = analytic_positive_levels(KX, KY, cfg)
+        gaps = 2.0 * E.min(axis=-1)
+    else:
+        E, V = np.linalg.eigh(build_layered(KX, KY, cfg))
+        gaps = E[..., filled] - E[..., filled - 1] if filled < 2 * N else None
+    if gaps is not None and gaps.min() <= GAP_TOL_DEFAULT:
+        i, l = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+        raise GaplessError(
+            f"gap {gaps[i, l]:.3e} at k=({KX[i, l]}, {KY[i, l]}) below {GAP_TOL_DEFAULT}")
+    if projector:
+        V, drift = projector_frames(cfg, monolayer_field(cfg, KX, KY), E)
+        bad = ~(drift <= FRAME_DRIFT_MAX)
+        if bad.any():
+            i, l = np.unravel_index(int(np.argmax(bad)), bad.shape)
             raise GaplessError(
-                f"gap {gaps[i, l]:.3e} at k=({KX[i, l]}, {KY[i, l]}) below {GAP_TOL_DEFAULT}")
-    V = V[..., :filled]
-    Vh = V.conj().swapaxes(-1, -2)
-    o1 = Vh @ np.roll(V, -1, axis=0)
-    o2 = Vh @ np.roll(V, -1, axis=1)
-    U1 = np.linalg.det(o1)
-    U2 = np.linalg.det(o2)
+                f"filled-band frame at k=({KX[i, l]}, {KY[i, l]}) uncertified "
+                f"(drift bound {drift[i, l]:.3g}, gap {gaps[i, l]:.3e})")
+    else:
+        # a strided view made the link einsums about 1.6x slower (N = 5, 100^2)
+        V = np.ascontiguousarray(np.moveaxis(V[..., :filled], (-2, -1), (0, 1)))
+    Vh = V.conj()
+    U1 = _det(np.einsum("cakl,cbkl->abkl", Vh, np.roll(V, -1, axis=2)))
+    U2 = _det(np.einsum("cakl,cbkl->abkl", Vh, np.roll(V, -1, axis=3)))
     if min(np.abs(U1).min(), np.abs(U2).min()) < LINK_FLOOR:
         raise GaplessError("near-vanishing link variable; gap unresolved at this grid")
     U1 = U1 / np.abs(U1)

@@ -273,6 +273,18 @@ class TestRejectedInputs:
         assert err.startswith("error: 65536 momenta x 100x100 Hamiltonians need 10.5 GB")
         assert len(err.splitlines()) == 1
 
+    def test_oversized_projector_frames(self, tmp_path, capsys, monkeypatch):
+        # three layers take the eigh-free frames, which never build the whole
+        # stack; the same bound still fires before any field is evaluated
+        def no_field(*args):
+            raise AssertionError("chern_fhs went past its memory check")
+
+        monkeypatch.setattr(models, "qwz_field", no_field)
+        assert run("chern", "--layers", "3", "--grid", "1400", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 1960000 momenta x 6x6 Hamiltonians need 1.1 GB")
+        assert len(err.splitlines()) == 1
+
 
 # (expected exit code, argv): every input main accepts ends in 0, 1
 # (numerical failure) or 2 (usage error) and never in a traceback
@@ -309,6 +321,7 @@ EXIT_SWEEP = [
     (2, ["estimate-t", "--stacking", "ba", "--sample", "s1=nan"]),
     (2, ["estimate-t", "--stacking", "ba", "--sample", "s3=nan"]),
     (2, ["estimate-t", "--stacking", "ba", "--sample", "s1=inf"]),
+    (2, ["estimate-t", "--true-t", "0.4", "--axis", "1", "--grid", "64"]),
 ]
 
 

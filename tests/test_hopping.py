@@ -71,6 +71,15 @@ class TestAbbaEstimator:
         with pytest.raises(UsageError, match="layers >= 2"):
             estimate_t_abba(LayeredConfig("abba", 1, 0.4))
 
+    def test_quench_axis_1_has_no_zero_line(self):
+        # s1 = -h1r^2 / E^2 <= 0 for j = 1: a usage error, named by its axis
+        cfg = LayeredConfig("abba", 2, 0.4)
+        with pytest.raises(UsageError, match="axis 2 or 3"):
+            estimate_t_abba(cfg, resolution=64, j=1)
+        with pytest.raises(UsageError, match="axis 2 or 3"):
+            estimate_t_abba(sample_grid(cfg, 1, ("subspace", 1), 32))
+        assert abs(estimate_t_abba(cfg, resolution=64, j=2).t_hat - 0.4) < 1e-6
+
     def test_estimate_is_immutable(self):
         est = estimate_t_abba(LayeredConfig("abba", 2, 0.4), resolution=96)
         with pytest.raises(dataclasses.FrozenInstanceError):
