@@ -4,16 +4,24 @@ A layered Bloch Hamiltonian H has the levels +-E_r, r = 1..N, known in
 closed form (spectra.analytic_positive_levels), so the projector onto
 its N negative levels is a polynomial in H.  Its pivoted Cholesky factor
 is an orthonormal frame of the filled bands, which is all a
-link-variable Chern number needs.
+link-variable Chern number needs.  A residual bound certifies each
+frame; the few nodes it cannot certify take their frame from eigh.
 """
 
 import numpy as np
 
-from .models import PAULI, coupling_matrix
+from .models import PAULI, build_layered, coupling_matrix, monolayer_field
 
 # the projector frames are built in blocks of nodes; one (2N, 2N, nodes)
 # array of a block stays near this size
 FRAME_BLOCK_BYTES = 1 << 19
+
+# largest certified sine bound of a projector frame; above it (or where
+# the bound fails) the node takes its frame from eigh.  Rounding keeps
+# the bound near 1e-15 over the gap, so only nodes within about 1e-4 of
+# a closing fall back, and an accepted frame spans the filled bands to
+# within sqrt(2) times this in the projector
+FRAME_SINE_MAX = 1e-11
 
 
 def _newton_coefficients(E):
@@ -32,23 +40,30 @@ def _newton_coefficients(E):
     return c
 
 
-def projector_frames(cfg, h, E):
-    """Orthonormal frames of the N filled bands at half filling, without eigh.
+def projector_frames(cfg, kx, ky, E):
+    """Orthonormal frames of the N filled bands at half filling.
 
-    h (..., 3) is the monolayer field and E (..., N) the analytic
-    positive levels, N <= 3.  H has the levels +-E_r, so
+    kx, ky are momentum arrays and E (..., N) the analytic positive
+    levels there, N <= 3.  H has the levels +-E_r, so
     P = (1 - H g(H^2)) / 2 with g the Newton interpolant of 1/E over the
     E_r^2 is the filled-band projector; the N-step pivoted Cholesky
     factor of P is the frame.  Matrices are matrix-first, (2N, 2N, nodes),
     and built in blocks of nodes.
 
-    Returns (V, drift): V of shape (2N, N, ...) and, per node, the bound
-    (tr V^H H V + sum_r E_r) / (2 min_r E_r) on the summed squared sines
-    of the angles between span V and the filled bands (Ky Fan: the
-    trace exceeds the filled energies by at least the gap times that
-    sum).  Where two levels are small together, rounding in H^2 is
-    amplified by the interpolant and the bound says so.
+    Each frame V gets a bound on ||sin Theta||_F, the angles between
+    span V and the filled bands (Davis-Kahan): the residual
+    ||H V - V A||_F, A = V^H H V, over the separation between the Ritz
+    values of A and the empty levels, >= min E_r.  The Ritz values lie
+    below -min E_r + s (min E_r + max E_r), where the Ky Fan bound
+    s = (tr A + sum_r E_r) / (2 min E_r) >= sum sin^2 Theta.  Where two
+    levels are small together, rounding in H^2 is amplified by the
+    interpolant and the bound says so; nodes whose bound exceeds
+    FRAME_SINE_MAX take the eigh frame instead.
+
+    Returns (V, sines): V of shape (2N, N, ...) and the bound of the
+    projector frame per node (also where it was replaced).
     """
+    h = monolayer_field(cfg, kx, ky)
     N = E.shape[-1]
     M = 2 * N
     T = np.kron(np.eye(N), PAULI)
@@ -61,7 +76,7 @@ def projector_frames(cfg, h, E):
     h = h.reshape(-1, 3)
     E = E.reshape(-1, N)
     V = np.empty((M, N, len(E)), dtype=complex)
-    drift = np.empty(len(E))
+    sines = np.empty(len(E))
     per = max(1, FRAME_BLOCK_BYTES // (M * M * 16))
     for k0 in range(0, len(E), per):
         hb = h[k0:k0 + per].T
@@ -113,6 +128,20 @@ def projector_frames(cfg, h, E):
             v /= np.sqrt(w.sum(axis=0))
             Vb[:, s] = v
             d -= w / w.sum(axis=0)
-        trace = (Vb.conj() * apply_h(Vb)).real.sum(axis=(0, 1))
-        drift[k0:k0 + per] = (trace + Eb.sum(axis=1)) / (2.0 * Eb.min(axis=1))
-    return V.reshape((M, N) + shape), drift.reshape(shape)
+        HV = apply_h(Vb)
+        A = np.einsum("cak,cbk->abk", Vb.conj(), HV)
+        R = HV - np.einsum("cak,abk->cbk", Vb, A)
+        low, high = Eb.min(axis=1), Eb.max(axis=1)
+        kyfan = np.maximum((A[range(N), range(N)].real.sum(axis=0) + Eb.sum(axis=1))
+                           / (2.0 * low), 0.0)
+        sep = 2.0 * low - kyfan * (low + high)
+        residual = np.sqrt((R.real ** 2 + R.imag ** 2).sum(axis=(0, 1)))
+        np.divide(residual, sep, out=sines[k0:k0 + per], where=sep > 0.0)
+        sines[k0:k0 + per][~(sep > 0.0)] = np.inf
+    V = V.reshape((M, N) + shape)
+    sines = sines.reshape(shape)
+    bad = ~(sines <= FRAME_SINE_MAX)
+    if bad.any():
+        U = np.linalg.eigh(build_layered(kx[bad], ky[bad], cfg))[1][..., :N]
+        V[:, :, bad] = np.moveaxis(U, 0, -1)
+    return V, sines

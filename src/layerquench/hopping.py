@@ -76,9 +76,7 @@ def estimate_t_abba(source, resolution=256, j=3):
         raise UsageError("estimate_t_abba requires the abba stacking")
     if cfg.layers < 2:
         raise UsageError("estimate_t_abba needs layers >= 2: one layer has no interlayer coupling")
-    if isinstance(source, TaspGrid):
-        j = source.j
-    if j == 1:
+    if (source.j if isinstance(source, TaspGrid) else j) == 1:
         raise UsageError("estimate_t_abba needs quench axis 2 or 3: along axis 1 the "
                          "subspace-1 s1 polarization never changes sign")
     if isinstance(source, TaspGrid):

@@ -50,13 +50,6 @@ PHASE_FHS_GRID = 40
 # took 302 and 508 ms against 200 and 267 ms with eigh
 PROJECTOR_LAYERS_MAX = 3
 
-# largest admissible drift bound of a projector frame (the summed squared
-# sines of its angles to the filled bands): below it every angle is under
-# 0.1.  Rounding keeps the bound near 1e-14 on a gapped node; it is loose
-# by up to the bandwidth over the gap, so it exceeds this only at nodes
-# within about 1e-4 of a closing where two levels are small together
-FRAME_DRIFT_MAX = 1e-2
-
 
 def _cell_nodes(cell, n):
     if n < MIN_GRID:
@@ -87,7 +80,8 @@ def chern_fhs(cfg, filled=None, grid_n=100):
     1..2N.  The spectral gap above the filled bands must exceed
     GAP_TOL_DEFAULT everywhere on the grid.  At half filling with at most
     PROJECTOR_LAYERS_MAX layers the filled-band frames come from the
-    analytic levels (frames.projector_frames) and the gap is 2 min E_r;
+    analytic levels (frames.projector_frames, which falls back to eigh
+    at the rare nodes it cannot certify) and the gap is 2 min E_r;
     otherwise from eigh.  A frame is fixed only up to a unitary per node,
     which changes no plaquette phase.  The summed plaquette field
     strength is rounded to an integer; doubling grid_n must reproduce it
@@ -112,13 +106,7 @@ def chern_fhs(cfg, filled=None, grid_n=100):
         raise GaplessError(
             f"gap {gaps[i, l]:.3e} at k=({KX[i, l]}, {KY[i, l]}) below {GAP_TOL_DEFAULT}")
     if projector:
-        V, drift = projector_frames(cfg, monolayer_field(cfg, KX, KY), E)
-        bad = ~(drift <= FRAME_DRIFT_MAX)
-        if bad.any():
-            i, l = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            raise GaplessError(
-                f"filled-band frame at k=({KX[i, l]}, {KY[i, l]}) uncertified "
-                f"(drift bound {drift[i, l]:.3g}, gap {gaps[i, l]:.3e})")
+        V = projector_frames(cfg, KX, KY, E)[0]
     else:
         # a strided view made the link einsums about 1.6x slower (N = 5, 100^2)
         V = np.ascontiguousarray(np.moveaxis(V[..., :filled], (-2, -1), (0, 1)))

@@ -12,22 +12,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerquench import (GaplessError, LayeredConfig, NonQuantizedWindingError,
-                         analytic_positive_levels, build_layered, chern_fhs, monolayer_field)
-from layerquench import topology
-from layerquench.frames import projector_frames
-from layerquench.topology import FRAME_DRIFT_MAX
+                         analytic_positive_levels, build_layered, chern_fhs)
+from layerquench import frames as frames_module, topology
+from layerquench.frames import FRAME_SINE_MAX, projector_frames
 
 GOLDEN = Path(__file__).parent / "golden" / "fhs_battery.json"
 
 
 def frames(cfg, kx, ky):
-    """(V, drift, gap, levels) at the momenta; V is (..., 2N, N)."""
+    """(V, sines, gap, levels) at the momenta; V is (..., 2N, N)."""
     kx, ky = np.atleast_1d(kx), np.atleast_1d(ky)
     E = analytic_positive_levels(kx, ky, cfg)
     # a node on a closing (E = 0) gives nan; callers keep gapped nodes only
     with np.errstate(divide="ignore", invalid="ignore"):
-        V, drift = projector_frames(cfg, monolayer_field(cfg, kx, ky), E)
-    return np.moveaxis(V, (0, 1), (-2, -1)), drift, 2.0 * E.min(axis=-1), E
+        V, sines = projector_frames(cfg, kx, ky, E)
+    return np.moveaxis(V, (0, 1), (-2, -1)), sines, 2.0 * E.min(axis=-1), E
 
 
 def eigh_frames(cfg, kx, ky):
@@ -57,17 +56,19 @@ momentum = st.floats(-4.0, 4.0, allow_nan=False)
 def test_frames_span_the_eigh_projector(stacking, model, layers, t, m, k):
     cfg = LayeredConfig(stacking, layers, t, model, m)
     kx, ky = np.array(k).T
-    V, drift, gap, E = frames(cfg, kx, ky)
+    V, sines, gap, E = frames(cfg, kx, ky)
     U = eigh_frames(cfg, kx, ky)
     gapped = gap >= 1e-3
     assert np.all(orthonormality_error(V)[gapped] <= 1e-12)
-    # two levels small together amplify the rounding of H^2 (ba N = 3
-    # near its closings: up to 3e-5 at gap 1e-3); the drift bound covers it
-    second = np.sort(E, axis=-1)[..., min(1, layers - 1)]
-    sharp = gapped & ((layers == 1) | (second >= 0.2))
-    assert np.all(projector_error(V, U)[sharp] <= 1e-10)
-    sines2 = layers - (np.abs(dagger(U) @ V) ** 2).sum(axis=(-2, -1))
-    assert np.all(sines2[gapped] <= np.maximum(drift, 0.0)[gapped] + 1e-9)
+    assert np.all(projector_error(V, U)[gapped] <= 1e-10)
+    # the bound holds for every projector frame, kept or replaced
+    # (||V V^H - U U^H||_F = sqrt(2) ||sin Theta||_F; eigh is good to
+    # about 1e-12 at gap 1e-3)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frames_module, "FRAME_SINE_MAX", np.inf)
+        raw = frames(cfg, kx, ky)[0]
+    distance = np.linalg.norm(raw @ dagger(raw) - U @ dagger(U), axis=(-2, -1))
+    assert np.all(distance[gapped] <= np.sqrt(2.0) * sines[gapped] + 1e-10)
 
 
 @pytest.mark.parametrize("t", [0.4, 1.2, 2.5, -1.2])
@@ -75,11 +76,11 @@ def test_frames_span_the_eigh_projector(stacking, model, layers, t, m, k):
 def test_ba_levels_coinciding_at_the_zone_centre(t, m):
     # h1 = h2 = 0 at k = 0, so the two modes with cos(theta_r) <= 0 share E = |m - 2|
     cfg = LayeredConfig("ba", 3, t, m=m)
-    V, drift, gap, E = frames(cfg, 0.0, 0.0)
+    V, sines, gap, E = frames(cfg, 0.0, 0.0)
     assert np.ptp(np.sort(E[0])[:2]) < 1e-15
     assert orthonormality_error(V)[0] <= 1e-12
     assert projector_error(V, eigh_frames(cfg, 0.0, 0.0))[0] <= 1e-10
-    assert drift[0] <= FRAME_DRIFT_MAX
+    assert sines[0] <= FRAME_SINE_MAX
 
 
 @pytest.mark.parametrize("t", [0.4, 1.2])
@@ -89,31 +90,30 @@ def test_abba_levels_coinciding_on_the_kx0_line(t, m):
     cfg = LayeredConfig("abba", 2, t, m=m)
     ky = np.linspace(-np.pi, np.pi, 9)
     kx = np.zeros_like(ky)
-    V, drift, gap, E = frames(cfg, kx, ky)
+    V, sines, gap, E = frames(cfg, kx, ky)
     assert np.all(np.abs(E[:, 0] - E[:, 1]) < 1e-15)
     assert np.all(orthonormality_error(V) <= 1e-12)
     assert np.all(projector_error(V, eigh_frames(cfg, kx, ky)) <= 1e-10)
+    assert np.all(sines <= FRAME_SINE_MAX)
 
 
 @pytest.mark.parametrize("t", [1.0, 2.5])
-def test_drift_bound_flags_two_small_levels(t, monkeypatch):
-    # at m = 2 + 1e-5 two levels of 1e-5 meet at the zone centre, a grid
-    # node; the projector frame there is off, and the bound says so
-    cfg = LayeredConfig("ba", 3, t, m=2 + 1e-5)
-    V, drift, gap, E = frames(cfg, 0.0, 0.0)
-    U = eigh_frames(cfg, 0.0, 0.0)
-    sines2 = 3 - (np.abs(dagger(U) @ V) ** 2).sum()
-    assert FRAME_DRIFT_MAX < drift[0] and sines2 <= drift[0]
-    with pytest.raises(GaplessError, match="frame at k=.* uncertified"):
-        chern_fhs(cfg, grid_n=40)
-    # 1e-3 away the frames certify and give the eigh integer
-    near = LayeredConfig("ba", 3, t, m=2 + 1e-3)
-    projected = chern_fhs(near, grid_n=40)
+@pytest.mark.parametrize("dm", [1e-5, 1e-3])
+def test_uncertified_frames_fall_back_to_eigh(t, dm, monkeypatch):
+    # at m = 2 + dm two levels of about dm meet at the zone centre, a grid
+    # node, where the projector frame is off; the bound flags it, the
+    # node takes the eigh frame, and the integer is the eigh frames' one
+    cfg = LayeredConfig("ba", 3, t, m=2 + dm)
+    V, sines, gap, E = frames(cfg, 0.0, 0.0)
+    assert sines[0] > FRAME_SINE_MAX
+    assert projector_error(V, eigh_frames(cfg, 0.0, 0.0))[0] <= 1e-10
+    projected = chern_fhs(cfg, grid_n=40)
     monkeypatch.setattr(topology, "PROJECTOR_LAYERS_MAX", 0)
-    assert projected == chern_fhs(near, grid_n=40)
+    assert projected == chern_fhs(cfg, grid_n=40) == 0
 
 
 def test_eigh_is_reached_only_off_half_filling_or_above_three_layers(monkeypatch):
+    # certified frames everywhere on these grids, so the fallback stays idle
     def no_eigh(*args):
         raise AssertionError("eigh called")
 
