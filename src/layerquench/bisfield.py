@@ -12,7 +12,8 @@ canonicalized so that the negative side of the source lies to the right
 of travel.
 """
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class TaspGrid:
     nx: int
     ny: int
     cell: object
-    values: np.ndarray  # (nx, ny, 3)
+    values: np.ndarray  # (nx, ny, 3); None on the lattices characterize uses
     kx: np.ndarray  # (nx, ny), as ky
     ky: np.ndarray
 
@@ -78,6 +79,14 @@ def polarization_evaluator(cfg, j, observable=("global",)):
     return lambda kx, ky: gtasp_abba(kx, ky, cfg, j, r)
 
 
+def _source_shift(grid):
+    """Constant added to h_j by the source criterion of this grid."""
+    if grid.observable[0] == "subspace" and grid.j == 1:
+        r = grid.observable[1]
+        return 2.0 * grid.cfg.t * np.cos(sine_modes(grid.cfg.layers).theta[r - 1])
+    return 0.0
+
+
 def source_function(grid):
     """Signed criterion whose zero set defines the contours of this grid.
 
@@ -85,10 +94,7 @@ def source_function(grid):
     shifted component h_r^j (which differs from h_j only for j = 1).
     """
     cfg, j = grid.cfg, grid.j
-    shift = 0.0
-    if grid.observable[0] == "subspace" and j == 1:
-        r = grid.observable[1]
-        shift = 2.0 * cfg.t * np.cos(sine_modes(cfg.layers).theta[r - 1])
+    shift = _source_shift(grid)
 
     def src(kx, ky):
         return monolayer_field(cfg, kx, ky)[..., j - 1] + shift
@@ -102,23 +108,30 @@ def source_tag(grid):
     return f"mode{grid.observable[1]}.s{grid.j}"
 
 
-def sample_grid(cfg, j, observable=("global",), resolution=256):
-    """Evaluate the closed-form polarization on an nx x ny periodic grid.
-
-    Nodes sit at fractions (i/nx, l/ny) of the sampling cell of
-    cfg.model, and all nodes are evaluated in one serial array pass.
-    Nodes that hit a gap closing exactly are offset by half a grid step
-    (the grid's kx, ky record the offset); if still singular the error
-    is re-raised with the node location.
-    """
-    if isinstance(resolution, int):
-        nx = ny = resolution
-    else:
-        nx, ny = resolution
+def _resolution(resolution):
+    """(nx, ny) from an integral scalar or pair; anything else is a usage error."""
+    try:
+        nx, ny = (resolution, resolution) if np.ndim(resolution) == 0 else resolution
+        nx, ny = operator.index(nx), operator.index(ny)
+    except (TypeError, ValueError):
+        raise UsageError(f"grid resolution must be an integer or a pair of integers, "
+                         f"got {resolution!r}") from None
     if nx < MIN_GRID or ny < MIN_GRID:
         raise UsageError(f"grid resolution must be at least {MIN_GRID} per axis")
+    return nx, ny
+
+
+def _node_lattice(cfg, j, observable, resolution):
+    """Grid without polarization values: the node momenta of an nx x ny
+    lattice over the sampling cell of cfg.model.
+
+    Nodes sit at fractions (i/nx, l/ny) of the cell.  Nodes that hit a
+    gap closing exactly are offset by half a grid step (kx, ky record
+    the offset); if still singular the error is raised with the node
+    location.
+    """
+    nx, ny = _resolution(resolution)
     cell = sampling_cell(cfg.model)
-    ev = polarization_evaluator(cfg, j, observable)
     u = np.arange(nx)[:, None] / nx
     v = np.arange(ny)[None, :] / ny
     KX, KY = cell.k_at(u, v)
@@ -134,7 +147,20 @@ def sample_grid(cfg, j, observable=("global",), resolution=256):
             raise SingularPointError(
                 f"gap closes at grid node ({i0}, {l0}), k=({KX[i0, l0]}, {KY[i0, l0]})")
     return TaspGrid(cfg=cfg, j=j, observable=tuple(observable), nx=nx, ny=ny,
-                    cell=cell, values=ev(KX, KY), kx=KX, ky=KY)
+                    cell=cell, values=None, kx=KX, ky=KY)
+
+
+def sample_grid(cfg, j, observable=("global",), resolution=256):
+    """Evaluate the closed-form polarization on an nx x ny periodic grid.
+
+    The nodes are those of the shared node lattice (nudged off exact gap
+    closings, see _node_lattice); all of them are evaluated in one
+    serial array pass.  resolution is an integer or a pair of integers.
+    """
+    ev = polarization_evaluator(cfg, j, observable)
+    grid = _node_lattice(cfg, j, observable, resolution)
+    grid.values = ev(grid.kx, grid.ky)
+    return grid
 
 
 # sides of a marching-squares cell, in the order the linking walk tries them
@@ -280,20 +306,46 @@ def _orient(points, frac, src):
     raise DegenerateFieldError("cannot orient contour: source vanishes on both sides")
 
 
-def _extract(grid, node_source, src, tag, ev):
+def _oriented_loops(grid, node_source, src):
+    """Zero loops of src on the lattice of grid, as oriented (points, frac, wraps).
+
+    node_source is the (nx, ny) array of src at the unnudged nodes.
+    """
     def phi(u, v):
         return src(*grid.cell.k_at(u, v))
 
-    loops = _marching_loops(phi, node_source, grid.nx, grid.ny)
     out = []
-    for frac, wraps in loops:
+    for frac, wraps in _marching_loops(phi, node_source, grid.nx, grid.ny):
         kx, ky = grid.cell.k_at(frac[:, 0], frac[:, 1])
-        points = np.stack([kx, ky], axis=-1)
-        points, frac = _orient(points, frac, src)
-        vals = ev(points[:, 0], points[:, 1])
-        out.append(BisContour(points=points, frac=frac, source=tag, wraps=wraps,
-                              residual=float(np.max(np.abs(vals)))))
+        points, frac = _orient(np.stack([kx, ky], axis=-1), frac, src)
+        out.append((points, frac, wraps))
     return out
+
+
+def _source_loops(grid):
+    """Oriented zero loops of the source criterion of grid."""
+    src = source_function(grid)
+    u = np.arange(grid.nx)[:, None] / grid.nx
+    v = np.arange(grid.ny)[None, :] / grid.ny
+    return _oriented_loops(grid, src(*grid.cell.k_at(u, v)), src)
+
+
+def _contours(loops, tag, ev):
+    """One contour per loop, with its own arrays and the residual of ev on it."""
+    return [BisContour(points=points.copy(), frac=frac.copy(), source=tag, wraps=wraps.copy(),
+                       residual=float(np.max(np.abs(ev(points[:, 0], points[:, 1])))))
+            for points, frac, wraps in loops]
+
+
+def _check_tol_bis(tol_bis):
+    # a contour's residual is never negative, so no other value can accept one
+    if not tol_bis > 0:
+        raise UsageError(f"tol_bis must be positive, got {float(tol_bis)}")
+
+
+def _check_delta(delta):
+    if not (np.isfinite(delta) and delta > 0):
+        raise UsageError(f"delta must be finite and positive, got {float(delta)}")
 
 
 def extract_bis(grid, tol_bis=1e-6, include_rejected=False):
@@ -303,18 +355,11 @@ def extract_bis(grid, tol_bis=1e-6, include_rejected=False):
     Contours failing the all-components check (possible for synthetic or
     mode-mixed data) are excluded; pass include_rejected=True to get
     them in a second list instead of dropping them.  tol_bis must be
-    positive: a contour's residual is never negative, so no other value
-    can accept one.
+    positive.  Only the grid's lattice is read, not its values.
     """
-    if not tol_bis > 0:
-        raise UsageError(f"tol_bis must be positive, got {float(tol_bis)}")
-    src = source_function(grid)
-    u = np.arange(grid.nx)[:, None] / grid.nx
-    v = np.arange(grid.ny)[None, :] / grid.ny
-    KX, KY = grid.cell.k_at(u, v)
-    nodes = src(KX, KY)
+    _check_tol_bis(tol_bis)
     ev = polarization_evaluator(grid.cfg, grid.j, grid.observable)
-    contours = _extract(grid, nodes, src, source_tag(grid), ev)
+    contours = _contours(_source_loops(grid), source_tag(grid), ev)
     good = [c for c in contours if c.residual < tol_bis]
     if include_rejected:
         return good, [c for c in contours if c.residual >= tol_bis]
@@ -334,8 +379,8 @@ def component_zero_curves(grid, component):
     def src(kx, ky):
         return ev(kx, ky)[..., component - 1]
 
-    return _extract(grid, grid.values[..., component - 1], src,
-                    f"{source_tag(grid)}:zero-s{component}", ev)
+    loops = _oriented_loops(grid, grid.values[..., component - 1], src)
+    return _contours(loops, f"{source_tag(grid)}:zero-s{component}", ev)
 
 
 def dynamical_field(contour, grid, delta=1e-4):
@@ -347,8 +392,7 @@ def dynamical_field(contour, grid, delta=1e-4):
     with a central step delta (finite and positive) and the negated
     derivative is normalized.
     """
-    if not (np.isfinite(delta) and delta > 0):
-        raise UsageError(f"delta must be finite and positive, got {float(delta)}")
+    _check_delta(delta)
     src = source_function(grid)
     ev = polarization_evaluator(grid.cfg, grid.j, grid.observable)
     pq = FIELD_COMPONENTS[grid.j]
@@ -407,22 +451,38 @@ def characterize(cfg, j=3, resolution=256, delta=1e-4, tol_bis=1e-6,
 
     Global data of an abba stack is analysed mode by mode (layer factor
     1 each), global ba data with layer factor N, and ("subspace", r)
-    data from its one mode grid with layer factor 1.  Returns a dict
-    with the contour list, per-contour windings and the total invariant.
-    An empty contour list is a valid trivial result.
+    data from its one mode with layer factor 1.  Returns a dict with the
+    contour list, per-contour windings and the total invariant.  An
+    empty contour list is a valid trivial result.
+
+    All observables share one node lattice and no polarization values
+    are sampled at its nodes.  Modes whose source criteria coincide
+    (every abba mode for j = 2, 3: the common band-inversion surface
+    h_j = 0) share one extraction; each mode then keeps the contours on
+    which its own closed-form polarization vanishes, exactly as
+    sample_grid -> extract_bis per mode would give them.
     """
+    _check_delta(delta)
+    _check_tol_bis(tol_bis)
     if observable[0] != "global":
-        layer_factor, observables = 1, [observable]
+        layer_factor, observables = 1, [tuple(observable)]
     elif cfg.stacking == "abba":
         layer_factor, observables = 1, [("subspace", r) for r in range(1, cfg.layers + 1)]
     else:
-        layer_factor, observables = cfg.layers, [observable]
+        layer_factor, observables = cfg.layers, [tuple(observable)]
+    evaluators = [polarization_evaluator(cfg, j, obs) for obs in observables]
+    lattice = _node_lattice(cfg, j, observables[0], resolution)
+    loops = {}  # source shift -> oriented loops; equal shifts are the same source
     contours = []
     total = 0
-    for obs in observables:
-        grid = sample_grid(cfg, j, obs, resolution)
-        for c in extract_bis(grid, tol_bis):
-            dynamical_field(c, grid, delta)
-            total += winding(c, layer_factor)
-            contours.append(c)
+    for obs, ev in zip(observables, evaluators):
+        grid = replace(lattice, observable=obs)
+        shift = _source_shift(grid)
+        if shift not in loops:
+            loops[shift] = _source_loops(grid)
+        for c in _contours(loops[shift], source_tag(grid), ev):
+            if c.residual < tol_bis:
+                dynamical_field(c, grid, delta)
+                total += winding(c, layer_factor)
+                contours.append(c)
     return {"contours": contours, "total_w": int(total), "layer_factor": layer_factor}

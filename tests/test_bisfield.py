@@ -1,13 +1,18 @@
 """Tests for measured-polarization grids, ring extraction and winding numbers."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layerquench import (
     BisContour,
     DegenerateFieldError,
     LayeredConfig,
+    LayerQuenchError,
     NonQuantizedWindingError,
+    SingularPointError,
     UsageError,
     bisfield,
     characterize,
@@ -43,6 +48,30 @@ class TestSampleGrid:
         cfg = LayeredConfig("abba", 2, 0.4)
         with pytest.raises(UsageError):
             sample_grid(cfg, 3, ("global",), 8)
+
+    @pytest.mark.parametrize("resolution, shape", [
+        (np.int64(32), (32, 32)),
+        (np.int32(32), (32, 32)),
+        ((np.int64(32), 48), (32, 48)),
+        (np.array([32, 48]), (32, 48)),
+        ([32, 48], (32, 48)),
+    ])
+    def test_integral_resolutions_are_accepted(self, resolution, shape):
+        cfg = LayeredConfig("abba", 2, 0.4)
+        grid = sample_grid(cfg, 3, ("global",), resolution)
+        assert (grid.nx, grid.ny) == shape
+        assert type(grid.nx) is int and type(grid.ny) is int
+        assert grid.values.shape == shape + (3,)
+        assert characterize(cfg, resolution=resolution)["total_w"] == -2
+
+    @pytest.mark.parametrize("resolution", [32.0, (32,), (32, 32, 32), (32.0, 32), "32", None,
+                                            np.float64(32), np.array([[32, 32]])])
+    def test_other_resolutions_are_usage_errors(self, resolution):
+        cfg = LayeredConfig("abba", 2, 0.4)
+        with pytest.raises(UsageError, match="grid resolution"):
+            sample_grid(cfg, 3, ("global",), resolution)
+        with pytest.raises(UsageError, match="grid resolution"):
+            characterize(cfg, resolution=resolution)
 
     def test_singular_node_is_nudged(self):
         # m=2 closes the gap exactly at k=(0,0), which is a node of any
@@ -295,3 +324,119 @@ class TestCharacterize:
         assert result["total_w"] == 0
         for c in result["contours"]:
             assert c.w == 0
+
+    @pytest.mark.parametrize("kwargs", [{"delta": 0.0}, {"delta": float("nan")},
+                                        {"tol_bis": -1.0}, {"tol_bis": float("nan")}])
+    def test_bad_delta_or_tol_bis_is_refused_without_contours(self, kwargs):
+        # m = 3 has no band-inversion surface, so no contour would reach
+        # the per-contour checks
+        cfg = LayeredConfig("abba", 2, 0.4, m=3.0)
+        with pytest.raises(UsageError):
+            characterize(cfg, resolution=32, **kwargs)
+
+    @pytest.mark.parametrize("cfg, nudged", [
+        (LayeredConfig("abba", 3, 0.4), False),
+        # modes 1 and 3 close exactly at lattice nodes; mode 2 keeps its ring
+        (LayeredConfig("abba", 3, 1 / np.sqrt(2)), True),
+    ])
+    def test_one_lattice_and_no_node_values(self, monkeypatch, cfg, nudged):
+        masks = []
+
+        def counted_mask(kx, ky, c):
+            masks.append(kx.shape)
+            return singular_mask(kx, ky, c)
+
+        def contour_only(fn):
+            def wrapped(kx, ky, *args, **kwargs):
+                assert np.ndim(kx) < 2 and np.ndim(ky) < 2, "closed form evaluated on the lattice"
+                return fn(kx, ky, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(bisfield, "singular_mask", counted_mask)
+        for name in ("tasp_closed_form", "gtasp_abba"):
+            monkeypatch.setattr(bisfield, name, contour_only(getattr(bisfield, name)))
+        result = characterize(cfg, resolution=64)
+        assert masks == [(64, 64)] * (2 if nudged else 1)
+        assert result["total_w"] == (-1 if nudged else -3)
+
+
+def _per_mode_pipeline(cfg, j, resolution, observable=("global",)):
+    """characterize spelled out with the public per-mode calls."""
+    if observable[0] != "global":
+        layer_factor, observables = 1, [observable]
+    elif cfg.stacking == "abba":
+        layer_factor, observables = 1, [("subspace", r) for r in range(1, cfg.layers + 1)]
+    else:
+        layer_factor, observables = cfg.layers, [observable]
+    contours, total = [], 0
+    for obs in observables:
+        grid = sample_grid(cfg, j, obs, resolution)
+        for c in extract_bis(grid):
+            dynamical_field(c, grid)
+            total += winding(c, layer_factor)
+            contours.append(c)
+    return contours, total
+
+
+def _outcome(run):
+    """Exact bytes of every contour and the total, or the error raised."""
+    try:
+        contours, total = run()
+    except LayerQuenchError as exc:
+        return type(exc), str(exc)
+    arrays = [(c.points, c.frac, c.wraps, c.gfield) for c in contours]
+    for (a, b) in itertools.combinations([x for group in arrays for x in group], 2):
+        assert not np.shares_memory(a, b)
+    return [tuple((x.dtype.str, x.shape, x.tobytes()) for x in group)
+            + (np.float64(c.residual).tobytes(), c.source, c.w)
+            for group, c in zip(arrays, contours)], total
+
+
+def _characterized(cfg, j, resolution, observable=("global",)):
+    result = characterize(cfg, j, resolution, observable=observable)
+    return result["contours"], result["total_w"]
+
+
+HALDANE_M = 2 * np.sqrt(3)
+# one mode-shared source on which modes 1 and 3 (nearly gapless on the
+# ky = 0 line) reject the first contour that mode 2 keeps
+MIXED_T = np.sqrt(0.75) / np.sqrt(2) * (1 + 1e-4)
+PIPELINE_CASES = (
+    [(LayeredConfig("abba", n, 0.4, model, {"qwz": 1.0, "haldane": HALDANE_M}[model]), j, 64,
+      ("global",))
+     for model in ("qwz", "haldane") for n in (1, 2, 3, 5) for j in (1, 2, 3)]
+    + [(LayeredConfig("ba", 2, 0.4), j, 64, ("global",)) for j in (1, 2, 3)]
+    + [(LayeredConfig("ba", 3, 0.4, "haldane", HALDANE_M), 3, 64, ("global",))]
+    + [(LayeredConfig("abba", 3, 0.4), j, 64, ("subspace", 2)) for j in (1, 3)]
+    + [(LayeredConfig("abba", 3, 0.4), 3, (32, 48), ("global",)),
+       (LayeredConfig("abba", 2, 1.2), 3, (48, 32), ("global",)),
+       (LayeredConfig("abba", 3, MIXED_T, m=0.5), 2, 48, ("global",))]
+)
+# the ba gap closes at k = 0, on the contour itself
+SINGULAR_CASE = (LayeredConfig("ba", 2, 0.4, m=2.0), 3, 64, ("global",))
+
+
+@pytest.mark.parametrize("cfg, j, resolution, observable", PIPELINE_CASES + [SINGULAR_CASE],
+                         ids=[f"{c.stacking}{c.layers}-{c.model}-m{c.m:g}-j{j}-{res}-{obs[0]}"
+                              for c, j, res, obs in PIPELINE_CASES + [SINGULAR_CASE]])
+def test_characterize_matches_per_mode_pipeline(cfg, j, resolution, observable):
+    want = _outcome(lambda: _per_mode_pipeline(cfg, j, resolution, observable))
+    got = _outcome(lambda: _characterized(cfg, j, resolution, observable))
+    assert got == want
+    if (cfg, j, resolution, observable) == SINGULAR_CASE:
+        assert want[0] is SingularPointError
+
+
+def test_pipeline_cases_cover_mixed_mode_filtering():
+    # mode 2 keeps both contours of the shared source, modes 1 and 3 only the second
+    contours, _ = _characterized(*PIPELINE_CASES[-1][:3])
+    assert [c.source for c in contours] == ["mode1.s2", "mode2.s2", "mode2.s2", "mode3.s2"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(t=st.floats(0.0, 1.5), m=st.floats(-2.5, 2.5), j=st.integers(1, 3),
+       layers=st.integers(2, 3))
+def test_characterize_matches_per_mode_pipeline_property(t, m, j, layers):
+    cfg = LayeredConfig("abba", layers, t, m=m)
+    want = _outcome(lambda: _per_mode_pipeline(cfg, j, 32))
+    assert _outcome(lambda: _characterized(cfg, j, 32)) == want

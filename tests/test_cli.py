@@ -297,6 +297,9 @@ EXIT_SWEEP = [
     (2, ["bis", "--tol-bis", "nan", "--grid", "64"]),
     (2, ["bis", "--delta", "0", "--grid", "64"]),
     (2, ["winding", "--delta", "nan", "--grid", "64"]),
+    # m = 3 has no band-inversion surface: refused before any contour exists
+    (2, ["bis", "--m", "3", "--delta", "0", "--grid", "64"]),
+    (2, ["winding", "--m", "3", "--delta", "nan", "--grid", "64"]),
     (2, ["chern", "--filled", "9", "--grid", "32"]),
     (2, ["chern", "--filled", "0", "--grid", "32"]),
     (2, ["tasp", "--observable", "orbit:1", "--grid", "16"]),
