@@ -284,7 +284,8 @@ def cmd_phase_diagram(opts):
                              for l in range(len(pd.ms))) + "\n")
     extra = {"t_range": [opts["t_min"], opts["t_max"]],
              "m_range": [opts["m_min"], opts["m_max"]], "steps": opts["steps"],
-             "boundary_cells": int(pd.boundary.sum()), "scan_grid": scan_grid}
+             "boundary_cells": int(pd.boundary.sum()),
+             "cells_computed": int(pd.computed.sum()), "scan_grid": scan_grid}
     if opts["stacking"] == "ba":
         extra["fhs_grid"] = PHASE_FHS_GRID
     _write_json(os.path.join(out, "phase_manifest.json"), _manifest("phase-diagram", opts, extra))

@@ -35,11 +35,26 @@ LINK_FLOOR = 1e-3
 # smallest field modulus a unit-field degree accepts
 FIELD_FLOOR = 1e-9
 
-# abba scans take their cells in chunks; every (cells, modes, n, n)
-# array of a chunk stays near this size (one cell at the least), so the
-# dozen or so temporaries of a chunk fit a 2 MB L2 cache (twice this
-# size scanned about 25 % slower on a 2-vCPU Xeon)
+# scans take their cells in chunks; every (cells, modes, n, n) array of
+# a chunk stays near this size (one cell at the least), so the dozen or
+# so temporaries of a chunk fit a 2 MB L2 cache (twice this size scanned
+# about 25 % slower on a 2-vCPU Xeon; half of it still left the timing
+# of 1024 abba cells dependent on the malloc heap state)
 SCAN_CHUNK_BYTES = 1 << 17
+
+# a phase scan computes a cell on its own when the box of this
+# half-width around it, in the field coordinates of a gap closing (see
+# _closings), meets the closing.  Measured on one mode field swept around
+# its closing circle (3001 angles, distance steps of 0.001): the
+# triangulation fails (den < DEN_FLOOR) up to a field distance of 0.012
+# on the base grid 48, 0.008 on 64, 0.03 on 47 (ky = pi falls between
+# rows) and beyond 0.06 on 16.  A cell ends as boundary only when grids
+# n, 2n and 4n >= 64 all fail, so within 0.008 of a closing; farther
+# cells may need a finer grid, which gives the same integer as the copy.
+# ba closings sit on nodes of the even link-variable grids: 600 ba cells
+# within 0.04 of a line (N = 1..3, |t| < 3) needed no finer grid.  0.02
+# leaves room above the base-grid 0.012 and the boundary 0.008
+SCAN_MARGIN = 0.02
 
 # base grid of the link-variable Chern number of a ba scan cell
 PHASE_FHS_GRID = 40
@@ -219,8 +234,11 @@ def total_chern_abba(cfg, grid_n=100):
 class PhaseDiagram:
     """Half-filling Chern numbers on a (t, m) grid of cell centres.
 
-    boundary marks cells whose gap minimum falls below GAP_TOL_DEFAULT;
-    their chern entry is meaningless and reported as "boundary" downstream.
+    boundary marks cells whose gap minimum falls below GAP_TOL_DEFAULT or
+    whose Chern number no refined grid could certify; their chern entry is
+    meaningless and reported as "boundary" downstream.  computed marks the
+    cells evaluated on their own; every other cell copies the Chern number
+    of a computed cell in the same gapped region.
     """
 
     stacking: str
@@ -230,20 +248,15 @@ class PhaseDiagram:
     chern: np.ndarray
     gap_min: np.ndarray
     boundary: np.ndarray
+    computed: np.ndarray
 
 
-def _halffilling_gap(cfg, grid_n, cell):
-    KX, KY = _cell_nodes(cell, grid_n)
-    ep = analytic_positive_levels(KX, KY, cfg)
-    return 2.0 * float(ep.min())
-
-
-def _abba_tables(layers, model, ms, grid_n, cell):
-    """k-grid tables of one abba scan, on the periodically extended grid.
+def _scan_tables(layers, model, ms, grid_n, cell):
+    """k-grid tables of one scan, on the periodically extended grid.
 
     Returns (h1, h2, h3, c): the first two monolayer components, which
     depend on neither t nor m, the third for every mass in ms, and the
-    mode factors cos(theta_r); mode r adds 2 t cos(theta_r) to h1.
+    mode factors cos(theta_r); abba mode r adds 2 t cos(theta_r) to h1.
     """
     KX, KY = _cell_nodes(cell, grid_n)
 
@@ -259,13 +272,33 @@ def _abba_tables(layers, model, ms, grid_n, cell):
     return h1, h2, h3, c
 
 
-def _abba_cells(tables, t, l):
-    """Half-filling gap and mode-degree sum of the cells (t, ms[l]).
+def _scan_gaps(abba, tables, ts, per):
+    """Half-filling gap of every cell, per cells at a time.
 
-    The levels are those of analytic_positive_levels, with the same
-    operation order, so the gap is bitwise the per-cell value; they also
-    serve as the field norm.  Returns (gap, chern, certified); a cell is
-    certified when all its modes pass the three checks of chern_two_band.
+    E_r^2 is a t-dependent part plus h3^2, summed in the operation order
+    of analytic_positive_levels, and sqrt is monotone, so each gap is
+    bitwise the per-cell 2 min E_r.
+    """
+    h1, h2, h3, c = tables
+    h3sq = h3 ** 2
+    e2 = np.empty((len(ts), len(h3)))
+    for i, t in enumerate(ts):
+        if abba:
+            part = (h1 + 2.0 * t * c[:, None, None]) ** 2 + h2 ** 2
+        else:
+            tc = (t * c)[:, None, None]
+            part = (np.sqrt(h1 ** 2 + h2 ** 2 + tc ** 2) + tc) ** 2
+        for l in range(0, len(h3), per):
+            e2[i, l:l + per] = (h3sq[l:l + per, None] + part).min(axis=(-3, -2, -1))
+    return 2.0 * np.sqrt(e2)
+
+
+def _abba_cells(tables, t, l):
+    """Mode-degree sum of the cells (t, ms[l]).
+
+    The levels serve as the field norm.  Returns (chern, certified); a
+    cell is certified when all its modes pass the three checks of
+    chern_two_band.
     """
     h1, h2, h3, c = tables
     h1r = h1 + (2.0 * t)[:, None, None, None] * c[:, None, None]
@@ -278,7 +311,102 @@ def _abba_cells(tables, t, l):
         certified = ((e_min >= FIELD_FLOOR) & (den_min >= DEN_FLOOR)
                      & (np.abs(degree - nearest) < ROUND_TOL)).all(axis=-1)
     chern = np.where(certified, nearest.sum(axis=-1), 0).astype(int)
-    return 2.0 * e_min.min(axis=-1), chern, certified
+    return chern, certified
+
+
+def _closings(stacking, layers, model):
+    """Half-filling gap closings of a square-lattice stack in the (t, m) plane.
+
+    Returns (w, a) arrays: the closings are the curves
+    (w t)^2 + (m - a)^2 = 1, unit circles in the field coordinates
+    (s, m) = (w t, m).  abba mode r closes where sin ky = 0,
+    sin kx = -2 t cos(theta_r) and m = cos kx + cos ky, so w = 2 cos(theta_r)
+    and a = +-1, and the distance of (s, m) from the circles is the
+    smallest modulus the mode field takes.  The ba levels vanish only
+    where the monolayer field does, on the lines m in {-2, 0, 2}: the
+    same circles with w = 0.  None for a model without closed-form
+    closings (haldane).
+    """
+    if model != "qwz":
+        return None
+    # modes r and N + 1 - r have opposite w and share their closings
+    theta = sine_modes(layers).theta[:(layers + 1) // 2]
+    w = 2.0 * np.cos(theta) if stacking == "abba" else np.zeros(1)
+    w, a = np.broadcast_arrays(w[:, None], np.array([-1.0, 1.0]))
+    return w.ravel(), a.ravel()
+
+
+def _segment_meets(a, s0, m0, s1, m1):
+    """Whether the segments (s0, m0) -> (s1, m1) meet the circles s^2 + (m - a)^2 = 1.
+
+    Along a segment the circle function is a convex quadratic in the
+    segment parameter, so the segment meets the circle exactly when that
+    quadratic's minimum over the segment (at an end or at its vertex) is
+    <= 0 and its maximum (at an end) is >= 0.  Arguments broadcast.
+    """
+    ds, dm = s1 - s0, m1 - m0
+    f0 = s0 ** 2 + (m0 - a) ** 2 - 1.0
+    f1 = s1 ** 2 + (m1 - a) ** 2 - 1.0
+    A = ds ** 2 + dm ** 2
+    B = 2.0 * (s0 * ds + (m0 - a) * dm)
+    inside = (B < 0) & (-B < 2.0 * A)  # the vertex -B / 2A lies in (0, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where(inside, f0 - B * B / (4.0 * A), np.inf)
+    return (np.minimum(np.minimum(f0, f1), vertex) <= 0) & (np.maximum(f0, f1) >= 0)
+
+
+def _crosses(closings, t0, m0, t1, m1):
+    """Whether the (t, m) segments (t0, m0) -> (t1, m1) meet any closing."""
+    return np.any([_segment_meets(a, w * t0, m0, w * t1, m1) for w, a in zip(*closings)],
+                  axis=0)
+
+
+def _near(closings, ts, ms):
+    """Cells whose box of half-width SCAN_MARGIN meets a closing.
+
+    The box is taken in the field coordinates (s, m) of each closing, so
+    a cell that is not near keeps every mode field at least SCAN_MARGIN
+    from zero.  Without closed-form closings every cell is near.
+    """
+    near = np.zeros((len(ts), len(ms)), dtype=bool)
+    if closings is None:
+        return ~near
+    d = SCAN_MARGIN
+    m = ms[None, :]
+    for w, a in zip(*closings):
+        s = w * ts[:, None]
+        for s0, m0, s1, m1 in ((s - d, m - d, s + d, m - d), (s - d, m + d, s + d, m + d),
+                               (s - d, m - d, s - d, m + d), (s + d, m - d, s + d, m + d)):
+            near |= _segment_meets(a, s0, m0, s1, m1)
+    return near
+
+
+def _regions(closings, far, ts, ms):
+    """Root cell (flat index) of the gapped region of every far cell.
+
+    Neighbouring far cells join when the segment between their centres
+    meets no closing; the joins are merged by union-find.
+    """
+    sm = len(ms)
+    join_t = np.zeros(far.shape, dtype=bool)
+    join_m = np.zeros(far.shape, dtype=bool)
+    if far.any():
+        join_t[:-1] = far[:-1] & far[1:] & ~_crosses(
+            closings, ts[:-1, None], ms[None, :], ts[1:, None], ms[None, :])
+        join_m[:, :-1] = far[:, :-1] & far[:, 1:] & ~_crosses(
+            closings, ts[:, None], ms[None, :-1], ts[:, None], ms[None, 1:])
+    parent = list(range(far.size))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for step, join in ((sm, join_t), (1, join_m)):
+        for a in np.flatnonzero(join).tolist():
+            parent[root(a)] = root(a + step)
+    return [root(a) for a in range(far.size)]
 
 
 def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n=48, threads=1):
@@ -286,32 +414,53 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
 
     steps may be an int or a (t_steps, m_steps) pair; cells are sampled
     at their centres so exact phase boundaries are met only through the
-    GAP_TOL_DEFAULT flagging.  abba cells use the mode-degree sum, taken
-    for a chunk of cells and all their modes in one array pass; ba cells
-    use the link-variable Chern number at PHASE_FHS_GRID, one cell at a
-    time.  With threads > 1, worker threads take whole chunks; this is
-    the only thread pool of the package.
+    GAP_TOL_DEFAULT flagging.  The gap of every cell is computed, in
+    array passes.  Where the gap closings are known in closed form
+    (_closings), a Chern number is computed only for the cells within
+    SCAN_MARGIN of a closing and for the largest-gap cell of each gapped
+    region; the other cells of the region copy it (if that cell turns out
+    boundary, its whole region is computed).  Without closed-form
+    closings every cell is near, which makes the scan dense.  abba cells
+    use the mode-degree sum, taken for a chunk of cells and all their
+    modes in one array pass; ba cells use the link-variable Chern number
+    at PHASE_FHS_GRID, one cell at a time.  A cell that cannot be
+    certified on the base grid is retried on finer ones before it is
+    flagged as boundary.  With threads > 1, worker threads take whole
+    chunks; this is the only thread pool of the package.
     """
     st, sm = (steps, steps) if np.ndim(steps) == 0 else steps
     if st < 1 or sm < 1:
         raise UsageError(f"steps must be at least 1, got {st} x {sm}")
     ts = t_range[0] + (np.arange(st) + 0.5) * (t_range[1] - t_range[0]) / st
     ms = m_range[0] + (np.arange(sm) + 0.5) * (m_range[1] - m_range[0]) / sm
-    cell = sampling_cell(model)
-    chern = np.zeros((st, sm), dtype=int)
-    gap = np.zeros((st, sm))
-    boundary = np.zeros((st, sm), dtype=bool)
     abba = stacking == "abba"
-    tables = _abba_tables(layers, model, ms, grid_n, cell) if abba else None
+    tables = _scan_tables(layers, model, ms, grid_n, sampling_cell(model))
+    # each (cells, modes, n + 1, n + 1) array of a chunk stays near SCAN_CHUNK_BYTES
+    per = max(1, SCAN_CHUNK_BYTES // (layers * (grid_n + 1) ** 2 * 8))
+    gap = _scan_gaps(abba, tables, ts, per)
+    boundary = gap < GAP_TOL_DEFAULT
+    chern = np.zeros((st, sm), dtype=int)
 
-    def config(i, l):
-        return LayeredConfig(stacking=stacking, layers=layers, t=float(ts[i]),
-                             model=model, m=float(ms[l]))
+    closings = _closings(stacking, layers, model)
+    far = ~_near(closings, ts, ms)
+    roots = _regions(closings, far, ts, ms)
+    # the representative of a region is its largest-gap cell; every
+    # other cell represents itself
+    cells = np.arange(st * sm)
+    far_cells = cells[far.ravel()].tolist()
+    best = {}
+    for a in far_cells:
+        b = best.setdefault(roots[a], a)
+        if gap.flat[a] > gap.flat[b]:
+            best[roots[a]] = a
+    rep = cells.copy()
+    rep[far_cells] = [best[roots[a]] for a in far_cells]
 
     def refine(i, l, factors):
         # a cell too close to a phase boundary may be uncertifiable at
         # the base grid; refine before flagging it as boundary
-        cfg = config(i, l)
+        cfg = LayeredConfig(stacking=stacking, layers=layers, t=float(ts[i]),
+                            model=model, m=float(ms[l]))
         for factor in factors:
             try:
                 if abba:
@@ -323,35 +472,34 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
                 continue
         boundary[i, l] = True
 
-    def work(span):
-        i, l = np.divmod(np.arange(*span), sm)
+    def work(chunk):
+        i, l = np.divmod(chunk, sm)
         if abba:
-            g, c, ok = _abba_cells(tables, ts[i], l)
-            flat = g < GAP_TOL_DEFAULT
-            gap[i, l] = g
-            boundary[i, l] = flat
-            chern[i, l] = np.where(flat, 0, c)
-            retry = ~ok & ~flat
-            for i_, l_ in zip(i[retry], l[retry]):
+            chern[i, l], ok = _abba_cells(tables, ts[i], l)
+            for i_, l_ in zip(i[~ok], l[~ok]):
                 refine(i_, l_, (2, 4))
             return
         for i_, l_ in zip(i, l):
-            gap[i_, l_] = _halffilling_gap(config(i_, l_), grid_n, cell)
-            if gap[i_, l_] < GAP_TOL_DEFAULT:
-                boundary[i_, l_] = True
-            else:
-                refine(i_, l_, (1, 2, 4))
+            refine(i_, l_, (1, 2, 4))
 
-    per = max(1, SCAN_CHUNK_BYTES // (layers * (grid_n + 1) ** 2 * 8))
-    spans = [(k, min(k + per, st * sm)) for k in range(0, st * sm, per)]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, spans))
-    else:
-        for span in spans:
-            work(span)
-    return PhaseDiagram(stacking=stacking, layers=layers, ts=ts, ms=ms,
-                        chern=chern, gap_min=gap, boundary=boundary)
+    def compute(mask):
+        todo = np.flatnonzero(mask & ~boundary.ravel())
+        chunks = [todo[k:k + per] for k in range(0, len(todo), per)]
+        if threads and threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                list(pool.map(work, chunks))
+        else:
+            for chunk in chunks:
+                work(chunk)
+
+    own = rep == cells
+    compute(own)
+    # a region whose representative is boundary is computed cell by cell
+    own |= boundary.ravel()[rep]
+    compute(own & (rep != cells))
+    chern.flat[~own] = chern.flat[rep[~own]]
+    return PhaseDiagram(stacking=stacking, layers=layers, ts=ts, ms=ms, chern=chern,
+                        gap_min=gap, boundary=boundary, computed=own.reshape(st, sm))
 
 
 @dataclass(frozen=True)
@@ -406,14 +554,10 @@ def transition_lines_abba(layers, t_range=(0.0, 2.0), samples=201):
         for r, ky, sign, ok, m, kx in _mode_branches(layers, tgrid)))
 
 
-def segment_crosses_transition(layers, p0, p1, samples=129):
-    """Whether the straight segment p0 -> p1 in the (t, m) plane crosses
-    any analytic abba transition curve."""
-    s = np.linspace(0.0, 1.0, samples)
-    t = p0[0] + s * (p1[0] - p0[0])
-    m = p0[1] + s * (p1[1] - p0[1])
-    for _, _, _, ok, m_closing, _ in _mode_branches(layers, t):
-        g = m[ok] - m_closing
-        if len(g) >= 2 and np.any(np.sign(g[:-1]) * np.sign(g[1:]) <= 0):
-            return True
-    return False
+def segment_crosses_transition(layers, p0, p1):
+    """Whether the straight segment p0 -> p1 in the (t, m) plane meets any
+    analytic abba gap-closing curve of the square-lattice stack.
+
+    Exact: the quadratic root test phase_diagram joins its cells with.
+    """
+    return bool(_crosses(_closings("abba", layers, "qwz"), p0[0], p0[1], p1[0], p1[1]))

@@ -192,6 +192,8 @@ class TestPhaseDiagram:
         manifest = load_json(tmp_path / "phase_manifest.json")
         assert manifest["steps"] == 6
         assert isinstance(manifest["boundary_cells"], int)
+        # cells near a gap closing plus one per gapped region, never all 36
+        assert 0 < manifest["cells_computed"] < 36
         assert manifest["scan_grid"] == 32
         assert "fhs_grid" not in manifest
         # cell centred on (1/6, 4/3) lies inside the doubly inverted phase

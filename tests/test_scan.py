@@ -1,10 +1,13 @@
-"""Tests for the batched phase scan and the unit-field degree kernel.
+"""Tests for the phase scan and the unit-field degree kernel.
 
-phase_diagram is checked cell for cell against the per-cell scan in
-reference_scan.py: equal chern and boundary arrays and a bitwise-equal
-gap_min, over stackings, layer counts, models, grids, windows, chunk
-sizes and thread counts.  The degree kernel is checked against the
-np.cross/einsum/roll solid-angle sum it replaced, on random fields.
+phase_diagram is checked cell for cell against the dense per-cell scan
+in reference_scan.py: equal chern and boundary arrays and a
+bitwise-equal gap_min, over stackings, layer counts, models, grids,
+windows (random ones among them), chunk sizes and thread counts.  The
+share of cells it computes, rather than copies from a region's
+representative, is checked on the benchmark's window shapes.  The degree
+kernel is checked against the np.cross/einsum/roll solid-angle sum it
+replaced, on random fields.
 """
 
 import sys
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layerquench import phase_diagram, topology
+from layerquench import GaplessError, phase_diagram, topology
 import reference_scan
 
 WINDOW = ((0.0, 2.0), (-1.0, 3.0))
@@ -80,6 +83,87 @@ def test_chunk_edges_do_not_change_cells(monkeypatch, cells_per_chunk):
     finally:
         sys.setswitchinterval(interval)
     assert_same_scan(pd, ref)
+
+
+@st.composite
+def qwz_windows(draw):
+    """Small qwz scan windows, many of them across an ellipse tip
+    t = +-1 / (2 |cos theta_r|) or a line m in {-2, 0, 2}, negative t included."""
+    stacking = draw(st.sampled_from(["abba", "ba"]))
+    layers = draw(st.integers(1, 4 if stacking == "abba" else 3))
+    c = np.cos(np.arange(1, layers + 1) * np.pi / (layers + 1))
+    tips = [(sign / (2 * abs(x)), a) for x in c if abs(x) > 0.1
+            for sign in (1, -1) for a in (1.0, -1.0)] if stacking == "abba" else []
+    t = st.floats(-2.5, 2.5)
+    centres = [st.tuples(t, st.sampled_from([-2.0, 0.0, 2.0])), st.tuples(t, st.floats(-3.0, 3.0))]
+    if tips:
+        centres.append(st.sampled_from(tips))
+    centre = draw(st.one_of(*centres))
+    half = draw(st.tuples(st.floats(0.05, 0.8), st.floats(0.05, 1.2)))
+    shift = draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+    lo = [x - h + s * h for x, h, s in zip(centre, half, shift)]
+    window = tuple((a, a + 2 * h) for a, h in zip(lo, half))
+    most = 5 if stacking == "abba" else 3
+    steps = draw(st.tuples(st.integers(2, most), st.integers(2, most)))
+    return stacking, layers, window, steps
+
+
+@settings(max_examples=15, deadline=None)
+@given(qwz_windows())
+def test_random_windows_match_dense_reference(case):
+    stacking, layers, window, steps = case
+    assert_same_scan(phase_diagram(stacking, layers, *window, steps),
+                     reference_scan.phase_diagram(stacking, layers, *window, steps))
+
+
+def bench_windows(steps):
+    # the benchmark's windows: (0, 2) x (-1, 3) shifted by up to half a cell
+    for shift in (0.0, 0.17, 0.5):
+        yield ((shift * 2 / steps, 2 + shift * 2 / steps),
+               (-1 + shift * 4 / steps, 3 + shift * 4 / steps))
+
+
+@pytest.mark.parametrize("stacking,steps,share", [("abba", 32, 0.15), ("ba", 12, 0.25)])
+def test_bench_windows_compute_few_cells(stacking, steps, share):
+    for window in bench_windows(steps):
+        pd = phase_diagram(stacking, 2, *window, steps)
+        assert 0 < pd.computed.sum() <= share * steps ** 2
+        # a copied cell is never boundary
+        assert not pd.boundary[~pd.computed].any()
+
+
+@pytest.mark.parametrize("stacking", ["abba", "ba"])
+def test_haldane_scans_compute_every_cell(stacking):
+    # the triangular-lattice model has no closed-form gap closings
+    pd = phase_diagram(stacking, 2, (0.0, 1.0), (0.0, 8.0), (3, 4), model="haldane")
+    assert pd.computed.all()
+
+
+def test_boundary_representative_computes_its_region(monkeypatch):
+    # the largest-gap cell of the window represents its region; when no
+    # grid certifies it, the rest of its region is computed cell by cell
+    window, steps = SHIFTED, 4
+    ref = reference_scan.phase_diagram("ba", 2, *window, steps)
+    pd = phase_diagram("ba", 2, *window, steps)
+    i, l = np.unravel_index(np.argmax(ref[1]), ref[1].shape)
+    real = topology.chern_fhs
+
+    def uncertifiable(cfg, *args):
+        if (cfg.t, cfg.m) == (pd.ts[i], pd.ms[l]):
+            raise GaplessError("uncertifiable")
+        return real(cfg, *args)
+
+    monkeypatch.setattr(topology, "chern_fhs", uncertifiable)
+    failed = phase_diagram("ba", 2, *window, steps)
+    # the ba closings are the lines m = 0, +-2: the region is the strip of ms[l]
+    strip = np.searchsorted([-2.0, 0.0, 2.0], pd.ms) == np.searchsorted([-2.0, 0.0, 2.0], pd.ms[l])
+    assert not pd.computed[:, strip].all()
+    assert failed.computed[:, strip].all()
+    expected = ref[2].copy()
+    expected[i, l] = True
+    assert np.array_equal(failed.boundary, expected)
+    keep = ~expected
+    assert np.array_equal(failed.chern[keep], ref[0][keep])
 
 
 def unit_field(h):

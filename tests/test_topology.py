@@ -148,6 +148,15 @@ class TestTransitionCurves:
         assert not segment_crosses_transition(2, (0.25, 1.0), (0.3, 1.1))
         assert not segment_crosses_transition(2, (1.5, 2.8), (1.9, 2.9))
 
+    def test_segment_crossing_is_exact(self):
+        # a crossing much shorter than the segment: m = 1e-4 cuts the a = 1
+        # ellipse t^2 + (m - 1)^2 = 1 only for |t| < 0.0141
+        assert segment_crosses_transition(2, (-5.03, 1e-4), (4.97, 1e-4))
+        # a segment that enters and leaves an ellipse near its tip (t = 1,
+        # m = 1) crosses it twice with no sign change between its ends
+        assert segment_crosses_transition(2, (0.9999, 0.5), (0.9999, 1.5))
+        assert not segment_crosses_transition(2, (1.0001, 0.5), (1.0001, 1.5))
+
 
 class TestInputFloors:
     CFG = LayeredConfig("abba", 2, 0.4)
