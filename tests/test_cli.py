@@ -287,6 +287,19 @@ class TestRejectedInputs:
         assert err.startswith("error: 1960000 momenta x 6x6 Hamiltonians need 1.1 GB")
         assert len(err.splitlines()) == 1
 
+    def test_oversized_sine_mode_frames(self, tmp_path, capsys, monkeypatch):
+        # abba stacks of any depth take the sine-mode frames, which never
+        # build the whole stack either; the bound fires before any field
+        def no_field(*args):
+            raise AssertionError("chern_fhs went past its memory check")
+
+        monkeypatch.setattr(models, "qwz_field", no_field)
+        assert run("chern", "--stacking", "abba", "--layers", "4", "--grid", "1400",
+                   "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 1960000 momenta x 8x8 Hamiltonians need 2.0 GB")
+        assert len(err.splitlines()) == 1
+
 
 # (expected exit code, argv): every input main accepts ends in 0, 1
 # (numerical failure) or 2 (usage error) and never in a traceback

@@ -1,4 +1,4 @@
-"""Projector frames of chern_fhs against the eigh frames they replace.
+"""Eigensolver-free frames of chern_fhs against the eigh frames they replace.
 
 The oracle is eigh itself: its N lowest eigenvectors span the filled
 bands, and U U^H is the projector the frames must reproduce.
@@ -14,18 +14,20 @@ from hypothesis import given, settings, strategies as st
 from layerquench import (GaplessError, LayeredConfig, NonQuantizedWindingError,
                          analytic_positive_levels, build_layered, chern_fhs)
 from layerquench import frames as frames_module, topology
-from layerquench.frames import FRAME_SINE_MAX, projector_frames
+from layerquench.frames import FRAME_SINE_MAX, projector_frames, sine_mode_frames
+from layerquench.models import sampling_cell
+from layerquench.spectra import SineModes, sine_modes
 
 GOLDEN = Path(__file__).parent / "golden" / "fhs_battery.json"
 
 
-def frames(cfg, kx, ky):
+def frames(cfg, kx, ky, source=projector_frames):
     """(V, sines, gap, levels) at the momenta; V is (..., 2N, N)."""
     kx, ky = np.atleast_1d(kx), np.atleast_1d(ky)
     E = analytic_positive_levels(kx, ky, cfg)
     # a node on a closing (E = 0) gives nan; callers keep gapped nodes only
     with np.errstate(divide="ignore", invalid="ignore"):
-        V, sines = projector_frames(cfg, kx, ky, E)
+        V, sines = source(cfg, kx, ky, E)
     return np.moveaxis(V, (0, 1), (-2, -1)), sines, 2.0 * E.min(axis=-1), E
 
 
@@ -71,6 +73,52 @@ def test_frames_span_the_eigh_projector(stacking, model, layers, t, m, k):
     assert np.all(distance[gapped] <= np.sqrt(2.0) * sines[gapped] + 1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(layers=st.integers(1, 6), model=st.sampled_from(["qwz", "haldane"]),
+       t=st.floats(-3.0, 3.0), m=st.floats(-5.0, 5.0),
+       k=st.lists(st.tuples(momentum, momentum), min_size=1, max_size=6))
+def test_sine_mode_frames_span_the_eigh_projector(layers, model, t, m, k):
+    cfg = LayeredConfig("abba", layers, t, model, m)
+    kx, ky = np.array(k).T
+    V, sines, gap, E = frames(cfg, kx, ky, sine_mode_frames)
+    gapped = gap >= 1e-3
+    # certified, so these are the sine-mode frames themselves, not eigh's
+    assert np.all(sines[gapped] <= FRAME_SINE_MAX)
+    assert np.all(orthonormality_error(V)[gapped] <= 1e-12)
+    assert np.all(projector_error(V, eigh_frames(cfg, kx, ky))[gapped] <= 1e-10)
+
+
+@pytest.mark.parametrize("layers", [1, 2, 4, 5])
+def test_wrong_mode_angles_cannot_certify_a_frame(layers, monkeypatch):
+    # the sine-mode frames are certified against H itself, never against
+    # the mode decomposition they are built from: with every angle theta_r
+    # shifted, no node is certified, every node takes the eigh frame, and
+    # chern_fhs still gives the eigh integer.  The abba parity battery
+    # rests on this, since total_chern_abba uses the same sine modes
+    def shifted_modes(N):
+        theta = sine_modes(N).theta + 0.1
+        vectors = np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(theta, np.arange(1, N + 1)))
+        return SineModes(N=N, theta=theta, vectors=vectors)
+
+    eigh = np.linalg.eigh
+    solved = []
+
+    def counted_eigh(H):
+        solved.append(H.shape[:-2])
+        return eigh(H)
+
+    monkeypatch.setattr(frames_module, "sine_modes", shifted_modes)
+    cfg = LayeredConfig("abba", layers, 1.2, "haldane", 0.5)
+    KX, KY = topology._cell_nodes(sampling_cell(cfg.model), 40)
+    V, sines, gap, E = frames(cfg, KX, KY, sine_mode_frames)
+    assert np.all(sines > FRAME_SINE_MAX)
+    assert np.all(projector_error(V, eigh_frames(cfg, KX, KY)) <= 1e-12)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    golden = json.loads(GOLDEN.read_text())
+    assert chern_fhs(cfg, grid_n=40) == golden[f"abba {layers} haldane 1.2 0.5 40"] == -3 * layers
+    assert solved == [(40 * 40,)]
+
+
 @pytest.mark.parametrize("t", [0.4, 1.2, 2.5, -1.2])
 @pytest.mark.parametrize("m", [-3.0, -1.0, 0.5, 1.0])
 def test_ba_levels_coinciding_at_the_zone_centre(t, m):
@@ -113,15 +161,19 @@ def test_uncertified_frames_fall_back_to_eigh(t, dm, monkeypatch):
 
 
 def test_eigh_is_reached_only_off_half_filling_or_above_three_layers(monkeypatch):
-    # certified frames everywhere on these grids, so the fallback stays idle
+    # certified frames everywhere on these grids, so the fallback stays
+    # idle: abba stacks of any depth take the sine-mode frames, ba stacks
+    # the projector frames up to three layers
     def no_eigh(*args):
         raise AssertionError("eigh called")
 
     monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    for stacking in ("abba", "ba"):
-        for layers in (1, 2, 3):
-            chern_fhs(LayeredConfig(stacking, layers, 0.4), grid_n=16)
-    for cfg, filled in [(LayeredConfig("ba", 2, 0.4), 1), (LayeredConfig("ba", 4, 0.4), None)]:
+    for layers in range(1, 7):
+        chern_fhs(LayeredConfig("abba", layers, 0.4), grid_n=16)
+    for layers in (1, 2, 3):
+        chern_fhs(LayeredConfig("ba", layers, 0.4), grid_n=16)
+    for cfg, filled in [(LayeredConfig("ba", 2, 0.4), 1), (LayeredConfig("abba", 4, 0.4), 3),
+                        (LayeredConfig("ba", 4, 0.4), None)]:
         with pytest.raises(AssertionError, match="eigh called"):
             chern_fhs(cfg, filled, grid_n=16)
 
@@ -130,11 +182,15 @@ BATTERY_MASSES = {"qwz": (-3.0, -1.0, 0.5, 1.0, 2.0),
                   "haldane": (-4.0, -1.0, 0.5, 1.0, 2 * np.sqrt(3))}
 
 
-@pytest.mark.parametrize("stacking", ["abba", "ba"])
-@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("stacking, layers", [
+    pytest.param(stacking, layers, id=f"{layers}-{stacking}")
+    for stacking, layers in [("abba", 1), ("abba", 2), ("abba", 3), ("abba", 4), ("abba", 5),
+                             ("ba", 1), ("ba", 2), ("ba", 3)]])
 def test_integer_battery_matches_the_eigh_frames(stacking, layers):
     # tests/golden/fhs_battery.json holds the integers (or "gapless") that
-    # chern_fhs gave with eigh frames, over 720 configurations
+    # chern_fhs gave with eigh frames, over 960 configurations: the abba
+    # N = 4, 5 entries were taken at commit f5b59c9, where those stacks
+    # still took every frame from eigh
     golden = json.loads(GOLDEN.read_text())
     seen = 0
     for model, masses in BATTERY_MASSES.items():

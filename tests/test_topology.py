@@ -16,6 +16,7 @@ from layerquench import (
     total_chern_abba,
     transition_lines_abba,
 )
+from layerquench import topology
 
 SQUARE_PHASES = [(1.0, -1), (-1.0, 1), (3.0, 0), (-3.0, 0)]
 
@@ -186,3 +187,14 @@ class TestInputFloors:
     def test_steps_below_one_are_usage_errors(self, steps):
         with pytest.raises(UsageError, match="steps must be at least 1"):
             phase_diagram("abba", 2, (0.0, 2.0), (-1.0, 3.0), steps)
+
+
+@pytest.mark.parametrize("f", range(1, 9))
+def test_link_determinant_matches_lu(f):
+    # chern_fhs takes the determinants of its link overlaps, whose entries
+    # are at most 1 in modulus, by Laplace expansion up to 6 x 6
+    rng = np.random.default_rng(f)
+    q = np.linalg.qr(rng.normal(size=(12, 12, f, f)) + 1j * rng.normal(size=(12, 12, f, f)))[0]
+    o = q * rng.uniform(0.5, 1.0, size=(12, 12, 1, f))
+    got = topology._det(np.ascontiguousarray(np.moveaxis(o, (-2, -1), (0, 1))))
+    assert np.abs(got - np.linalg.det(o)).max() <= 1e-14
