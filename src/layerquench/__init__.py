@@ -21,5 +21,5 @@ from .quench import (gtasp_abba, global_observable, mixed_state, polarization_pr
 from .bisfield import (BisContour, TaspGrid, characterize, component_zero_curves,
                        dynamical_field, extract_bis, sample_grid, winding)
 from .topology import (chern_fhs, chern_two_band, phase_diagram, segment_crosses_transition,
-                       subsystem_field_fn, total_chern_abba, transition_lines_abba)
+                       subsystem_field_fn, total_chern_abba)
 from .hopping import ba_reference_magnitudes, estimate_t_abba, estimate_t_ba

@@ -57,22 +57,49 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
+# A float column is formatted through its distinct values when at most
+# this share of its values is distinct; above it each value takes a %.17g
+# slot.  Empirical, not derived: on 65,536-row columns of random normal
+# floats (2-vCPU Xeon, Python 3.11, numpy 2.4, median of 9 runs) the
+# memoized column cost 30, 44, 57, 61 and 80 ms at 40, 50, 70, 75 and 100 %
+# distinct against 60 ms for the direct slot, so the two break even near
+# 75 %; the cutoff sits below that, where memoizing still wins.
+MEMO_DISTINCT_MAX = 0.7
+
+
+def _column(col):
+    """(%-format slot, values) of one CSV column.
+
+    A float array is written with 17 significant digits, any other column
+    through str.  When few enough of a float column's values are distinct
+    (MEMO_DISTINCT_MAX), each distinct value is formatted once and its
+    string repeated.  Values are keyed by their bit pattern, not compared
+    as floats, so -0.0 and 0.0 keep their own strings and the bytes are
+    those of formatting every value.
+    """
+    if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"):
+        return "%s", [str(v) for v in col]
+    keys, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
+    if len(keys) > MEMO_DISTINCT_MAX * len(col):
+        return "%.17g", col.tolist()
+    text = ("%.17g\n" * len(keys) % tuple(keys.view(col.dtype).tolist())).split("\n")
+    return "%s", np.array(text, dtype=object)[inverse].tolist()
+
+
 def _write_csv(path, header, columns):
     """Write equal-length columns as CSV rows.
 
-    A float array is written with 17 significant digits, any other
-    column through str; the whole body is one %-format over the values
-    in row-major order.
+    The whole body is one %-format over the values in row-major order.
+    Float columns are written with 17 significant digits; a column whose
+    values repeat formats each distinct bit pattern once (_column), which
+    leaves the bytes unchanged.
     """
-    rows = len(columns[0])
-    fmts, flat = [], [None] * (rows * len(columns))
+    rows, n = len(columns[0]), len(columns)
+    fmts, flat = [], [None] * (rows * n)
     for c, col in enumerate(columns):
-        if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-            fmts.append("%.17g")
-            flat[c::len(columns)] = col.tolist()
-        else:
-            fmts.append("%s")
-            flat[c::len(columns)] = [str(v) for v in col]
+        # unpacked straight into flat, so no column's arrays outlive its turn
+        fmt, flat[c::n] = _column(col)
+        fmts.append(fmt)
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(header) + "\n")
         f.write((",".join(fmts) + "\n") * rows % tuple(flat))
@@ -464,6 +491,12 @@ def main(argv=None):
     except LayerQuenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # the config file is read in resolve_options, which reports its own
+        # errors, so what fails here is creating or writing an output
+        where = exc.filename if exc.filename is not None else "output"
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -524,58 +524,6 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
                         gap_min=gap, boundary=boundary, computed=own.reshape(st, sm))
 
 
-@dataclass(frozen=True)
-class TransitionCurve:
-    """One analytic gap-closing curve m(t) of an abba sine mode.
-
-    The subsystem gap closes at momentum (kx, ky) with sin kx balancing
-    the mode shift: sin kx = -2 t cos(theta_r), cos kx = sign * sqrt(...),
-    ky in {0, pi}, m = cos ky + cos kx.
-    """
-
-    r: int
-    ky: float
-    sign: int
-    t: np.ndarray
-    m: np.ndarray
-    kx: np.ndarray
-
-
-@dataclass(frozen=True)
-class TransitionSet:
-    layers: int
-    curves: tuple
-
-
-def _mode_branches(layers, t):
-    """Gap-closing branches of the abba sine modes over the couplings t.
-
-    Yields (r, ky, sign, ok, m, kx): where the mask ok holds, the field
-    of mode r vanishes at momentum (kx, ky) for the mass m; m and kx are
-    given on t[ok] only.  Modes whose shift 2 t cos(theta_r) never
-    reaches [-1, 1] yield nothing.
-    """
-    theta = sine_modes(layers).theta
-    for r in range(1, layers + 1):
-        s = 2.0 * t * np.cos(theta[r - 1])
-        ok = np.abs(s) <= 1.0
-        if not np.any(ok):
-            continue
-        root = np.sqrt(1.0 - s[ok] ** 2)
-        for ky in (0.0, np.pi):
-            for sign in (1, -1):
-                yield (r, ky, sign, ok, np.cos(ky) + sign * root,
-                       np.arctan2(-s[ok], sign * root))
-
-
-def transition_lines_abba(layers, t_range=(0.0, 2.0), samples=201):
-    """Analytic abba phase-boundary curves for the square-lattice monolayer."""
-    tgrid = np.linspace(t_range[0], t_range[1], samples)
-    return TransitionSet(layers=layers, curves=tuple(
-        TransitionCurve(r=r, ky=ky, sign=sign, t=tgrid[ok], m=m, kx=kx)
-        for r, ky, sign, ok, m, kx in _mode_branches(layers, tgrid)))
-
-
 def segment_crosses_transition(layers, p0, p1):
     """Whether the straight segment p0 -> p1 in the (t, m) plane meets any
     analytic abba gap-closing curve of the square-lattice stack.

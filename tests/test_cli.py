@@ -300,6 +300,23 @@ class TestRejectedInputs:
         assert err.startswith("error: 1960000 momenta x 8x8 Hamiltonians need 2.0 GB")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("case", ["out-is-a-file", "out-below-a-file", "csv-is-a-directory"])
+    def test_unwritable_output(self, tmp_path, capsys, case):
+        # --out is appended by the exit-code sweep, so these cases live here
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = {"out-is-a-file": blocker, "out-below-a-file": blocker / "sub",
+               "csv-is-a-directory": tmp_path / "out"}[case]
+        failing = out
+        if case == "csv-is-a-directory":
+            failing = out / "tasp_s1.csv"
+            failing.mkdir(parents=True)
+        assert run("tasp", "--grid", "16", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {failing}: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
 
 # (expected exit code, argv): every input main accepts ends in 0, 1
 # (numerical failure) or 2 (usage error) and never in a traceback

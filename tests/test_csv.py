@@ -3,6 +3,7 @@ writer it replaced: every file must be byte-identical."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_csv
 from layerquench.bisfield import characterize, sample_grid
@@ -23,17 +24,20 @@ def run(argv, out):
 @pytest.mark.parametrize("argv", [
     ["tasp", "--grid", "32x20"],
     ["tasp", "--model", "haldane", "--m", "0.5", "--grid", "48"],
+    # m=2 closes the single-layer gap at k=(0, 0): that row holds a nudged node
+    ["tasp", "--layers", "1", "--t", "0", "--m", "2", "--grid", "32"],
+    ["tasp", "--observable", "subspace:1", "--grid", "40"],
+    ["tasp", "--stacking", "ba", "--grid", "40x24"],
 ])
 def test_tasp_files(tmp_path, argv):
     opts = run(argv, tmp_path / "cli")
-    nx, ny = parse_grid(opts["grid"])
     grid = sample_grid(layered_config(opts), opts["axis"],
-                       parse_observable(opts["observable"], opts["layers"]), (nx, ny))
-    KX, KY = grid.cell.k_at(np.arange(nx)[:, None] / nx, np.arange(ny)[None, :] / ny)
+                       parse_observable(opts["observable"], opts["layers"]),
+                       parse_grid(opts["grid"]))
     for comp in (1, 2, 3):
         name = f"tasp_s{comp}.csv"
         reference_csv.write_csv(tmp_path / name, ["kx", "ky", "value"],
-                                reference_csv.tasp_rows(KX, KY, grid.values, comp))
+                                reference_csv.tasp_rows(grid.kx, grid.ky, grid.values, comp))
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
@@ -74,4 +78,47 @@ def test_writer_matches_reference_on_extreme_values(tmp_path):
     labels = [f"c{i}" for i in range(len(a))]
     _write_csv(tmp_path / "new.csv", ["a", "label", "b"], [a, labels, b])
     reference_csv.write_csv(tmp_path / "ref.csv", ["a", "label", "b"], zip(a, labels, b))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _bits(*patterns):
+    return list(np.array(patterns, dtype=np.uint64).view(np.float64))
+
+
+# values a float column repeats: both zeros, NaNs with the sign bit and
+# payload bits set, both infinities, subnormals and extremes
+POOL = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300, 5e-324, -1e-310,
+                 0.1, -1.0 / 3]
+                + _bits(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF800000000BEEF,
+                        0xFFF8000000000001, 0x7FF0000000000001, 0x000FFFFFFFFFFFFF))
+
+
+@st.composite
+def csv_columns(draw):
+    """Equal-length columns: str columns, and float columns drawn from POOL
+    with a drawn number of fresh values, so the share of distinct values
+    falls on either side of MEMO_DISTINCT_MAX."""
+    rows = draw(st.integers(0, 200))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            columns.append(draw(st.lists(st.sampled_from(["s3", "-2", "boundary"]),
+                                         min_size=rows, max_size=rows)))
+            continue
+        col = POOL[draw(st.lists(st.integers(0, len(POOL) - 1), min_size=rows, max_size=rows))]
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        fresh = draw(st.integers(0, rows))
+        col[:fresh] = rng.standard_normal(fresh) * 10.0 ** rng.integers(-300, 300, fresh)
+        rng.shuffle(col)
+        columns.append(col)
+    return columns
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(csv_columns())
+def test_writer_matches_reference_on_repeated_values(tmp_path, columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    _write_csv(tmp_path / "new.csv", header, columns)
+    reference_csv.write_csv(tmp_path / "ref.csv", header, zip(*columns))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

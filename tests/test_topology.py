@@ -11,10 +11,10 @@ from layerquench import (
     chern_two_band,
     phase_diagram,
     segment_crosses_transition,
+    sine_modes,
     subsystem_field_fn,
     subsystem_fields,
     total_chern_abba,
-    transition_lines_abba,
 )
 from layerquench import topology
 
@@ -126,22 +126,33 @@ class TestPhaseDiagram:
 
 class TestTransitionCurves:
     def test_curve_count_and_range(self):
-        ts = transition_lines_abba(2)
-        keys = {(c.r, c.ky, c.sign) for c in ts.curves}
-        assert len(keys) == 8
-        for c in ts.curves:
-            # both N=2 modes shift by t/2, so curves exist up to t=1
-            assert c.t[-1] <= 1.0 + 1e-12
-            assert np.allclose(np.sin(c.kx),
-                               -2 * c.t * np.cos(c.r * np.pi / 3))
+        # both N=2 modes shift sin kx by -+t and share the closings
+        # t^2 + (m -+ 1)^2 = 1, so they exist up to t=1
+        w, a = topology._closings("abba", 2, "qwz")
+        assert np.allclose(np.abs(w), 1.0)
+        assert sorted(a) == [-1.0, 1.0]
+        for layers in range(1, 7):
+            w, a = topology._closings("abba", layers, "qwz")
+            # modes r <= (N + 1) / 2 and N + 1 - r share a circle per sign of cos ky
+            pairs = 2 * np.cos(sine_modes(layers).theta[:(layers + 1) // 2])
+            assert np.allclose(np.sort(np.abs(w)), np.sort(np.abs(pairs).repeat(2)))
+            assert sorted(a) == sorted([-1.0, 1.0] * len(pairs))
 
     def test_curves_close_the_subsystem_gap(self):
-        ts = transition_lines_abba(2, samples=41)
-        for c in ts.curves:
-            for i in range(0, len(c.t), 10):
-                cfg = LayeredConfig("abba", 2, float(c.t[i]), m=float(c.m[i]))
-                f = subsystem_fields(np.array(c.kx[i]), np.array(c.ky), cfg)
-                assert np.linalg.norm(f[c.r - 1]) < 1e-9
+        # the point (w t, m) = (-sin kx, a + cos kx) of each circle closes
+        # the gap of the mode with 2 cos(theta_r) = w at (kx, ky), cos ky = a
+        for layers in (2, 3, 4):
+            shifts = 2 * np.cos(sine_modes(layers).theta)
+            for w, a in zip(*topology._closings("abba", layers, "qwz")):
+                r = np.flatnonzero(np.isclose(shifts, w))
+                assert len(r) == 1
+                # the middle mode of an odd stack closes at any t, for sin kx = 0
+                kxs = np.linspace(-3.0, 3.0, 7) if abs(w) > 1e-12 else np.array([0.0, np.pi])
+                for kx in kxs:
+                    t = -np.sin(kx) / w if abs(w) > 1e-12 else 0.7
+                    cfg = LayeredConfig("abba", layers, float(t), m=float(a + np.cos(kx)))
+                    f = subsystem_fields(np.array(kx), np.array(np.arccos(a)), cfg)
+                    assert np.linalg.norm(f[r[0]]) < 1e-9
 
     def test_segment_crossing(self):
         assert segment_crosses_transition(2, (0.25, 1.0), (0.25, 2.5))
