@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -218,9 +219,17 @@ def _manifest(command, opts, extra):
     return obj
 
 
-def _outdir(opts):
+def _outdir(opts, *names):
+    """The --out directory, created, once none of names is a directory there.
+
+    Checked before any file is written, so a command writes its whole set
+    of files or none of them.
+    """
     out = opts["out"]
     os.makedirs(out, exist_ok=True)
+    for path in (os.path.join(out, name) for name in names):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     return out
 
 
@@ -229,13 +238,11 @@ def cmd_tasp(opts):
     nx, ny = parse_grid(opts["grid"])
     obs = parse_observable(opts["observable"], opts["layers"])
     grid = sample_grid(cfg, opts["axis"], obs, (nx, ny))
-    out = _outdir(opts)
-    files = []
-    for comp in (1, 2, 3):
-        name = f"tasp_s{comp}.csv"
+    files = [f"tasp_s{comp}.csv" for comp in (1, 2, 3)]
+    out = _outdir(opts, *files, "tasp_manifest.json")
+    for comp, name in enumerate(files, 1):
         _write_csv(os.path.join(out, name), ["kx", "ky", "value"],
                    [grid.kx.ravel(), grid.ky.ravel(), grid.values[..., comp - 1].ravel()])
-        files.append(name)
     _write_json(os.path.join(out, "tasp_manifest.json"),
                 _manifest("tasp", opts, {"files": files, "rows": nx * ny}))
     print(f"wrote {', '.join(files)} ({nx * ny} rows each) to {out}")
@@ -267,14 +274,12 @@ def _bis_summary(res, files=None):
 
 def cmd_bis(opts):
     res = _characterize(opts)
-    out = _outdir(opts)
-    files = []
-    for n, c in enumerate(res["contours"]):
-        name = f"bis_contour_{n:02d}.csv"
+    files = [f"bis_contour_{n:02d}.csv" for n in range(len(res["contours"]))]
+    out = _outdir(opts, *files, "bis_summary.json")
+    for name, c in zip(files, res["contours"]):
         _write_csv(os.path.join(out, name), ["kx", "ky", "g1", "g2", "source"],
                    [c.points[:, 0], c.points[:, 1], c.gfield[:, 0], c.gfield[:, 1],
                     [c.source] * len(c.points)])
-        files.append(name)
     _write_json(os.path.join(out, "bis_summary.json"),
                 _manifest("bis", opts, _bis_summary(res, files)))
     if files:
@@ -286,7 +291,7 @@ def cmd_bis(opts):
 
 def cmd_winding(opts):
     res = _characterize(opts)
-    out = _outdir(opts)
+    out = _outdir(opts, "winding.json")
     _write_json(os.path.join(out, "winding.json"),
                 _manifest("winding", opts, _bis_summary(res)))
     print(f"total_w = {res['total_w']} (layer_factor {res['layer_factor']})")
@@ -300,7 +305,7 @@ def cmd_phase_diagram(opts):
                        (opts["t_min"], opts["t_max"]), (opts["m_min"], opts["m_max"]),
                        opts["steps"], model=opts["model"], grid_n=scan_grid,
                        threads=opts["threads"])
-    out = _outdir(opts)
+    out = _outdir(opts, "phase_diagram.csv", "phase_matrix.dat", "phase_manifest.json")
     T, M = np.meshgrid(pd.ts, pd.ms, indexing="ij")
     chern = np.where(pd.boundary, "boundary", pd.chern.astype(str))
     _write_csv(os.path.join(out, "phase_diagram.csv"), ["t", "m", "chern", "gap_min"],
@@ -328,7 +333,7 @@ def cmd_chern(opts):
     extra = {"chern_fhs": c, "filled": filled}
     if cfg.stacking == "abba" and filled == cfg.layers:
         extra["mode_degree_sum"] = total_chern_abba(cfg, grid_n=nx)
-    out = _outdir(opts)
+    out = _outdir(opts, "chern.json")
     _write_json(os.path.join(out, "chern.json"), _manifest("chern", opts, extra))
     if "mode_degree_sum" in extra:
         print(f"chern = {c} (mode degree sum {extra['mode_degree_sum']})")
@@ -338,7 +343,7 @@ def cmd_chern(opts):
 
 
 def cmd_estimate_t(opts, samples):
-    out = _outdir(opts)
+    out = _outdir(opts, "estimate.json")
     if samples:
         parsed = {}
         for item in samples:

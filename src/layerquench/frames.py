@@ -3,18 +3,21 @@
 A layered Bloch Hamiltonian H has the levels +-E_r, r = 1..N, known in
 closed form (spectra.analytic_positive_levels), and a link-variable
 Chern number needs only an orthonormal frame of the N filled bands.
-Two frame sources build it from the levels: the abba stacking splits
-into the two-band sine modes, whose lower eigenvectors give the frame in
-closed form at any N (sine_mode_frames), and any stacking has the
-filled-band projector as a polynomial in H, whose pivoted Cholesky
-factor is the frame (projector_frames).  Both go through one residual
-bound per node against H itself; the few nodes it cannot certify take
-their frame from eigh.
+One frame source builds it for both stackings from the sine modes a_r
+(spectra.sine_modes), in which H is block diagonal (sine_mode_frames):
+every abba mode is a two-band block with a closed-form lower
+eigenvector, and the ba modes pair up, r with N + 1 - r, into ba
+bilayer blocks, whose two filled bands come from the bilayer's
+filled-band projector.  Every frame goes through one residual bound per
+node against H itself; the few nodes it cannot certify take their frame
+from eigh.
 """
+
+from functools import cache
 
 import numpy as np
 
-from .models import PAULI, build_layered, coupling_matrix, monolayer_field
+from .models import PAULI, LayeredConfig, build_layered, coupling_matrix, monolayer_field
 from .spectra import sine_modes
 
 # frames are built and certified in blocks of nodes; one (2N, 2N, nodes)
@@ -29,30 +32,24 @@ FRAME_BLOCK_BYTES = 1 << 19
 FRAME_SINE_MAX = 1e-11
 
 
-def _newton_coefficients(E):
-    """Divided differences of f(x) = x^(-1/2) over the nodes x_r = E_r^2, r <= 3.
-
-    Written in the E_r so that no difference of nearly equal values is
-    formed: they stay exact where levels coincide.
-    """
-    e = [E[..., r] for r in range(E.shape[-1])]
-    c = [1.0 / e[0]]
-    if len(e) > 1:
-        c.append(-1.0 / (e[0] * e[1] * (e[0] + e[1])))
-    if len(e) > 2:
-        c.append((e[0] + e[1] + e[2])
-                 / (e[0] * e[1] * e[2] * (e[0] + e[1]) * (e[0] + e[2]) * (e[1] + e[2])))
-    return c
+def _apply_h(Y, h, X):
+    """Y + (1 (x) h.s) X for matrix-first X (2n, ..., nodes), Y = C X the coupling part."""
+    # h.s has rows (h3, z) and (z*, -h3)
+    z = h[0] - 1j * h[1]
+    up, down = X[0::2], X[1::2]
+    Y[0::2] += h[2] * up + z * down
+    Y[1::2] += z.conj() * up - h[2] * down
+    return Y
 
 
 def _certified_frames(cfg, kx, ky, E, build):
     """Frames of the N filled bands, each certified against H, eigh where not.
 
     kx, ky are momentum arrays and E (..., N) the analytic positive
-    levels there.  build(apply_h, h, E) returns the frames (2N, N, nodes)
-    of one block of nodes from the monolayer field h (3, nodes) and the
-    levels E (nodes, N); apply_h(X) is H X for matrix-first X
-    (2N, ..., nodes).  Blocks hold FRAME_BLOCK_BYTES of (2N, 2N) matrices.
+    levels there.  build(h, E, out) writes the frames of one block of
+    nodes into out (N, 2, N, nodes), indexed (layer, spin, band, node), from
+    the monolayer field h (3, nodes) and the levels E (nodes, N).  Blocks
+    hold FRAME_BLOCK_BYTES of (2N, 2N) matrices.
 
     Each frame V gets a bound on ||sin Theta||_F, the angles between
     span V and the filled bands (Davis-Kahan): the residual
@@ -74,25 +71,15 @@ def _certified_frames(cfg, kx, ky, E, build):
     shape = E.shape[:-1]
     h = h.reshape(-1, 3)
     E = E.reshape(-1, N)
-    V = np.empty((M, N, len(E)), dtype=complex)
+    V = np.empty((N, 2, N, len(E)), dtype=complex)
     sines = np.empty(len(E))
     per = max(1, FRAME_BLOCK_BYTES // (M * M * 16))
     for k0 in range(0, len(E), per):
         hb = h[k0:k0 + per].T
         Eb = E[k0:k0 + per]
-        z = hb[0] - 1j * hb[1]
-
-        def apply_h(X):
-            # H X = C X + (1 (x) h.s) X; h.s has rows (h3, z) and (z*, -h3)
-            Y = np.tensordot(C, X, axes=(1, 0))
-            up, down = X[0::2], X[1::2]
-            Y[0::2] += hb[2] * up + z * down
-            Y[1::2] += z.conj() * up - hb[2] * down
-            return Y
-
-        Vb = V[:, :, k0:k0 + per]
-        Vb[...] = build(apply_h, hb, Eb)
-        HV = apply_h(Vb)
+        build(hb, Eb, V[..., k0:k0 + per])
+        Vb = V[..., k0:k0 + per].reshape(M, N, -1)
+        HV = _apply_h(np.tensordot(C, Vb, axes=(1, 0)), hb, Vb)
         A = np.einsum("cak,cbk->abk", Vb.conj(), HV)
         R = HV - np.einsum("cak,abk->cbk", Vb, A)
         low, high = Eb.min(axis=1), Eb.max(axis=1)
@@ -111,97 +98,112 @@ def _certified_frames(cfg, kx, ky, E, build):
     return V, sines
 
 
-def sine_mode_frames(cfg, kx, ky, E):
-    """Closed-form frames of the N filled abba bands at half filling, any N.
+@cache
+def _bilayer_terms():
+    """(C, sq) of the ba bilayer H = t C + sum_i h_i T_i, T_i = 1 (x) s_i.
 
-    The abba H is block diagonal in the sine modes a_r (spectra.sine_modes)
-    with the two-band blocks h_r . s, h_r = (h1 + 2 t cos theta_r, h2, h3)
-    and level E_r = |h_r|, so a_r (x) v_r with v_r the lower eigenvector
-    of h_r . s is a filled band.  v_r is taken in the gauge whose norm
-    cannot vanish at the node: (h1 - i h2, -(h3 + E_r)) where h3 >= 0,
-    (E_r - h3, -(h1 + i h2)) otherwise.  Arguments and result as for
-    projector_frames; the frames are certified the same way.
+    C is the coupling at t = 1.  The T_i anticommute and square to 1, so
+    H^2 = (|h|^2, t h1, t h2, t h3, t^2) . sq, a combination of constant
+    matrices.  Built on first use rather than at import.
     """
-    modes = sine_modes(E.shape[-1])
-    shift = 2.0 * cfg.t * np.cos(modes.theta)[:, None]
-    a = modes.vectors.T[:, None, :, None]
-
-    def build(apply_h, hb, Eb):
-        h1 = hb[0] + shift
-        Er = Eb.T
-        up = hb[2] >= 0.0
-        v = np.stack([np.where(up, h1 - 1j * hb[1], Er - hb[2]),
-                      np.where(up, -(hb[2] + Er), -(h1 + 1j * hb[1]))])
-        v /= np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
-        # (layer, spin, mode, node) flattened to the (layer (x) spin) rows
-        return (a * v).reshape(2 * len(Er), len(Er), -1)
-
-    return _certified_frames(cfg, kx, ky, E, build)
+    C = coupling_matrix(LayeredConfig("ba", 2, 1.0))
+    T = np.kron(np.eye(2), PAULI)
+    return C, np.concatenate([np.eye(4)[None], T @ C + C @ T, (C @ C)[None]])
 
 
-def projector_frames(cfg, kx, ky, E):
-    """Orthonormal frames of the N filled bands at half filling, N <= 3.
+def _bilayer_frames(h, t, E1, E2):
+    """Frames (4, 2, nodes) of the two filled bands of the ba bilayer.
+
+    H = t C + 1 (x) h.s (_bilayer_terms); h (3, nodes) is the monolayer
+    field, t (nodes,) the coupling and E1, E2 the two positive levels.
+    P = (1 - H g(H^2)) / 2 with
+    g = 1/E1 - (H^2 - E1^2) / (E1 E2 (E1 + E2)), the Newton interpolant of
+    1/E over E1^2, E2^2 (exact where the levels coincide), is the
+    filled-band projector; its two-step pivoted Cholesky factor is the
+    frame.
+    """
+    C, sq = _bilayer_terms()
+    diag = np.arange(4)
+    c = -1.0 / (E1 * E2 * (E1 + E2))
+    g = np.tensordot(sq,
+                     c * np.stack([(h ** 2).sum(axis=0) - E1 ** 2, *(t * h), t * t]),
+                     axes=(0, 0))
+    g[diag, diag] += 1.0 / E1
+    # -H g / 2, the factor taken into t and h
+    P = _apply_h(-0.5 * t * np.tensordot(C, g, axes=(1, 0)), -0.5 * h, g)
+    P[diag, diag] += 0.5
+    # pivoted Cholesky, left-looking: after s steps the residual is
+    # P - sum_j v_j v_j^H, of which only the diagonal (the pivot choice)
+    # and the pivot column are needed.  For an exact projector the pivot
+    # column orthogonalized against the v_j and normalized is the
+    # Cholesky column; taken that way, the frame stays orthonormal to
+    # rounding where P is only near idempotent.
+    d = P[diag, diag].real
+    W = np.empty((4, 2, len(E1)), dtype=complex)
+    node = np.arange(len(E1))
+    for s in range(2):
+        v = P[:, d.argmax(axis=0), node]
+        if s:
+            v -= W[:, 0] * (W[:, 0].conj() * v).sum(axis=0)
+        w = v.real ** 2 + v.imag ** 2
+        norm2 = w.sum(axis=0)
+        W[:, s] = v / np.sqrt(norm2)
+        d -= w / norm2
+    return W
+
+
+def sine_mode_frames(cfg, kx, ky, E):
+    """Frames of the N filled bands at half filling, both stackings, any N.
 
     kx, ky are momentum arrays and E (..., N) the analytic positive
-    levels there.  H has the levels +-E_r, so P = (1 - H g(H^2)) / 2
-    with g the Newton interpolant of 1/E over the E_r^2 is the
-    filled-band projector; the N-step pivoted Cholesky factor of P is
-    the frame.  Matrices are matrix-first, (2N, 2N, nodes).  Where two
-    levels are small together, rounding in H^2 is amplified by the
-    interpolant; the residual bound of _certified_frames says so and
-    those nodes take the eigh frame.
+    levels there, E_r of the sine mode a_r (spectra.sine_modes).  In the
+    basis a_r (x) 1, H is block diagonal:
+    - abba: every mode r is the two-band block h_r . s with
+      h_r = (h1 + 2 t cos theta_r, h2, h3) and level E_r, so a_r (x) v_r
+      with v_r its lower eigenvector is a filled band.  v_r is taken in
+      the gauge whose norm cannot vanish at the node: (h1 - i h2,
+      -(h3 + E_r)) where h3 >= 0, (E_r - h3, -(h1 + i h2)) otherwise;
+    - ba: the modes r and N + 1 - r, r <= N / 2, form the ba bilayer at
+      coupling t_r = 2 t cos theta_r with the levels E_r, E_{N+1-r}, in
+      the bilayer's own sine basis b, so the bilayer frame W_r
+      (_bilayer_frames) mapped by ([a_r, a_{N+1-r}] b) (x) 1 gives two
+      filled bands; the middle mode of odd N is the bare monolayer,
+      a two-band block as above with h_r = h.
+    The frames are certified against the full H (_certified_frames).
 
     Returns (V, sines): V of shape (2N, N, ...) and the bound of the
-    projector frame per node (also where it was replaced).
+    built frame per node (also where it was replaced by eigh).
     """
     N = E.shape[-1]
-    M = 2 * N
-    T = np.kron(np.eye(N), PAULI)
-    C = coupling_matrix(cfg)
-    # the T_i anticommute and square to 1, so H^2 = |h|^2 + sum_i h_i {T_i, C}
-    # + C^2 is a combination of constant matrices with coefficients per node
-    sq = np.concatenate([np.eye(M)[None], T @ C + C @ T, (C @ C)[None]])
-    diag = np.arange(M)
+    modes = sine_modes(N)
+    if cfg.stacking == "abba":
+        pairs, shift = 0, 2.0 * cfg.t * np.cos(modes.theta)[:, None]
+    else:
+        pairs, shift = N // 2, 0.0
+        # Q[r] maps the layers of pair r's bilayer to the N layers
+        Q = np.stack([modes.vectors[:pairs], modes.vectors[::-1][:pairs]], axis=-1) \
+            @ sine_modes(2).vectors
+        tr = 2.0 * cfg.t * np.cos(modes.theta[:pairs])
+    # the pair blocks fill the first 2 pairs columns, the two-band modes the rest
+    single = slice(pairs, N - pairs)
+    a = modes.vectors[single].T[:, None, :, None]
 
-    def build(apply_h, hb, Eb):
-        one = np.ones(len(Eb))
-        h2 = (hb ** 2).sum(axis=0)
-
-        def shifted(shift, scale):
-            # scale * (H^2 - shift)
-            return np.tensordot(sq, scale * np.stack([h2 - shift, *hb, one]), axes=(0, 0))
-
-        # Horner over the Newton form g = c_0 + (H^2 - E_1^2)(c_1 + (H^2 - E_2^2) c_2):
-        # g <- (H^2 - E_r^2) g + c_r from g = c_{N-1}; while g is still a
-        # multiple of 1, the product is read off sq
-        c = _newton_coefficients(Eb)
-        g = np.zeros((M, M, len(Eb)), dtype=complex)
-        g[diag, diag] = c[-1]
-        for r in range(N - 2, -1, -1):
-            if r == N - 2:
-                g = shifted(Eb[:, r] ** 2, c[r + 1])
-            else:
-                g = apply_h(apply_h(g)) - Eb[:, r] ** 2 * g
-            g[diag, diag] += c[r]
-        P = -0.5 * apply_h(g)
-        P[diag, diag] += 0.5
-        # pivoted Cholesky, left-looking: after s steps the residual is
-        # P - sum_j v_j v_j^H, of which only the diagonal (the pivot
-        # choice) and the pivot column are needed.  For an exact
-        # projector the pivot column orthogonalized against the v_j and
-        # normalized is the Cholesky column; taken that way, the frame
-        # stays orthonormal to rounding where P is only near idempotent.
-        d = P[diag, diag].real
-        Vb = np.empty((M, N, len(Eb)), dtype=complex)
-        node = np.arange(len(Eb))
-        for s in range(N):
-            v = P[:, d.argmax(axis=0), node]
-            for j in range(s):
-                v -= Vb[:, j] * (Vb[:, j].conj() * v).sum(axis=0)
-            w = v.real ** 2 + v.imag ** 2
-            v /= np.sqrt(w.sum(axis=0))
-            Vb[:, s] = v
-            d -= w / w.sum(axis=0)
-        return Vb
+    def build(hb, Eb, out):
+        n = hb.shape[1]
+        Er = Eb.T
+        if 2 * pairs < N:
+            h1, E1 = hb[0] + shift, Er[single]
+            up = hb[2] >= 0.0
+            v = np.stack([np.where(up, h1 - 1j * hb[1], E1 - hb[2]),
+                          np.where(up, -(hb[2] + E1), -(h1 + 1j * hb[1]))])
+            v /= np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
+            out[:, :, 2 * pairs:] = a * v
+        if pairs:
+            W = _bilayer_frames(np.tile(hb, pairs), np.repeat(tr, n),
+                                Er[:pairs].ravel(), Er[::-1][:pairs].ravel())
+            # (layer, spin (x) band, pair, node); pair r fills the columns 2r, 2r + 1
+            W = W.reshape(2, 4, pairs, n)
+            for r in range(pairs):
+                out[:, :, 2 * r:2 * r + 2] = (Q[r] @ W[:, :, r].reshape(2, -1)).reshape(N, 2, 2, n)
 
     return _certified_frames(cfg, kx, ky, E, build)

@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import GaplessError, NonQuantizedWindingError, UsageError
-from .frames import projector_frames, sine_mode_frames
+from .frames import sine_mode_frames
 from .models import (MIN_GRID, LayeredConfig, build_layered, monolayer_field,
                      require_layered_size, sampling_cell)
 from .spectra import analytic_positive_levels, sine_modes
@@ -60,13 +60,6 @@ SCAN_MARGIN = 0.02
 # base grid of the link-variable Chern number of a ba scan cell
 PHASE_FHS_GRID = 40
 
-# half-filling ba frames come from the spectral projector up to this
-# many layers and from eigh beyond: each further level adds two products
-# with H to the projector, and at N = 4 and 5 (ba, 100^2 grid) a prototype
-# took 302 and 508 ms against 200 and 267 ms with eigh.  abba frames come
-# from the sine modes at any N
-PROJECTOR_LAYERS_MAX = 3
-
 
 def _cell_nodes(cell, n):
     if n < MIN_GRID:
@@ -109,14 +102,13 @@ def chern_fhs(cfg, filled=None, grid_n=100):
     filled defaults to half filling (N of the 2N bands) and must lie in
     1..2N.  The spectral gap above the filled bands must exceed
     GAP_TOL_DEFAULT everywhere on the grid.  At half filling the
-    filled-band frames come from the analytic levels, with the gap
-    2 min E_r: abba stacks of any depth take the closed-form sine-mode
-    frames (frames.sine_mode_frames), ba stacks of at most
-    PROJECTOR_LAYERS_MAX layers the projector frames
-    (frames.projector_frames); both are certified against H node by node
-    and fall back to eigh at the rare nodes they cannot certify.  Other
-    fillings and deeper ba stacks take eigh frames.  A frame is fixed only
-    up to a unitary per node, which changes no plaquette phase.  The
+    filled-band frames of both stackings and any depth come from the
+    sine-mode blocks and the analytic levels, with the gap 2 min E_r
+    (frames.sine_mode_frames: two-band modes in closed form, ba mode pairs
+    from the ba bilayer projector); they are certified against the full H
+    node by node and fall back to eigh at the rare nodes they cannot
+    certify.  Other fillings take eigh frames.  A frame is fixed only up
+    to a unitary per node, which changes no plaquette phase.  The
     summed plaquette field strength is rounded to an integer; doubling
     grid_n must reproduce it (see tests).
     """
@@ -126,12 +118,7 @@ def chern_fhs(cfg, filled=None, grid_n=100):
     if not 1 <= filled <= 2 * N:
         raise UsageError(f"filled must be in 1..{2 * int(N)}, got {int(filled)}")
     KX, KY = _cell_nodes(sampling_cell(cfg.model), grid_n)
-    frames = None
-    if filled == N and cfg.stacking == "abba":
-        frames = sine_mode_frames
-    elif filled == N and N <= PROJECTOR_LAYERS_MAX:
-        frames = projector_frames
-    if frames is not None:
+    if filled == N:
         require_layered_size(KX.size, N)
         E = analytic_positive_levels(KX, KY, cfg)
         gaps = 2.0 * E.min(axis=-1)
@@ -142,8 +129,8 @@ def chern_fhs(cfg, filled=None, grid_n=100):
         i, l = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
         raise GaplessError(
             f"gap {gaps[i, l]:.3e} at k=({KX[i, l]}, {KY[i, l]}) below {GAP_TOL_DEFAULT}")
-    if frames is not None:
-        V = frames(cfg, KX, KY, E)[0]
+    if filled == N:
+        V = sine_mode_frames(cfg, KX, KY, E)[0]
     else:
         # a strided view made the link einsums about 1.6x slower (N = 5, 100^2)
         V = np.ascontiguousarray(np.moveaxis(V[..., :filled], (-2, -1), (0, 1)))

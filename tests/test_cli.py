@@ -275,47 +275,46 @@ class TestRejectedInputs:
         assert err.startswith("error: 65536 momenta x 100x100 Hamiltonians need 10.5 GB")
         assert len(err.splitlines()) == 1
 
-    def test_oversized_projector_frames(self, tmp_path, capsys, monkeypatch):
-        # three layers take the eigh-free frames, which never build the whole
-        # stack; the same bound still fires before any field is evaluated
+    @pytest.mark.parametrize("stacking, layers, message", [
+        pytest.param("ba", 3, "1960000 momenta x 6x6 Hamiltonians need 1.1 GB", id="ba-3"),
+        pytest.param("ba", 4, "1960000 momenta x 8x8 Hamiltonians need 2.0 GB", id="ba-4"),
+        pytest.param("abba", 4, "1960000 momenta x 8x8 Hamiltonians need 2.0 GB", id="abba-4"),
+    ])
+    def test_oversized_block_frames(self, tmp_path, capsys, monkeypatch, stacking, layers,
+                                    message):
+        # half filling takes the eigh-free block frames at any depth, which
+        # never build the whole stack; the same bound still fires before any
+        # field is evaluated
         def no_field(*args):
             raise AssertionError("chern_fhs went past its memory check")
 
         monkeypatch.setattr(models, "qwz_field", no_field)
-        assert run("chern", "--layers", "3", "--grid", "1400", "--out", tmp_path) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: 1960000 momenta x 6x6 Hamiltonians need 1.1 GB")
-        assert len(err.splitlines()) == 1
-
-    def test_oversized_sine_mode_frames(self, tmp_path, capsys, monkeypatch):
-        # abba stacks of any depth take the sine-mode frames, which never
-        # build the whole stack either; the bound fires before any field
-        def no_field(*args):
-            raise AssertionError("chern_fhs went past its memory check")
-
-        monkeypatch.setattr(models, "qwz_field", no_field)
-        assert run("chern", "--stacking", "abba", "--layers", "4", "--grid", "1400",
+        assert run("chern", "--stacking", stacking, "--layers", str(layers), "--grid", "1400",
                    "--out", tmp_path) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: 1960000 momenta x 8x8 Hamiltonians need 2.0 GB")
+        assert err.startswith(f"error: {message}")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("case", ["out-is-a-file", "out-below-a-file", "csv-is-a-directory"])
+    @pytest.mark.parametrize("case", ["out-is-a-file", "out-below-a-file", "csv-is-a-directory",
+                                      "second-csv-is-a-directory"])
     def test_unwritable_output(self, tmp_path, capsys, case):
         # --out is appended by the exit-code sweep, so these cases live here
         blocker = tmp_path / "blocker"
         blocker.write_text("")
-        out = {"out-is-a-file": blocker, "out-below-a-file": blocker / "sub",
-               "csv-is-a-directory": tmp_path / "out"}[case]
+        out = {"out-is-a-file": blocker, "out-below-a-file": blocker / "sub"}.get(
+            case, tmp_path / "out")
         failing = out
-        if case == "csv-is-a-directory":
-            failing = out / "tasp_s1.csv"
+        if case.endswith("csv-is-a-directory"):
+            failing = out / ("tasp_s2.csv" if case.startswith("second") else "tasp_s1.csv")
             failing.mkdir(parents=True)
         assert run("tasp", "--grid", "16", "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {failing}: ")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+        if failing != out:
+            # every target is checked before the first file is opened
+            assert list(out.iterdir()) == [failing]
 
 
 # (expected exit code, argv): every input main accepts ends in 0, 1
