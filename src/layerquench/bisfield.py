@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (DegenerateFieldError, NonQuantizedWindingError, SingularPointError,
                      UsageError)
 from .models import MIN_GRID, monolayer_field, sampling_cell
-from .quench import gtasp_abba, singular_mask, tasp_closed_form
+from .quench import gtasp_abba, singular_field_mask, singular_mask, tasp_closed_form
 from .spectra import sine_modes
 
 # tracked component pair (zero-based) for each quench axis: the two
@@ -42,8 +42,9 @@ class TaspGrid:
     ny: int
     cell: object
     values: np.ndarray  # (nx, ny, 3); None on the lattices characterize uses
-    kx: np.ndarray  # (nx, ny), as ky
+    kx: np.ndarray  # (nx, ny), as ky and hj
     ky: np.ndarray
+    hj: np.ndarray  # the monolayer component h_j at the unnudged nodes
 
 
 @dataclass
@@ -83,7 +84,7 @@ def _source_shift(grid):
     """Constant added to h_j by the source criterion of this grid."""
     if grid.observable[0] == "subspace" and grid.j == 1:
         r = grid.observable[1]
-        return 2.0 * grid.cfg.t * np.cos(sine_modes(grid.cfg.layers).theta[r - 1])
+        return grid.cfg.t * sine_modes(grid.cfg.layers).lam[r - 1]
     return 0.0
 
 
@@ -125,29 +126,26 @@ def _node_lattice(cfg, j, observable, resolution):
     """Grid without polarization values: the node momenta of an nx x ny
     lattice over the sampling cell of cfg.model.
 
-    Nodes sit at fractions (i/nx, l/ny) of the cell.  Nodes that hit a
-    gap closing exactly are offset by half a grid step (kx, ky record
-    the offset); if still singular the error is raised with the node
-    location.
+    Nodes sit at fractions (i/nx, l/ny) of the cell, where the monolayer
+    field is evaluated once.  Nodes that hit a gap closing exactly are
+    offset by half a grid step (kx, ky record the offset) and checked
+    again alone; if still singular the error names the node.
     """
     nx, ny = _resolution(resolution)
     cell = sampling_cell(cfg.model)
-    u = np.arange(nx)[:, None] / nx
-    v = np.arange(ny)[None, :] / ny
-    KX, KY = cell.k_at(u, v)
-    bad = singular_mask(KX, KY, cfg)
+    KX, KY = cell.nodes(nx, ny)
+    h = monolayer_field(cfg, KX, KY)
+    bad = singular_field_mask(h, cfg)
     if np.any(bad):
-        du, dv = 0.5 / nx, 0.5 / ny
-        KXn, KYn = cell.k_at(u + du, v + dv)
-        KX = np.where(bad, KXn, KX)
-        KY = np.where(bad, KYn, KY)
-        still = singular_mask(KX, KY, cfg)
+        i, l = np.nonzero(bad)
+        KX[bad], KY[bad] = cell.k_at(i / nx + 0.5 / nx, l / ny + 0.5 / ny)
+        still = singular_mask(KX[bad], KY[bad], cfg)
         if np.any(still):
-            i0, l0 = np.argwhere(still)[0]
-            raise SingularPointError(
-                f"gap closes at grid node ({i0}, {l0}), k=({KX[i0, l0]}, {KY[i0, l0]})")
+            p = np.flatnonzero(still)[0]
+            raise SingularPointError(f"gap closes at grid node ({i[p]}, {l[p]}), "
+                                     f"k=({KX[i[p], l[p]]}, {KY[i[p], l[p]]})")
     return TaspGrid(cfg=cfg, j=j, observable=tuple(observable), nx=nx, ny=ny,
-                    cell=cell, values=None, kx=KX, ky=KY)
+                    cell=cell, values=None, kx=KX, ky=KY, hj=h[..., j - 1].copy())
 
 
 def sample_grid(cfg, j, observable=("global",), resolution=256):
@@ -324,10 +322,7 @@ def _oriented_loops(grid, node_source, src):
 
 def _source_loops(grid):
     """Oriented zero loops of the source criterion of grid."""
-    src = source_function(grid)
-    u = np.arange(grid.nx)[:, None] / grid.nx
-    v = np.arange(grid.ny)[None, :] / grid.ny
-    return _oriented_loops(grid, src(*grid.cell.k_at(u, v)), src)
+    return _oriented_loops(grid, grid.hj + _source_shift(grid), source_function(grid))
 
 
 def _contours(loops, tag, ev):

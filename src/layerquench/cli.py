@@ -179,6 +179,14 @@ def parse_grid(spec):
         raise UsageError(f"cannot parse grid spec {spec!r}")
 
 
+def square_grid(spec):
+    """n of a square grid spec 'n' or 'nxn'; the Chern sums take one n per axis."""
+    nx, ny = parse_grid(spec)
+    if nx != ny:
+        raise UsageError(f"grid {spec!r} is not square; this command takes N or NxN")
+    return nx
+
+
 def parse_observable(spec, layers):
     """'global' | 'subspace:R' | 'bilayer:W' -> observable tuple.
 
@@ -299,8 +307,7 @@ def cmd_winding(opts):
 
 
 def cmd_phase_diagram(opts):
-    nx, _ = parse_grid(opts["grid"])
-    scan_grid = min(nx, 64)
+    scan_grid = min(square_grid(opts["grid"]), 64)
     pd = phase_diagram(opts["stacking"], opts["layers"],
                        (opts["t_min"], opts["t_max"]), (opts["m_min"], opts["m_max"]),
                        opts["steps"], model=opts["model"], grid_n=scan_grid,
@@ -327,7 +334,7 @@ def cmd_phase_diagram(opts):
 
 def cmd_chern(opts):
     cfg = layered_config(opts)
-    nx, _ = parse_grid(opts["grid"])
+    nx = square_grid(opts["grid"])
     filled = opts["filled"] if opts["filled"] is not None else cfg.layers
     c = chern_fhs(cfg, filled, grid_n=nx)
     extra = {"chern_fhs": c, "filled": filled}
@@ -361,8 +368,7 @@ def cmd_estimate_t(opts, samples):
         if opts["stacking"] == "abba":
             cfg = LayeredConfig(stacking="abba", layers=opts["layers"], t=hidden,
                                 model=opts["model"], m=opts["m"])
-            nx, _ = parse_grid(opts["grid"])
-            est = estimate_t_abba(cfg, nx, j=opts["axis"])
+            est = estimate_t_abba(cfg, parse_grid(opts["grid"]), j=opts["axis"])
         else:
             mags = ba_reference_magnitudes(hidden, m=opts["m"], layers=opts["layers"],
                                            j=opts["axis"])

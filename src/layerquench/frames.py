@@ -159,12 +159,12 @@ def sine_mode_frames(cfg, kx, ky, E):
     levels there, E_r of the sine mode a_r (spectra.sine_modes).  In the
     basis a_r (x) 1, H is block diagonal:
     - abba: every mode r is the two-band block h_r . s with
-      h_r = (h1 + 2 t cos theta_r, h2, h3) and level E_r, so a_r (x) v_r
+      h_r = (h1 + t lam_r, h2, h3) and level E_r, so a_r (x) v_r
       with v_r its lower eigenvector is a filled band.  v_r is taken in
       the gauge whose norm cannot vanish at the node: (h1 - i h2,
       -(h3 + E_r)) where h3 >= 0, (E_r - h3, -(h1 + i h2)) otherwise;
     - ba: the modes r and N + 1 - r, r <= N / 2, form the ba bilayer at
-      coupling t_r = 2 t cos theta_r with the levels E_r, E_{N+1-r}, in
+      coupling t_r = t lam_r with the levels E_r, E_{N+1-r}, in
       the bilayer's own sine basis b, so the bilayer frame W_r
       (_bilayer_frames) mapped by ([a_r, a_{N+1-r}] b) (x) 1 gives two
       filled bands; the middle mode of odd N is the bare monolayer,
@@ -177,13 +177,13 @@ def sine_mode_frames(cfg, kx, ky, E):
     N = E.shape[-1]
     modes = sine_modes(N)
     if cfg.stacking == "abba":
-        pairs, shift = 0, 2.0 * cfg.t * np.cos(modes.theta)[:, None]
+        pairs, shift = 0, (cfg.t * modes.lam)[:, None]
     else:
         pairs, shift = N // 2, 0.0
         # Q[r] maps the layers of pair r's bilayer to the N layers
         Q = np.stack([modes.vectors[:pairs], modes.vectors[::-1][:pairs]], axis=-1) \
             @ sine_modes(2).vectors
-        tr = 2.0 * cfg.t * np.cos(modes.theta[:pairs])
+        tr = cfg.t * modes.lam[:pairs]
     # the pair blocks fill the first 2 pairs columns, the two-band modes the rest
     single = slice(pairs, N - pairs)
     a = modes.vectors[single].T[:, None, :, None]

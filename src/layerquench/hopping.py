@@ -98,8 +98,7 @@ def estimate_t_abba(source, resolution=256, j=3):
             "no s1 zero curve with nonzero s3 response; "
             "the hopping does not imprint a zero line in this regime")
     pts = np.concatenate(kept)
-    shift = 2.0 * np.cos(sine_modes(cfg.layers).theta[0])
-    ests = -monolayer_field(cfg, pts[:, 0], pts[:, 1])[..., 0] / shift
+    ests = -monolayer_field(cfg, pts[:, 0], pts[:, 1])[..., 0] / sine_modes(cfg.layers).lam[0]
     t_hat = float(np.mean(ests))
     return HoppingEstimate(t_hat=t_hat, method="abba-zero-line",
                            residual=float(np.max(np.abs(ests - t_hat))))

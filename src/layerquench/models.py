@@ -86,6 +86,10 @@ class Cell:
         ky = self.origin[1] + u * self.basis[0, 1] + v * self.basis[1, 1]
         return kx, ky
 
+    def nodes(self, nx, ny):
+        """Momenta (nx, ny) of the lattice nodes at fractions (i/nx, l/ny)."""
+        return self.k_at(np.arange(nx)[:, None] / nx, np.arange(ny)[None, :] / ny)
+
     def fractions(self, kx, ky):
         """Inverse of k_at (no wrapping)."""
         d = np.stack([np.asarray(kx) - self.origin[0], np.asarray(ky) - self.origin[1]], axis=-1)

@@ -4,14 +4,13 @@ time-averaged spin polarization (TASP) of both stackings.
 All closed forms below assume the postquench Hamiltonian of
 models.build_layered and an initial state polarized along -j, i.e. the
 mixed state (1/N) (x) (1 - s_j)/2 prepared by a deep quench along axis j.
-Signs flip together with the initial polarization.
 """
 
 import numpy as np
 
 from .errors import SingularPointError
 from .models import PAULI, build_layered, monolayer_field
-from .spectra import degeneracy_groups, sine_modes, subsystem_fields
+from .spectra import _level_part, degeneracy_groups, positive_levels, sine_modes, subsystem_fields
 
 # squared eigenvalues below this are treated as an exact gap closing
 SINGULAR_E2 = 1e-20
@@ -25,21 +24,19 @@ def _require_gap(e2, cfg):
         raise SingularPointError(f"gap closes (E=0) for {cfg} at sample index {at}")
 
 
-def mixed_state(N, j, sign=-1):
-    """Fully layer-mixed, spin-polarized density matrix (1/N) (x) (1 + sign*s_j)/2."""
-    return np.kron(np.eye(N) / N, 0.5 * (np.eye(2) + sign * PAULI[j - 1]))
+def mixed_state(N, j):
+    """Fully layer-mixed, spin-polarized density matrix (1/N) (x) (1 - s_j)/2."""
+    return np.kron(np.eye(N) / N, 0.5 * (np.eye(2) - PAULI[j - 1]))
 
 
-def pure_state(c, j, sign=-1):
-    """Rank-1 product state |c> (x) |chi> with chi the sign-eigenvector of s_j.
+def pure_state(c, j):
+    """Rank-1 product state |c> (x) |chi> with chi the -1 eigenvector of s_j.
 
     c is a complex layer amplitude vector; it is normalized here.
     """
     c = np.asarray(c, dtype=complex)
     c = c / np.linalg.norm(c)
-    evals, evecs = np.linalg.eigh(PAULI[j - 1])
-    chi = evecs[:, 0] if sign < 0 else evecs[:, 1]
-    psi = np.kron(c, chi)
+    psi = np.kron(c, np.linalg.eigh(PAULI[j - 1])[1][:, 0])
     return np.outer(psi, psi.conj())
 
 
@@ -113,11 +110,8 @@ def _ba_matrix(h, cfg):
     polarization; they are zeroed rather than propagated as NaN.
     """
     N = cfg.layers
-    c = np.cos(sine_modes(N).theta)
-    tc = cfg.t * c
     hx, hy, hz = h[..., 0, None], h[..., 1, None], h[..., 2, None]
-    u = np.sqrt(hx ** 2 + hy ** 2 + tc ** 2)
-    e2 = hz ** 2 + (u + tc) ** 2
+    e2 = _level_part(False, hx, hy, cfg.t * sine_modes(N).lam) + hz ** 2
     _require_gap(e2, cfg)
     perp = e2 - hz ** 2
     G = perp + hx ** 2 + hy ** 2
@@ -134,29 +128,23 @@ def _ba_matrix(h, cfg):
     return A
 
 
-def tasp_closed_form(kx, ky, cfg, j, sign=-1):
+def tasp_closed_form(kx, ky, cfg, j):
     """Closed-form TASP vector for the mixed initial state along axis j.
 
-    abba: TASP_i = -(1/N) sum_r h_r^i h_r^j / E_r^2 over the sine modes.
+    abba: TASP_i = -(1/N) sum_r h_r^i h_r^j / E_r^2 over the sine modes,
+          the mode mean of gtasp_abba.
     ba:   TASP_i = -h_i h_j A_ij (no summation) with the A matrix above.
     Broadcasts over momentum arrays; shape (..., 3).
     Raises SingularPointError at gap-closing momenta.
     """
     if cfg.stacking == "abba":
-        hr = subsystem_fields(kx, ky, cfg)
-        e2 = np.sum(hr ** 2, axis=-1)
-        _require_gap(e2, cfg)
-        out = -np.sum(hr * hr[..., j - 1, None] / e2[..., None], axis=-2) / cfg.layers
-    else:
-        h = monolayer_field(cfg, kx, ky)
-        A = _ba_matrix(h, cfg)
-        out = -h * h[..., j - 1, None] * A[..., j - 1]
-    if sign > 0:
-        out = -out
-    return out
+        # negated after the sum, which keeps the sign of zeros (-0.0 terms sum to +0.0)
+        return -np.sum(-gtasp_abba(kx, ky, cfg, j), axis=-2) / cfg.layers
+    h = monolayer_field(cfg, kx, ky)
+    return -h * h[..., j - 1, None] * _ba_matrix(h, cfg)[..., j - 1]
 
 
-def gtasp_abba(kx, ky, cfg, j, r=None, sign=-1):
+def gtasp_abba(kx, ky, cfg, j, r=None):
     """Per-mode polarization -h_r^i h_r^j / E_r^2 of the abba stacking.
 
     This is the time average of subspace_observable(N, r, i) in the
@@ -167,18 +155,17 @@ def gtasp_abba(kx, ky, cfg, j, r=None, sign=-1):
     e2 = np.sum(hr ** 2, axis=-1)
     _require_gap(e2, cfg)
     out = -hr * hr[..., j - 1, None] / e2[..., None]
-    if sign > 0:
-        out = -out
-    if r is None:
-        return out
-    return out[..., r - 1, :]
+    return out if r is None else out[..., r - 1, :]
 
 
 def singular_mask(kx, ky, cfg):
     """True where some eigenvalue vanishes (closed forms undefined)."""
-    from .spectra import analytic_positive_levels
-    ep = analytic_positive_levels(kx, ky, cfg)
-    return np.min(ep ** 2, axis=-1) < SINGULAR_E2
+    return singular_field_mask(monolayer_field(cfg, kx, ky), cfg)
+
+
+def singular_field_mask(h, cfg):
+    """singular_mask at monolayer field values h (..., 3)."""
+    return np.min(positive_levels(h, cfg) ** 2, axis=-1) < SINGULAR_E2
 
 
 def polarization_profile(H, N):

@@ -1,5 +1,9 @@
 """Analytic spectra, numeric eigendecomposition with degeneracy grouping,
-and the sine-mode block diagonalization of the abba stacking."""
+and the sine-mode block diagonalization of the abba stacking.
+
+The one home of the sine-mode decomposition: the modes a_r of the chain
+coupling Sigma1, their eigenvalues lam_r (SineModes.lam) and the levels
+E_r^2 = p_r + h3^2 of both stackings (_level_part)."""
 
 from dataclasses import dataclass
 
@@ -17,24 +21,28 @@ class SineModes:
 
     theta[r-1] = r*pi/(N+1); vectors[r-1] has components
     sqrt(2/(N+1)) * sin(n*theta_r) for n = 1..N, and
-    Sigma1 a_r = 2 cos(theta_r) a_r.
+    Sigma1 a_r = lam_r a_r.
     """
 
     N: int
     theta: np.ndarray
     vectors: np.ndarray  # rows are the a_r
 
+    @property
+    def lam(self):
+        """Eigenvalues lam_r = 2 cos(theta_r) of Sigma1."""
+        return 2.0 * np.cos(self.theta)
+
 
 def sine_modes(N):
-    r = np.arange(1, N + 1)
-    theta = r * np.pi / (N + 1)
     n = np.arange(1, N + 1)
+    theta = n * np.pi / (N + 1)
     vectors = np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(theta, n))
     return SineModes(N=N, theta=theta, vectors=vectors)
 
 
 def subsystem_fields(kx, ky, cfg):
-    """Per-mode fields h_r = (h1 + 2 t cos(theta_r), h2, h3) of the abba stacking.
+    """Per-mode fields h_r = (h1 + t lam_r, h2, h3) of the abba stacking.
 
     Returns shape (..., N, 3).  For N = 2 the two first components are
     h1 + t and h1 - t.  Only defined for the abba stacking, whose
@@ -43,9 +51,8 @@ def subsystem_fields(kx, ky, cfg):
     if cfg.stacking != "abba":
         raise UnsupportedStackingError("subsystem fields require the abba stacking")
     h = monolayer_field(cfg, kx, ky)
-    c = np.cos(sine_modes(cfg.layers).theta)
     out = np.repeat(h[..., None, :], cfg.layers, axis=-2).astype(float)
-    out[..., 0] = out[..., 0] + 2.0 * cfg.t * c
+    out[..., 0] = out[..., 0] + cfg.t * sine_modes(cfg.layers).lam
     return out
 
 
@@ -54,22 +61,32 @@ def abba_transform(N):
     return np.kron(sine_modes(N).vectors, np.eye(2))
 
 
+def _level_part(abba, h1, h2, tlam):
+    """The h3-free part p_r of E_r^2 = p_r + h3^2; tlam is t lam_r on the caller's mode axis.
+
+    abba: p_r = (h1 + t lam_r)^2 + h2^2; ba: p_r = (sqrt(h1^2 + h2^2 + c^2) + c)^2,
+    c = t lam_r / 2 = t cos theta_r.
+    """
+    if abba:
+        return (h1 + tlam) ** 2 + h2 ** 2
+    tc = tlam / 2.0
+    return (np.sqrt(h1 ** 2 + h2 ** 2 + tc ** 2) + tc) ** 2
+
+
+def positive_levels(h, cfg):
+    """Positive branches E_r (..., N) at monolayer field values h (..., 3)."""
+    p = _level_part(cfg.stacking == "abba", h[..., 0, None], h[..., 1, None],
+                    cfg.t * sine_modes(cfg.layers).lam)
+    return np.sqrt(p + h[..., 2, None] ** 2)
+
+
 def analytic_positive_levels(kx, ky, cfg):
     """Positive branches E_r ordered by mode index r = 1..N; shape (..., N).
 
-    abba: E_r = |h_r| with the shifted first component.
-    ba:   E_r = sqrt(h3^2 + (sqrt(h1^2 + h2^2 + t^2 cos^2 theta_r)
-                             + t cos theta_r)^2).
-    The full spectrum is the symmetric set {+-E_r}.
+    E_r^2 = p_r + h3^2 (_level_part); for abba E_r = |h_r|.  The full
+    spectrum is the symmetric set {+-E_r}.
     """
-    h = monolayer_field(cfg, kx, ky)
-    c = np.cos(np.arange(1, cfg.layers + 1) * np.pi / (cfg.layers + 1))
-    if cfg.stacking == "abba":
-        h1r = h[..., 0, None] + 2.0 * cfg.t * c
-        return np.sqrt(h1r ** 2 + h[..., 1, None] ** 2 + h[..., 2, None] ** 2)
-    tc = cfg.t * c
-    u = np.sqrt(h[..., 0, None] ** 2 + h[..., 1, None] ** 2 + tc ** 2)
-    return np.sqrt(h[..., 2, None] ** 2 + (u + tc) ** 2)
+    return positive_levels(monolayer_field(cfg, kx, ky), cfg)
 
 
 def analytic_levels(kx, ky, cfg):

@@ -18,7 +18,7 @@ from .errors import GaplessError, NonQuantizedWindingError, UsageError
 from .frames import sine_mode_frames
 from .models import (MIN_GRID, LayeredConfig, build_layered, monolayer_field,
                      require_layered_size, sampling_cell)
-from .spectra import analytic_positive_levels, sine_modes
+from .spectra import _level_part, analytic_positive_levels, sine_modes
 
 FHS_ORIENTATION = -1.0
 GAP_TOL_DEFAULT = 1e-6
@@ -64,9 +64,7 @@ PHASE_FHS_GRID = 40
 def _cell_nodes(cell, n):
     if n < MIN_GRID:
         raise UsageError(f"grid resolution must be at least {MIN_GRID} per axis, got {n}")
-    u = np.arange(n)[:, None] / n
-    v = np.arange(n)[None, :] / n
-    return cell.k_at(u, v)
+    return cell.nodes(n, n)
 
 
 def _det(o):
@@ -223,7 +221,7 @@ def chern_two_band(field_fn, grid_n=100, model="qwz"):
 
 def subsystem_field_fn(cfg, r):
     """Momentum -> h_r field of one abba sine mode."""
-    shift = 2.0 * cfg.t * np.cos(sine_modes(cfg.layers).theta[r - 1])
+    shift = cfg.t * sine_modes(cfg.layers).lam[r - 1]
 
     def fn(kx, ky):
         h = monolayer_field(cfg, kx, ky).copy()
@@ -263,9 +261,9 @@ class PhaseDiagram:
 def _scan_tables(layers, model, ms, grid_n, cell):
     """k-grid tables of one scan, on the periodically extended grid.
 
-    Returns (h1, h2, h3, c): the first two monolayer components, which
+    Returns (h1, h2, h3, lam): the first two monolayer components, which
     depend on neither t nor m, the third for every mass in ms, and the
-    mode factors cos(theta_r); abba mode r adds 2 t cos(theta_r) to h1.
+    Sigma1 eigenvalues lam_r; abba mode r adds t lam_r to h1.
     """
     KX, KY = _cell_nodes(cell, grid_n)
 
@@ -277,26 +275,20 @@ def _scan_tables(layers, model, ms, grid_n, cell):
     h3 = np.empty((len(ms),) + h1.shape)
     for l, m in enumerate(ms):
         h3[l] = field(float(m))[2]
-    c = np.cos(np.arange(1, layers + 1) * np.pi / (layers + 1))
-    return h1, h2, h3, c
+    return h1, h2, h3, sine_modes(layers).lam
 
 
 def _scan_gaps(abba, tables, ts, per):
     """Half-filling gap of every cell, per cells at a time.
 
-    E_r^2 is a t-dependent part plus h3^2, summed in the operation order
-    of analytic_positive_levels, and sqrt is monotone, so each gap is
-    bitwise the per-cell 2 min E_r.
+    E_r^2 is the t-dependent part p_r (spectra._level_part) plus h3^2,
+    and sqrt is monotone, so each gap is the per-cell 2 min E_r.
     """
-    h1, h2, h3, c = tables
+    h1, h2, h3, lam = tables
     h3sq = h3 ** 2
     e2 = np.empty((len(ts), len(h3)))
     for i, t in enumerate(ts):
-        if abba:
-            part = (h1 + 2.0 * t * c[:, None, None]) ** 2 + h2 ** 2
-        else:
-            tc = (t * c)[:, None, None]
-            part = (np.sqrt(h1 ** 2 + h2 ** 2 + tc ** 2) + tc) ** 2
+        part = _level_part(abba, h1, h2, t * lam[:, None, None])
         for l in range(0, len(h3), per):
             e2[i, l:l + per] = (h3sq[l:l + per, None] + part).min(axis=(-3, -2, -1))
     return 2.0 * np.sqrt(e2)
@@ -309,8 +301,8 @@ def _abba_cells(tables, t, l):
     cell is certified when all its modes pass the three checks of
     chern_two_band.
     """
-    h1, h2, h3, c = tables
-    h1r = h1 + (2.0 * t)[:, None, None, None] * c[:, None, None]
+    h1, h2, h3, lam = tables
+    h1r = h1 + t[:, None, None, None] * lam[:, None, None]
     h3 = h3[l][:, None]
     E = np.sqrt(h1r ** 2 + h2 ** 2 + h3 ** 2)
     e_min = E.min(axis=(-2, -1))
@@ -329,7 +321,7 @@ def _closings(stacking, layers, model):
     Returns (w, a) arrays: the closings are the curves
     (w t)^2 + (m - a)^2 = 1, unit circles in the field coordinates
     (s, m) = (w t, m).  abba mode r closes where sin ky = 0,
-    sin kx = -2 t cos(theta_r) and m = cos kx + cos ky, so w = 2 cos(theta_r)
+    sin kx = -t lam_r and m = cos kx + cos ky, so w = lam_r = 2 cos(theta_r)
     and a = +-1, and the distance of (s, m) from the circles is the
     smallest modulus the mode field takes.  The ba levels vanish only
     where the monolayer field does, on the lines m in {-2, 0, 2}: the
@@ -339,8 +331,7 @@ def _closings(stacking, layers, model):
     if model != "qwz":
         return None
     # modes r and N + 1 - r have opposite w and share their closings
-    theta = sine_modes(layers).theta[:(layers + 1) // 2]
-    w = 2.0 * np.cos(theta) if stacking == "abba" else np.zeros(1)
+    w = sine_modes(layers).lam[:(layers + 1) // 2] if stacking == "abba" else np.zeros(1)
     w, a = np.broadcast_arrays(w[:, None], np.array([-1.0, 1.0]))
     return w.ravel(), a.ravel()
 

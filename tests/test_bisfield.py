@@ -19,9 +19,13 @@ from layerquench import (
     component_zero_curves,
     dynamical_field,
     extract_bis,
+    monolayer_field,
+    quench,
     qwz_field,
     sample_grid,
+    sampling_cell,
     singular_mask,
+    spectra,
     winding,
 )
 
@@ -340,11 +344,21 @@ class TestCharacterize:
         (LayeredConfig("abba", 3, 1 / np.sqrt(2)), True),
     ])
     def test_one_lattice_and_no_node_values(self, monkeypatch, cfg, nudged):
-        masks = []
+        # the monolayer field is evaluated on the lattice once, for the gap
+        # check and the source nodes alike, and again only at the nudged
+        # nodes; no closed form is evaluated on the lattice
+        bad = singular_mask(*sampling_cell(cfg.model).nodes(64, 64), cfg)
+        assert bad.any() == nudged
+        calls = []
+        source_loops = bisfield._source_loops
 
-        def counted_mask(kx, ky, c):
-            masks.append(kx.shape)
-            return singular_mask(kx, ky, c)
+        def counted_field(c, kx, ky):
+            calls.append(np.broadcast_shapes(np.shape(kx), np.shape(ky)))
+            return monolayer_field(c, kx, ky)
+
+        def marked_loops(grid):
+            calls.append("loops")
+            return source_loops(grid)
 
         def contour_only(fn):
             def wrapped(kx, ky, *args, **kwargs):
@@ -352,11 +366,15 @@ class TestCharacterize:
                 return fn(kx, ky, *args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(bisfield, "singular_mask", counted_mask)
+        for module in (bisfield, quench, spectra):
+            monkeypatch.setattr(module, "monolayer_field", counted_field)
+        monkeypatch.setattr(bisfield, "_source_loops", marked_loops)
         for name in ("tasp_closed_form", "gtasp_abba"):
             monkeypatch.setattr(bisfield, name, contour_only(getattr(bisfield, name)))
         result = characterize(cfg, resolution=64)
-        assert masks == [(64, 64)] * (2 if nudged else 1)
+        lattice = calls[:calls.index("loops")]
+        assert lattice == [(64, 64)] + ([(int(bad.sum()),)] if nudged else [])
+        assert [c for c in calls if c != "loops" and len(c) == 2] == [(64, 64)]
         assert result["total_w"] == (-1 if nudged else -3)
 
 

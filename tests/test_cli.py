@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from layerquench import LayeredConfig, models, tasp_closed_form
+from layerquench import LayeredConfig, estimate_t_abba, models, tasp_closed_form
 from layerquench.cli import main, parse_grid, parse_observable
 from layerquench.errors import UsageError
 
@@ -233,6 +233,14 @@ class TestEstimateT:
         assert rep["true_t"] == 0.4
         assert rep["error"] < 1e-6
 
+    def test_rectangular_grid_reaches_the_estimator(self, tmp_path):
+        assert run("estimate-t", "--true-t", "0.4", "--grid", "64x48",
+                   "--out", tmp_path) == 0
+        rep = load_json(tmp_path / "estimate.json")
+        cfg = LayeredConfig("abba", 2, 0.4)
+        assert rep["t_hat"] == estimate_t_abba(cfg, (64, 48)).t_hat != \
+            estimate_t_abba(cfg, 64).t_hat
+
     def test_trivial_regime_is_a_numerical_failure(self, tmp_path):
         assert run("estimate-t", "--true-t", "1.2", "--grid", "96",
                    "--out", tmp_path) == 1
@@ -347,6 +355,9 @@ EXIT_SWEEP = [
     (2, ["chern", "--grid", "2"]),
     (2, ["phase-diagram", "--grid", "8"]),
     (2, ["phase-diagram", "--steps", "0"]),
+    # the Chern sums take one resolution for both axes
+    (2, ["chern", "--grid", "40x80"]),
+    (2, ["phase-diagram", "--grid", "16x2", "--steps", "2"]),
     (2, ["tasp", "--t", "nan", "--grid", "16"]),
     (2, ["bis", "--t", "inf", "--grid", "16"]),
     (2, ["phase-diagram", "--t-min", "nan", "--steps", "2", "--grid", "16"]),

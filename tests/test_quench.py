@@ -92,13 +92,6 @@ def test_gtasp_mode_sum():
     assert np.max(np.abs(total - 4 * tasp_closed_form(kx, ky, cfg, 3))) < 1e-12
 
 
-def test_positive_polarization_flips_sign():
-    cfg = LayeredConfig("ba", 2, 0.4)
-    a = tasp_closed_form(0.3, 0.9, cfg, 3, sign=-1)
-    b = tasp_closed_form(0.3, 0.9, cfg, 3, sign=+1)
-    assert np.max(np.abs(a + b)) < 1e-14
-
-
 def test_ba_coefficient_matrix_symmetric():
     cfg = LayeredConfig("ba", 2, 0.9)
     A = _ba_matrix(monolayer_field(cfg, 0.7, -0.4), cfg)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +9,7 @@ from layerquench import (DegenerateSpectrumError, LayeredConfig, UnsupportedStac
                          abba_transform, analytic_levels, analytic_positive_levels,
                          build_layered, degeneracy_groups, eigvec_identities, level_labels,
                          monolayer_field, numeric_levels, numeric_spectrum, sine_modes,
-                         subsystem_fields)
+                         spectra, subsystem_fields)
 from layerquench.models import PAULI
 
 
@@ -17,8 +20,28 @@ def test_sine_modes_orthonormal_and_eigen():
         assert np.max(np.abs(A @ A.T - np.eye(N))) < 1e-12
         S1 = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
         for r in range(N):
-            lam = 2.0 * np.cos(sm.theta[r])
-            assert np.max(np.abs(S1 @ A[r] - lam * A[r])) < 1e-12
+            assert np.max(np.abs(S1 @ A[r] - sm.lam[r] * A[r])) < 1e-12
+
+
+def _reads_mode_angles(node):
+    """Whether node reads a .theta attribute or builds an angle x pi / (N + 1)."""
+    if isinstance(node, ast.Attribute) and node.attr == "theta":
+        return True
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Add)
+            and any(isinstance(n, ast.Attribute) and n.attr == "pi"
+                    for n in ast.walk(node.left)))
+
+
+def test_spectra_is_the_one_home_of_the_mode_angles():
+    # every other module takes the Sigma1 eigenvalues lam_r from
+    # SineModes and the levels from spectra, so no second copy of
+    # theta_r = r pi / (N + 1) can drift from them
+    package = Path(spectra.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py")) if path.name != "spectra.py"
+             for node in ast.walk(ast.parse(path.read_text())) if _reads_mode_angles(node)]
+    assert found == []
 
 
 def test_subsystem_fields_bilayer_shift():
