@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import (DegenerateFieldError, NonQuantizedWindingError, SingularPointError,
                      UsageError)
-from .models import MIN_GRID, monolayer_field, sampling_cell
-from .quench import gtasp_abba, singular_field_mask, singular_mask, tasp_closed_form
+from .models import MIN_GRID, monolayer_component, monolayer_field, sampling_cell
+from .quench import (gtasp_abba, gtasp_of_field, singular_field_mask, tasp_closed_form,
+                     tasp_of_field)
 from .spectra import sine_modes
 
 # tracked component pair (zero-based) for each quench axis: the two
@@ -67,16 +68,24 @@ class BisContour:
     w: int = None
 
 
-def polarization_evaluator(cfg, j, observable=("global",)):
-    """Vectorized momentum -> 3-vector closed-form evaluator for a grid kind."""
+def _mode_index(cfg, observable):
+    """None for global data, r for ("subspace", r); anything else is a usage error."""
     kind = observable[0]
     if kind == "global":
-        return lambda kx, ky: tasp_closed_form(kx, ky, cfg, j)
+        return None
     if kind != "subspace":
         raise UsageError(f"unknown observable kind {kind!r}")
     r = observable[1]
     if not 1 <= r <= cfg.layers:
         raise UsageError(f"subspace mode index {r} is outside 1..{cfg.layers}")
+    return r
+
+
+def polarization_evaluator(cfg, j, observable=("global",)):
+    """Vectorized momentum -> 3-vector closed-form evaluator for a grid kind."""
+    r = _mode_index(cfg, observable)
+    if r is None:
+        return lambda kx, ky: tasp_closed_form(kx, ky, cfg, j)
     return lambda kx, ky: gtasp_abba(kx, ky, cfg, j, r)
 
 
@@ -93,12 +102,13 @@ def source_function(grid):
 
     Global data uses the monolayer component h_j; mode-resolved data the
     shifted component h_r^j (which differs from h_j only for j = 1).
+    Only h_j is evaluated, bit for bit as in the whole field.
     """
     cfg, j = grid.cfg, grid.j
     shift = _source_shift(grid)
 
     def src(kx, ky):
-        return monolayer_field(cfg, kx, ky)[..., j - 1] + shift
+        return monolayer_component(cfg, kx, ky, j - 1) + shift
 
     return src
 
@@ -123,41 +133,45 @@ def _resolution(resolution):
 
 
 def _node_lattice(cfg, j, observable, resolution):
-    """Grid without polarization values: the node momenta of an nx x ny
-    lattice over the sampling cell of cfg.model.
+    """(grid, h): a grid without polarization values, holding the node
+    momenta of an nx x ny lattice over the sampling cell of cfg.model,
+    and the monolayer field h (nx, ny, 3) at them.
 
     Nodes sit at fractions (i/nx, l/ny) of the cell, where the monolayer
     field is evaluated once.  Nodes that hit a gap closing exactly are
-    offset by half a grid step (kx, ky record the offset) and checked
-    again alone; if still singular the error names the node.
+    offset by half a grid step (kx, ky and h record the offset) and
+    checked again alone; if still singular the error names the node.
     """
     nx, ny = _resolution(resolution)
     cell = sampling_cell(cfg.model)
     KX, KY = cell.nodes(nx, ny)
     h = monolayer_field(cfg, KX, KY)
+    hj = h[..., j - 1].copy()
     bad = singular_field_mask(h, cfg)
     if np.any(bad):
         i, l = np.nonzero(bad)
         KX[bad], KY[bad] = cell.k_at(i / nx + 0.5 / nx, l / ny + 0.5 / ny)
-        still = singular_mask(KX[bad], KY[bad], cfg)
+        h[bad] = monolayer_field(cfg, KX[bad], KY[bad])
+        still = singular_field_mask(h[bad], cfg)
         if np.any(still):
             p = np.flatnonzero(still)[0]
             raise SingularPointError(f"gap closes at grid node ({i[p]}, {l[p]}), "
                                      f"k=({KX[i[p], l[p]]}, {KY[i[p], l[p]]})")
     return TaspGrid(cfg=cfg, j=j, observable=tuple(observable), nx=nx, ny=ny,
-                    cell=cell, values=None, kx=KX, ky=KY, hj=h[..., j - 1].copy())
+                    cell=cell, values=None, kx=KX, ky=KY, hj=hj), h
 
 
 def sample_grid(cfg, j, observable=("global",), resolution=256):
     """Evaluate the closed-form polarization on an nx x ny periodic grid.
 
     The nodes are those of the shared node lattice (nudged off exact gap
-    closings, see _node_lattice); all of them are evaluated in one
-    serial array pass.  resolution is an integer or a pair of integers.
+    closings, see _node_lattice), and the values are the closed form of
+    the monolayer field the lattice evaluated, in one serial array pass.
+    resolution is an integer or a pair of integers.
     """
-    ev = polarization_evaluator(cfg, j, observable)
-    grid = _node_lattice(cfg, j, observable, resolution)
-    grid.values = ev(grid.kx, grid.ky)
+    r = _mode_index(cfg, observable)
+    grid, h = _node_lattice(cfg, j, observable, resolution)
+    grid.values = tasp_of_field(h, cfg, j) if r is None else gtasp_of_field(h, cfg, j, r)
     return grid
 
 
@@ -177,23 +191,25 @@ _SADDLE_OTHER_ORDER = np.array([LEFT, BOTTOM, RIGHT, TOP])
 def _bisect_edges(phi, a, b):
     """Sign-change roots of phi on the segments a-b, refined together.
 
-    Each bracket is halved until its two ends agree to 1e-9 in both
-    coordinates and is then frozen; phi is called once per step, on the
-    midpoints of the brackets still open.
+    a and b hold the segment ends coordinate first, (2, E); the roots
+    come back point first, (E, 2).  Each bracket is halved until its two
+    ends agree to 1e-9 in both coordinates and is then frozen; phi is
+    called once per step, on the midpoints of the brackets still open.
     """
-    flip = (phi(a[:, 0], a[:, 1]) > 0)[:, None]
+    flip = phi(a[0], a[1]) > 0
     lo = np.where(flip, b, a)  # non-positive end
     hi = np.where(flip, a, b)
-    live = np.arange(len(a))
+    live = np.arange(a.shape[1])
     for _ in range(64):
-        mid = 0.5 * (lo[live] + hi[live])
-        up = phi(mid[:, 0], mid[:, 1]) > 0
-        hi[live[up]] = mid[up]
-        lo[live[~up]] = mid[~up]
-        live = live[np.max(np.abs(hi[live] - lo[live]), axis=1) > 1e-9]
+        mid = 0.5 * (lo[:, live] + hi[:, live])
+        up = phi(mid[0], mid[1]) > 0
+        hi[:, live[up]] = mid[:, up]
+        lo[:, live[~up]] = mid[:, ~up]
+        w = np.abs(hi[:, live] - lo[:, live])
+        live = live[np.maximum(w[0], w[1]) > 1e-9]
         if not len(live):
             break
-    return 0.5 * (lo + hi)
+    return (0.5 * (lo + hi)).T
 
 
 def _marching_loops(phi, nodes, nx, ny):
@@ -219,9 +235,8 @@ def _marching_loops(phi, nodes, nx, ny):
     nh, nv = len(hi), len(vi)
     if nh + nv == 0:
         return []
-    a = np.concatenate([np.stack([hi / nx, hl / ny], axis=1),
-                        np.stack([vi / nx, vl / ny], axis=1)])
-    step = np.repeat([[1.0 / nx, 0.0], [0.0, 1.0 / ny]], [nh, nv], axis=0)
+    a = np.stack([np.concatenate([hi, vi]) / nx, np.concatenate([hl, vl]) / ny])
+    step = np.repeat([[1.0 / nx, 0.0], [0.0, 1.0 / ny]], [nh, nv], axis=0).T
     roots = _bisect_edges(phi, a, a + step)
 
     # crossing cells in raster order and the edge on each side (-1: no sign change)
@@ -466,7 +481,7 @@ def characterize(cfg, j=3, resolution=256, delta=1e-4, tol_bis=1e-6,
     else:
         layer_factor, observables = cfg.layers, [tuple(observable)]
     evaluators = [polarization_evaluator(cfg, j, obs) for obs in observables]
-    lattice = _node_lattice(cfg, j, observables[0], resolution)
+    lattice = _node_lattice(cfg, j, observables[0], resolution)[0]
     loops = {}  # source shift -> oriented loops; equal shifts are the same source
     contours = []
     total = 0

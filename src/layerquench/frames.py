@@ -17,7 +17,7 @@ from functools import cache
 
 import numpy as np
 
-from .models import PAULI, LayeredConfig, build_layered, coupling_matrix, monolayer_field
+from .models import PAULI, LayeredConfig, build_layered, coupling_matrix
 from .spectra import sine_modes
 
 # frames are built and certified in blocks of nodes; one (2N, 2N, nodes)
@@ -42,14 +42,15 @@ def _apply_h(Y, h, X):
     return Y
 
 
-def _certified_frames(cfg, kx, ky, E, build):
+def _certified_frames(cfg, kx, ky, h, E, build):
     """Frames of the N filled bands, each certified against H, eigh where not.
 
-    kx, ky are momentum arrays and E (..., N) the analytic positive
-    levels there.  build(h, E, out) writes the frames of one block of
-    nodes into out (N, 2, N, nodes), indexed (layer, spin, band, node), from
-    the monolayer field h (3, nodes) and the levels E (nodes, N).  Blocks
-    hold FRAME_BLOCK_BYTES of (2N, 2N) matrices.
+    kx, ky are momentum arrays, h (..., 3) the monolayer field and
+    E (..., N) the analytic positive levels there.  build(h, E, out)
+    writes the frames of one block of nodes into out (N, 2, N, nodes),
+    indexed (layer, spin, band, node), from the monolayer field h
+    (3, nodes) and the levels E (nodes, N).  Blocks hold
+    FRAME_BLOCK_BYTES of (2N, 2N) matrices.
 
     Each frame V gets a bound on ||sin Theta||_F, the angles between
     span V and the filled bands (Davis-Kahan): the residual
@@ -64,7 +65,6 @@ def _certified_frames(cfg, kx, ky, E, build):
     Returns (V, sines): V of shape (2N, N, ...) and the bound of the
     built frame per node (also where it was replaced).
     """
-    h = monolayer_field(cfg, kx, ky)
     N = E.shape[-1]
     M = 2 * N
     C = coupling_matrix(cfg)
@@ -152,11 +152,12 @@ def _bilayer_frames(h, t, E1, E2):
     return W
 
 
-def sine_mode_frames(cfg, kx, ky, E):
+def sine_mode_frames(cfg, kx, ky, h, E):
     """Frames of the N filled bands at half filling, both stackings, any N.
 
-    kx, ky are momentum arrays and E (..., N) the analytic positive
-    levels there, E_r of the sine mode a_r (spectra.sine_modes).  In the
+    kx, ky are momentum arrays, h (..., 3) the monolayer field
+    (models.monolayer_field) and E (..., N) the analytic positive levels
+    there, E_r of the sine mode a_r (spectra.sine_modes).  In the
     basis a_r (x) 1, H is block diagonal:
     - abba: every mode r is the two-band block h_r . s with
       h_r = (h1 + t lam_r, h2, h3) and level E_r, so a_r (x) v_r
@@ -206,4 +207,4 @@ def sine_mode_frames(cfg, kx, ky, E):
             for r in range(pairs):
                 out[:, :, 2 * r:2 * r + 2] = (Q[r] @ W[:, :, r].reshape(2, -1)).reshape(N, 2, 2, n)
 
-    return _certified_frames(cfg, kx, ky, E, build)
+    return _certified_frames(cfg, kx, ky, h, E, build)

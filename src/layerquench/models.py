@@ -42,7 +42,8 @@ MIN_GRID = 16
 # largest Bloch-Hamiltonian stack build_layered may allocate; one term
 # of that size is alive beside it while it is summed, and an eigensolve
 # needs about as much again.  chern_fhs holds its eigensolver-free
-# frames, which never build the whole stack, to the same estimate
+# frames, which never build the whole stack, to the same estimate, and
+# Cell.nodes a node lattice with its monolayer field
 LAYERED_BYTES_MAX = 10 ** 9
 
 
@@ -87,7 +88,18 @@ class Cell:
         return kx, ky
 
     def nodes(self, nx, ny):
-        """Momenta (nx, ny) of the lattice nodes at fractions (i/nx, l/ny)."""
+        """Momenta (nx, ny) of the lattice nodes at fractions (i/nx, l/ny).
+
+        Raises UsageError, before allocating, when the two momenta and the
+        three monolayer field components of every node, which each user
+        of a lattice holds, would exceed LAYERED_BYTES_MAX.
+        """
+        nbytes = 5 * 8 * float(nx) * float(ny)
+        if nbytes > LAYERED_BYTES_MAX:
+            raise UsageError(
+                f"a {int(nx)} x {int(ny)} lattice needs {nbytes / 1e9:.1f} GB for its momenta "
+                f"and field, above the {LAYERED_BYTES_MAX / 1e9:.1f} GB limit; "
+                f"use a coarser grid")
         return self.k_at(np.arange(nx)[:, None] / nx, np.arange(ny)[None, :] / ny)
 
     def fractions(self, kx, ky):
@@ -102,12 +114,41 @@ class Cell:
         return self.k_at(u % 1.0, v % 1.0)
 
 
+def _momenta(kx, ky):
+    return np.broadcast_arrays(np.asarray(kx, dtype=float), np.asarray(ky, dtype=float))
+
+
+def _qwz_component(kx, ky, m, i):
+    """Component i (zero-based) of the square-lattice field."""
+    if i == 0:
+        return np.sin(kx)
+    if i == 1:
+        return np.sin(ky)
+    return m - np.cos(kx) - np.cos(ky)
+
+
+def _sum3(x):
+    # x.sum(axis=-1) over a length-3 last axis, in numpy's order and bit
+    # for bit unless all three terms are -0.0 (numpy then gives +0.0),
+    # which no set of angles k.a_i or k.b_i makes them; about ten times
+    # faster than the reduction at 256^2 on a 2-vCPU Xeon
+    return (x[..., 0] + x[..., 1]) + x[..., 2]
+
+
+def _haldane_component(angles, m, i):
+    """Component i (zero-based) of the triangular-lattice field from the
+    angles k.a_i (i = 0, 1) or k.b_i (i = 2)."""
+    if i == 0:
+        return 4.0 * _sum3(np.cos(angles))
+    if i == 1:
+        return 4.0 * _sum3(np.sin(angles))
+    return m - 2.0 * _sum3(np.sin(angles))
+
+
 def qwz_field(kx, ky, m):
     """Square-lattice field (sin kx, sin ky, m - cos kx - cos ky)."""
-    kx = np.asarray(kx, dtype=float)
-    ky = np.asarray(ky, dtype=float)
-    kx, ky = np.broadcast_arrays(kx, ky)
-    return np.stack([np.sin(kx), np.sin(ky), m - np.cos(kx) - np.cos(ky)], axis=-1)
+    kx, ky = _momenta(kx, ky)
+    return np.stack([_qwz_component(kx, ky, m, i) for i in range(3)], axis=-1)
 
 
 def haldane_field(kx, ky, m):
@@ -116,23 +157,25 @@ def haldane_field(kx, ky, m):
     h1 = 4 sum_i cos(k.a_i), h2 = 4 sum_i sin(k.a_i),
     h3 = m - 2 sum_i sin(k.b_i).
     """
-    kx = np.asarray(kx, dtype=float)
-    ky = np.asarray(ky, dtype=float)
-    kx, ky = np.broadcast_arrays(kx, ky)
-    k = np.stack([kx, ky], axis=-1)
+    k = np.stack(_momenta(kx, ky), axis=-1)
     ka = k @ TRI_A.T
-    kb = k @ TRI_B.T
-    return np.stack([
-        4.0 * np.cos(ka).sum(axis=-1),
-        4.0 * np.sin(ka).sum(axis=-1),
-        m - 2.0 * np.sin(kb).sum(axis=-1),
-    ], axis=-1)
+    return np.stack([_haldane_component(ka, m, 0), _haldane_component(ka, m, 1),
+                     _haldane_component(k @ TRI_B.T, m, 2)], axis=-1)
 
 
 def monolayer_field(cfg, kx, ky):
     if cfg.model == "qwz":
         return qwz_field(kx, ky, cfg.m)
     return haldane_field(kx, ky, cfg.m)
+
+
+def monolayer_component(cfg, kx, ky, i):
+    """monolayer_field(cfg, kx, ky)[..., i], bit for bit, evaluating component i alone."""
+    kx, ky = _momenta(kx, ky)
+    if cfg.model == "qwz":
+        return _qwz_component(kx, ky, cfg.m, i)
+    return _haldane_component(np.stack([kx, ky], axis=-1) @ (TRI_B if i == 2 else TRI_A).T,
+                              cfg.m, i)
 
 
 def sampling_cell(model):

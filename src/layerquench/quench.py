@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import SingularPointError
 from .models import PAULI, build_layered, monolayer_field
-from .spectra import _level_part, degeneracy_groups, positive_levels, sine_modes, subsystem_fields
+from .spectra import _level_part, degeneracy_groups, mode_fields, sine_modes
 
 # squared eigenvalues below this are treated as an exact gap closing
 SINGULAR_E2 = 1e-20
@@ -137,10 +137,14 @@ def tasp_closed_form(kx, ky, cfg, j):
     Broadcasts over momentum arrays; shape (..., 3).
     Raises SingularPointError at gap-closing momenta.
     """
+    return tasp_of_field(monolayer_field(cfg, kx, ky), cfg, j)
+
+
+def tasp_of_field(h, cfg, j):
+    """tasp_closed_form at monolayer field values h (..., 3)."""
     if cfg.stacking == "abba":
         # negated after the sum, which keeps the sign of zeros (-0.0 terms sum to +0.0)
-        return -np.sum(-gtasp_abba(kx, ky, cfg, j), axis=-2) / cfg.layers
-    h = monolayer_field(cfg, kx, ky)
+        return -np.sum(-gtasp_of_field(h, cfg, j), axis=-2) / cfg.layers
     return -h * h[..., j - 1, None] * _ba_matrix(h, cfg)[..., j - 1]
 
 
@@ -151,7 +155,12 @@ def gtasp_abba(kx, ky, cfg, j, r=None):
     mixed initial state.  With r=None all modes are returned, shape
     (..., N, 3); the mode sum equals N times tasp_closed_form.
     """
-    hr = subsystem_fields(kx, ky, cfg)
+    return gtasp_of_field(monolayer_field(cfg, kx, ky), cfg, j, r)
+
+
+def gtasp_of_field(h, cfg, j, r=None):
+    """gtasp_abba at monolayer field values h (..., 3)."""
+    hr = mode_fields(h, cfg)
     e2 = np.sum(hr ** 2, axis=-1)
     _require_gap(e2, cfg)
     out = -hr * hr[..., j - 1, None] / e2[..., None]
@@ -164,8 +173,19 @@ def singular_mask(kx, ky, cfg):
 
 
 def singular_field_mask(h, cfg):
-    """singular_mask at monolayer field values h (..., 3)."""
-    return np.min(positive_levels(h, cfg) ** 2, axis=-1) < SINGULAR_E2
+    """singular_mask at monolayer field values h (..., 3).
+
+    The squared levels E_r^2 = p_r + h3^2 are taken with the modes on a
+    leading axis, where their min is cheap.  sqrt and the square are
+    monotone and correctly rounded, so they commute with the min: the
+    test is min_r E_r^2 < SINGULAR_E2 on the squared positive levels
+    (spectra.positive_levels), bit for bit.
+    """
+    h = np.asarray(h)
+    lam = sine_modes(cfg.layers).lam.reshape((-1,) + (1,) * (h.ndim - 1))
+    e2 = np.min(_level_part(cfg.stacking == "abba", h[..., 0], h[..., 1], cfg.t * lam)
+                + h[..., 2] ** 2, axis=0)
+    return np.sqrt(e2) ** 2 < SINGULAR_E2
 
 
 def polarization_profile(H, N):

@@ -77,6 +77,40 @@ class TestSampleGrid:
         with pytest.raises(UsageError, match="grid resolution"):
             characterize(cfg, resolution=resolution)
 
+    @pytest.mark.parametrize("resolution", [10 ** 6, (400000, 400000), (10 ** 11, 16)])
+    def test_oversized_lattices_are_usage_errors(self, resolution):
+        # 10^11 nodes and more: refused before any node array is allocated
+        cfg = LayeredConfig("abba", 2, 0.4)
+        with pytest.raises(UsageError, match="lattice needs"):
+            sample_grid(cfg, 3, ("global",), resolution)
+        with pytest.raises(UsageError, match="lattice needs"):
+            characterize(cfg, resolution=resolution)
+
+    @pytest.mark.parametrize("cfg, observable, calls", [
+        (LayeredConfig("abba", 2, 0.4), ("global",), 1),
+        (LayeredConfig("abba", 3, 0.4, "haldane", 1.5), ("subspace", 2), 1),
+        (LayeredConfig("ba", 2, 0.4, "haldane", 1.5), ("global",), 1),
+        # one more call for the nudged node alone
+        (LayeredConfig("abba", 1, 0.0, m=2.0), ("global",), 2),
+    ])
+    def test_the_field_is_evaluated_once(self, monkeypatch, cfg, observable, calls):
+        # the closed form takes the lattice's own field; nothing else
+        # evaluates the monolayer field on the grid
+        seen = []
+
+        def counted(*args):
+            seen.append(np.shape(args[1]))
+            return monolayer_field(*args)
+
+        def no_field(*args):
+            raise AssertionError("monolayer field evaluated again")
+
+        monkeypatch.setattr(bisfield, "monolayer_field", counted)
+        monkeypatch.setattr(quench, "monolayer_field", no_field)
+        monkeypatch.setattr(spectra, "monolayer_field", no_field)
+        sample_grid(cfg, 3, observable, 32)
+        assert len(seen) == calls and seen[0] == (32, 32)
+
     def test_singular_node_is_nudged(self):
         # m=2 closes the gap exactly at k=(0,0), which is a node of any
         # even grid over the square cell; sampling must still succeed

@@ -367,6 +367,13 @@ EXIT_SWEEP = [
     (2, ["estimate-t", "--stacking", "ba", "--sample", "s3=nan"]),
     (2, ["estimate-t", "--stacking", "ba", "--sample", "s1=inf"]),
     (2, ["estimate-t", "--true-t", "0.4", "--axis", "1", "--grid", "64"]),
+    # lattices of 10^11 nodes and more, refused before any node array exists
+    (2, ["tasp", "--grid", "99999999999"]),
+    (2, ["bis", "--grid", "400000x400000"]),
+    (2, ["winding", "--grid", "1000000"]),
+    (2, ["estimate-t", "--true-t", "0.4", "--grid", "1000000"]),
+    (2, ["chern", "--grid", "1000000"]),
+    (2, ["chern", "--filled", "1", "--grid", "1000000"]),
 ]
 
 

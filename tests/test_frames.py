@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerquench import (GaplessError, LayeredConfig, NonQuantizedWindingError,
-                         analytic_positive_levels, build_layered, chern_fhs)
-from layerquench import frames as frames_module, topology
+                         analytic_positive_levels, build_layered, chern_fhs, monolayer_field)
+from layerquench import frames as frames_module, spectra, topology
 from layerquench.frames import FRAME_SINE_MAX, sine_mode_frames
 from layerquench.models import sampling_cell
 from layerquench.spectra import SineModes, sine_modes
@@ -27,7 +27,7 @@ def frames(cfg, kx, ky):
     E = analytic_positive_levels(kx, ky, cfg)
     # a node on a closing (E = 0) gives nan; callers keep gapped nodes only
     with np.errstate(divide="ignore", invalid="ignore"):
-        V, sines = sine_mode_frames(cfg, kx, ky, E)
+        V, sines = sine_mode_frames(cfg, kx, ky, monolayer_field(cfg, kx, ky), E)
     return np.moveaxis(V, (0, 1), (-2, -1)), sines, 2.0 * E.min(axis=-1), E
 
 
@@ -168,6 +168,27 @@ def test_uncertified_frames_fall_back_to_eigh(t, dm, monkeypatch):
     projected = chern_fhs(cfg, grid_n=40)
     monkeypatch.setattr(frames_module, "FRAME_SINE_MAX", -1.0)
     assert projected == chern_fhs(cfg, grid_n=40) == 0
+
+
+def test_half_filling_evaluates_the_field_once(monkeypatch):
+    # the levels and the frame certification share one evaluation of the
+    # monolayer field on the grid
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return monolayer_field(*args)
+
+    def no_field(*args):
+        raise AssertionError("monolayer field evaluated again")
+
+    monkeypatch.setattr(topology, "monolayer_field", counted)
+    monkeypatch.setattr(spectra, "monolayer_field", no_field)
+    monkeypatch.setattr(frames_module, "build_layered", no_field)
+    for stacking in ("abba", "ba"):
+        for model in ("qwz", "haldane"):
+            chern_fhs(LayeredConfig(stacking, 3, 0.4, model, 0.5), grid_n=16)
+    assert len(calls) == 4
 
 
 def test_eigh_is_reached_only_off_half_filling(monkeypatch):

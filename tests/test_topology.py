@@ -16,7 +16,7 @@ from layerquench import (
     subsystem_fields,
     total_chern_abba,
 )
-from layerquench import topology
+from layerquench import models, topology
 
 SQUARE_PHASES = [(1.0, -1), (-1.0, 1), (3.0, 0), (-3.0, 0)]
 
@@ -183,6 +183,27 @@ class TestInputFloors:
         for stacking in ("abba", "ba"):
             with pytest.raises(UsageError, match="at least 16"):
                 phase_diagram(stacking, 2, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=n)
+
+    @pytest.mark.parametrize("n", [10 ** 6, np.int64(10 ** 6)])
+    def test_oversized_grids_are_usage_errors(self, n):
+        # 10^12 nodes: refused before any node array is allocated
+        with pytest.raises(UsageError, match="Hamiltonians need"):
+            chern_fhs(self.CFG, grid_n=n)
+        with pytest.raises(UsageError, match="Hamiltonians need"):
+            chern_fhs(self.CFG, 1, grid_n=n)
+        with pytest.raises(UsageError, match="lattice needs"):
+            total_chern_abba(self.CFG, grid_n=n)
+        for stacking in ("abba", "ba"):
+            with pytest.raises(UsageError, match="lattice needs"):
+                phase_diagram(stacking, 2, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=n)
+
+    def test_chern_fhs_bounds_the_stack_before_the_nodes_exist(self, monkeypatch):
+        def no_nodes(*args):
+            raise AssertionError("nodes allocated before the memory check")
+
+        monkeypatch.setattr(models.Cell, "nodes", no_nodes)
+        with pytest.raises(UsageError, match="1960000 momenta x 6x6 Hamiltonians need 1.1 GB"):
+            chern_fhs(LayeredConfig("ba", 3, 0.4), grid_n=1400)
 
     def test_floor_grid_is_accepted(self):
         assert chern_two_band(subsystem_field_fn(self.CFG, 1), 16) == -1
