@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (DegenerateFieldError, NonQuantizedWindingError, SingularPointError,
                      UsageError)
-from .models import MIN_GRID, monolayer_component, monolayer_field, sampling_cell
+from .models import monolayer_component, monolayer_field, require_mode_size, sampling_cell
 from .quench import (gtasp_abba, gtasp_of_field, singular_field_mask, tasp_closed_form,
                      tasp_of_field)
 from .spectra import sine_modes
@@ -127,8 +127,6 @@ def _resolution(resolution):
     except (TypeError, ValueError):
         raise UsageError(f"grid resolution must be an integer or a pair of integers, "
                          f"got {resolution!r}") from None
-    if nx < MIN_GRID or ny < MIN_GRID:
-        raise UsageError(f"grid resolution must be at least {MIN_GRID} per axis")
     return nx, ny
 
 
@@ -141,10 +139,13 @@ def _node_lattice(cfg, j, observable, resolution):
     field is evaluated once.  Nodes that hit a gap closing exactly are
     offset by half a grid step (kx, ky and h record the offset) and
     checked again alone; if still singular the error names the node.
+    The mode fields of the closed forms are bounded before the field
+    exists.
     """
     nx, ny = _resolution(resolution)
     cell = sampling_cell(cfg.model)
     KX, KY = cell.nodes(nx, ny)
+    require_mode_size(KX.size, cfg.layers)
     h = monolayer_field(cfg, KX, KY)
     hj = h[..., j - 1].copy()
     bad = singular_field_mask(h, cfg)

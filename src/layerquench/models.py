@@ -42,8 +42,9 @@ MIN_GRID = 16
 # largest Bloch-Hamiltonian stack build_layered may allocate; one term
 # of that size is alive beside it while it is summed, and an eigensolve
 # needs about as much again.  chern_fhs holds its eigensolver-free
-# frames, which never build the whole stack, to the same estimate, and
-# Cell.nodes a node lattice with its monolayer field
+# frames, which never build the whole stack, to the same estimate;
+# Cell.nodes holds a node lattice with its monolayer field to it, and
+# require_size the mode fields, sine-mode vectors and scan cells
 LAYERED_BYTES_MAX = 10 ** 9
 
 
@@ -90,10 +91,14 @@ class Cell:
     def nodes(self, nx, ny):
         """Momenta (nx, ny) of the lattice nodes at fractions (i/nx, l/ny).
 
-        Raises UsageError, before allocating, when the two momenta and the
-        three monolayer field components of every node, which each user
-        of a lattice holds, would exceed LAYERED_BYTES_MAX.
+        Raises UsageError, before allocating, when an axis has fewer than
+        MIN_GRID nodes, or when the two momenta and the three monolayer
+        field components of every node, which each user of a lattice
+        holds, would exceed LAYERED_BYTES_MAX.
         """
+        if min(nx, ny) < MIN_GRID:
+            raise UsageError(
+                f"grid resolution must be at least {MIN_GRID} per axis, got {int(min(nx, ny))}")
         nbytes = 5 * 8 * float(nx) * float(ny)
         if nbytes > LAYERED_BYTES_MAX:
             raise UsageError(
@@ -227,14 +232,25 @@ def coupling_matrix(cfg):
                           + np.kron(interlayer_alternating(N), PAULI[1]))
 
 
+def require_size(nbytes, arrays, remedy):
+    """Raise UsageError when the named arrays of nbytes would exceed LAYERED_BYTES_MAX."""
+    if nbytes > LAYERED_BYTES_MAX:
+        raise UsageError(f"{arrays} need {nbytes / 1e9:.1f} GB, above the "
+                         f"{LAYERED_BYTES_MAX / 1e9:.1f} GB limit; {remedy}")
+
+
 def require_layered_size(size, layers):
     """Raise UsageError when size momenta of 2N x 2N Hamiltonians exceed LAYERED_BYTES_MAX."""
-    nbytes = size * (2 * layers) ** 2 * 16
-    if nbytes > LAYERED_BYTES_MAX:
-        raise UsageError(
-            f"{int(size)} momenta x {2 * layers}x{2 * layers} Hamiltonians need "
-            f"{nbytes / 1e9:.1f} GB, above the {LAYERED_BYTES_MAX / 1e9:.1f} GB limit; "
-            f"use fewer layers or a coarser grid")
+    require_size(size * (2 * layers) ** 2 * 16,
+                 f"{int(size)} momenta x {2 * layers}x{2 * layers} Hamiltonians",
+                 "use fewer layers or a coarser grid")
+
+
+def require_mode_size(size, layers):
+    """Raise UsageError when the three-component fields of N modes at size
+    momenta, one (size, N, 3) array, exceed LAYERED_BYTES_MAX."""
+    require_size(float(size) * layers * 3 * 8, f"{int(size)} momenta x {int(layers)} mode fields",
+                 "use fewer layers or a coarser grid")
 
 
 def build_layered(kx, ky, cfg):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NonConvergenceError, UnsupportedStackingError
-from .models import PAULI, build_layered, monolayer_field
+from .models import PAULI, build_layered, monolayer_field, require_size
 
 DEG_TOL_DEFAULT = 1e-9
 
@@ -35,6 +35,9 @@ class SineModes:
 
 
 def sine_modes(N):
+    """The sine modes of an N-layer chain; raises UsageError, before
+    allocating, when the N x N vectors would exceed LAYERED_BYTES_MAX."""
+    require_size(8.0 * N * N, f"{int(N)} x {int(N)} sine-mode vectors", "use fewer layers")
     n = np.arange(1, N + 1)
     theta = n * np.pi / (N + 1)
     vectors = np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(theta, n))

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import GaplessError, NonQuantizedWindingError, UsageError
 from .frames import sine_mode_frames
-from .models import (MIN_GRID, LayeredConfig, build_layered, monolayer_field,
-                     require_layered_size, sampling_cell)
+from .models import (LayeredConfig, build_layered, monolayer_field, require_layered_size,
+                     require_mode_size, require_size, sampling_cell)
 from .spectra import _level_part, positive_levels, sine_modes
 # unused here, but the traced benchmark run (perfbench/jobs.py) wraps it in this module
 from .spectra import analytic_positive_levels
@@ -61,12 +61,6 @@ SCAN_MARGIN = 0.02
 
 # base grid of the link-variable Chern number of a ba scan cell
 PHASE_FHS_GRID = 40
-
-
-def _cell_nodes(cell, n):
-    if n < MIN_GRID:
-        raise UsageError(f"grid resolution must be at least {MIN_GRID} per axis, got {n}")
-    return cell.nodes(n, n)
 
 
 def _det(o):
@@ -119,7 +113,7 @@ def chern_fhs(cfg, filled=None, grid_n=100):
         raise UsageError(f"filled must be in 1..{2 * int(N)}, got {int(filled)}")
     # checked before the nodes exist
     require_layered_size(float(grid_n) ** 2, N)
-    KX, KY = _cell_nodes(sampling_cell(cfg.model), grid_n)
+    KX, KY = sampling_cell(cfg.model).nodes(grid_n, grid_n)
     if filled == N:
         h = monolayer_field(cfg, KX, KY)
         E = positive_levels(h, cfg)
@@ -207,7 +201,7 @@ def chern_two_band(field_fn, grid_n=100, model="qwz"):
     Raises GaplessError when the field vanishes on the grid or comes
     close enough that a plaquette cannot be certified.
     """
-    KX, KY = _cell_nodes(sampling_cell(model), grid_n)
+    KX, KY = sampling_cell(model).nodes(grid_n, grid_n)
     h = field_fn(KX, KY)
     nrm = np.linalg.norm(h, axis=-1)
     if nrm.min() < FIELD_FLOOR:
@@ -249,7 +243,7 @@ class PhaseDiagram:
     whose Chern number no refined grid could certify; their chern entry is
     meaningless and reported as "boundary" downstream.  computed marks the
     cells evaluated on their own; every other cell copies the Chern number
-    of a computed cell in the same gapped region.
+    of a computed cell with the same closing label (_representatives).
     """
 
     stacking: str
@@ -267,9 +261,11 @@ def _scan_tables(layers, model, ms, grid_n, cell):
 
     Returns (h1, h2, h3, lam): the first two monolayer components, which
     depend on neither t nor m, the third for every mass in ms, and the
-    Sigma1 eigenvalues lam_r; abba mode r adds t lam_r to h1.
+    Sigma1 eigenvalues lam_r; abba mode r adds t lam_r to h1.  The mode
+    fields of a cell are bounded before any table exists.
     """
-    KX, KY = _cell_nodes(cell, grid_n)
+    KX, KY = cell.nodes(grid_n, grid_n)
+    require_mode_size((grid_n + 1) ** 2, layers)
 
     def field(m):
         cfg = LayeredConfig("abba", layers, 0.0, model, m)
@@ -340,29 +336,11 @@ def _closings(stacking, layers, model):
     return w.ravel(), a.ravel()
 
 
-def _segment_meets(a, s0, m0, s1, m1):
-    """Whether the segments (s0, m0) -> (s1, m1) meet the circles s^2 + (m - a)^2 = 1.
-
-    Along a segment the circle function is a convex quadratic in the
-    segment parameter, so the segment meets the circle exactly when that
-    quadratic's minimum over the segment (at an end or at its vertex) is
-    <= 0 and its maximum (at an end) is >= 0.  Arguments broadcast.
-    """
-    ds, dm = s1 - s0, m1 - m0
-    f0 = s0 ** 2 + (m0 - a) ** 2 - 1.0
-    f1 = s1 ** 2 + (m1 - a) ** 2 - 1.0
-    A = ds ** 2 + dm ** 2
-    B = 2.0 * (s0 * ds + (m0 - a) * dm)
-    inside = (B < 0) & (-B < 2.0 * A)  # the vertex -B / 2A lies in (0, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = np.where(inside, f0 - B * B / (4.0 * A), np.inf)
-    return (np.minimum(np.minimum(f0, f1), vertex) <= 0) & (np.maximum(f0, f1) >= 0)
-
-
-def _crosses(closings, t0, m0, t1, m1):
-    """Whether the (t, m) segments (t0, m0) -> (t1, m1) meet any closing."""
-    return np.any([_segment_meets(a, w * t0, m0, w * t1, m1) for w, a in zip(*closings)],
-                  axis=0)
+def _offsets(closings, ts, ms):
+    """|s| = |w t| and |m - a| of every cell centre from the centre of every
+    closing, shaped (closings, len(ts), 1) and (closings, 1, len(ms))."""
+    w, a = closings
+    return np.abs(w[:, None, None] * ts[:, None]), np.abs(ms - a[:, None, None])
 
 
 def _near(closings, ts, ms):
@@ -370,47 +348,47 @@ def _near(closings, ts, ms):
 
     The box is taken in the field coordinates (s, m) of each closing, so
     a cell that is not near keeps every mode field at least SCAN_MARGIN
-    from zero.  Without closed-form closings every cell is near.
+    from zero.  The closed box meets the unit circle exactly when its
+    nearest point lies within distance 1 of the circle's centre and its
+    farthest corner at distance 1 or more.  Without closed-form closings
+    every cell is near.
     """
-    near = np.zeros((len(ts), len(ms)), dtype=bool)
     if closings is None:
-        return ~near
+        return np.ones((len(ts), len(ms)), dtype=bool)
+    s, u = _offsets(closings, ts, ms)
     d = SCAN_MARGIN
-    m = ms[None, :]
-    for w, a in zip(*closings):
-        s = w * ts[:, None]
-        for s0, m0, s1, m1 in ((s - d, m - d, s + d, m - d), (s - d, m + d, s + d, m + d),
-                               (s - d, m - d, s - d, m + d), (s + d, m - d, s + d, m + d)):
-            near |= _segment_meets(a, s0, m0, s1, m1)
-    return near
+    nearest = np.maximum(s - d, 0.0) ** 2 + np.maximum(u - d, 0.0) ** 2
+    farthest = (s + d) ** 2 + (u + d) ** 2
+    return ((nearest <= 1.0) & (farthest >= 1.0)).any(axis=0)
 
 
-def _regions(closings, far, ts, ms):
-    """Root cell (flat index) of the gapped region of every far cell.
+def _representatives(closings, far, gap, ts, ms):
+    """Flat index of the cell whose Chern number each cell of the scan takes.
 
-    Neighbouring far cells join when the segment between their centres
-    meets no closing; the joins are merged by union-find.
+    A far cell is labelled by the closings it lies inside, one boolean per
+    closing: (w t)^2 + (m - a)^2 < 1.  The label fixes the Chern number,
+    the sum of the mode degrees.  Each abba mode's degree is constant on
+    the three parts of the plane outside its two tangent circles: inside
+    one, inside the other, and outside both, which is connected.  For ba
+    the circles are the lines m in {-2, 0, 2} (w = 0), and the two strips
+    |m| > 2 share the label (0, 0) because both are trivial.  So far cells
+    with equal labels take the Chern number of their largest-gap cell
+    (the first in scan order on a tie), connected or not; every other
+    cell represents itself.
     """
-    sm = len(ms)
-    join_t = np.zeros(far.shape, dtype=bool)
-    join_m = np.zeros(far.shape, dtype=bool)
-    if far.any():
-        join_t[:-1] = far[:-1] & far[1:] & ~_crosses(
-            closings, ts[:-1, None], ms[None, :], ts[1:, None], ms[None, :])
-        join_m[:, :-1] = far[:, :-1] & far[:, 1:] & ~_crosses(
-            closings, ts[:, None], ms[None, :-1], ts[:, None], ms[None, 1:])
-    parent = list(range(far.size))
-
-    def root(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for step, join in ((sm, join_t), (1, join_m)):
-        for a in np.flatnonzero(join).tolist():
-            parent[root(a)] = root(a + step)
-    return [root(a) for a in range(far.size)]
+    rep = np.arange(far.size)
+    cells = rep[far.ravel()]
+    if not len(cells):
+        return rep
+    s, u = _offsets(closings, ts, ms)
+    label = (s ** 2 + u ** 2 < 1.0).reshape(len(s), -1)[:, cells]
+    # grouped by label, largest gap first; lexsort is stable, so a tie keeps scan order
+    order = np.lexsort((-gap.ravel()[cells], *label))
+    label = label[:, order]
+    first = np.concatenate([[True], (label[:, 1:] != label[:, :-1]).any(axis=0)])
+    cells = cells[order]
+    rep[cells] = cells[first][np.cumsum(first) - 1]
+    return rep
 
 
 def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n=48, threads=1):
@@ -421,16 +399,17 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
     GAP_TOL_DEFAULT flagging.  The gap of every cell is computed, in
     array passes.  Where the gap closings are known in closed form
     (_closings), a Chern number is computed only for the cells within
-    SCAN_MARGIN of a closing and for the largest-gap cell of each gapped
-    region; the other cells of the region copy it (if that cell turns out
-    boundary, its whole region is computed).  Without closed-form
-    closings every cell is near, which makes the scan dense.  abba cells
-    use the mode-degree sum, taken for a chunk of cells and all their
-    modes in one array pass; ba cells use the link-variable Chern number
-    at PHASE_FHS_GRID, one cell at a time.  A cell that cannot be
-    certified on the base grid is retried on finer ones before it is
-    flagged as boundary.  With threads > 1, worker threads take whole
-    chunks; this is the only thread pool of the package.
+    SCAN_MARGIN of a closing and for the largest-gap cell of each label,
+    the set of closings a cell lies inside; the other cells with that
+    label copy it (if that cell turns out boundary, they are all
+    computed).  Without closed-form closings every cell is near, which
+    makes the scan dense.  abba cells use the mode-degree sum, taken for
+    a chunk of cells and all their modes in one array pass; ba cells use
+    the link-variable Chern number at PHASE_FHS_GRID, one cell at a time.
+    A cell that cannot be certified on the base grid is retried on finer
+    ones before it is flagged as boundary.  With threads > 1, worker
+    threads take whole chunks; this is the only thread pool of the
+    package.
     """
     st, sm = (steps, steps) if np.ndim(steps) == 0 else steps
     if st < 1 or sm < 1:
@@ -438,6 +417,11 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
     ts = t_range[0] + (np.arange(st) + 0.5) * (t_range[1] - t_range[0]) / st
     ms = m_range[0] + (np.arange(sm) + 0.5) * (m_range[1] - m_range[0]) / sm
     abba = stacking == "abba"
+    closings = _closings(stacking, layers, model)
+    # about eight 8-byte words a cell (gap, levels, Chern number, indices)
+    # and three for each closing test, bounded before any of them exists
+    words = 8 + 3 * (0 if closings is None else len(closings[0]))
+    require_size(8.0 * words * st * sm, f"{int(st)} x {int(sm)} scan cells", "use fewer steps")
     tables = _scan_tables(layers, model, ms, grid_n, sampling_cell(model))
     # each (cells, modes, n + 1, n + 1) array of a chunk stays near SCAN_CHUNK_BYTES
     per = max(1, SCAN_CHUNK_BYTES // (layers * (grid_n + 1) ** 2 * 8))
@@ -445,20 +429,9 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
     boundary = gap < GAP_TOL_DEFAULT
     chern = np.zeros((st, sm), dtype=int)
 
-    closings = _closings(stacking, layers, model)
     far = ~_near(closings, ts, ms)
-    roots = _regions(closings, far, ts, ms)
-    # the representative of a region is its largest-gap cell; every
-    # other cell represents itself
+    rep = _representatives(closings, far, gap, ts, ms)
     cells = np.arange(st * sm)
-    far_cells = cells[far.ravel()].tolist()
-    best = {}
-    for a in far_cells:
-        b = best.setdefault(roots[a], a)
-        if gap.flat[a] > gap.flat[b]:
-            best[roots[a]] = a
-    rep = cells.copy()
-    rep[far_cells] = [best[roots[a]] for a in far_cells]
 
     def refine(i, l, factors):
         # a cell too close to a phase boundary may be uncertifiable at
@@ -498,7 +471,7 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
 
     own = rep == cells
     compute(own)
-    # a region whose representative is boundary is computed cell by cell
+    # the cells of a boundary representative are computed one by one
     own |= boundary.ravel()[rep]
     compute(own & (rep != cells))
     chern.flat[~own] = chern.flat[rep[~own]]
@@ -506,10 +479,30 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
                         gap_min=gap, boundary=boundary, computed=own.reshape(st, sm))
 
 
+def _segment_meets(a, s0, m0, s1, m1):
+    """Whether the segments (s0, m0) -> (s1, m1) meet the circles s^2 + (m - a)^2 = 1.
+
+    Along a segment the circle function is a convex quadratic in the
+    segment parameter, so the segment meets the circle exactly when that
+    quadratic's minimum over the segment (at an end or at its vertex) is
+    <= 0 and its maximum (at an end) is >= 0.  Arguments broadcast.
+    """
+    ds, dm = s1 - s0, m1 - m0
+    f0 = s0 ** 2 + (m0 - a) ** 2 - 1.0
+    f1 = s1 ** 2 + (m1 - a) ** 2 - 1.0
+    A = ds ** 2 + dm ** 2
+    B = 2.0 * (s0 * ds + (m0 - a) * dm)
+    inside = (B < 0) & (-B < 2.0 * A)  # the vertex -B / 2A lies in (0, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where(inside, f0 - B * B / (4.0 * A), np.inf)
+    return (np.minimum(np.minimum(f0, f1), vertex) <= 0) & (np.maximum(f0, f1) >= 0)
+
+
 def segment_crosses_transition(layers, p0, p1):
     """Whether the straight segment p0 -> p1 in the (t, m) plane meets any
     analytic abba gap-closing curve of the square-lattice stack.
 
-    Exact: the quadratic root test phase_diagram joins its cells with.
+    Exact: the quadratic root test of _segment_meets on every closing.
     """
-    return bool(_crosses(_closings("abba", layers, "qwz"), p0[0], p0[1], p1[0], p1[1]))
+    w, a = _closings("abba", layers, "qwz")
+    return bool(_segment_meets(a, w * p0[0], p0[1], w * p1[0], p1[1]).any())

@@ -86,6 +86,19 @@ class TestSampleGrid:
         with pytest.raises(UsageError, match="lattice needs"):
             characterize(cfg, resolution=resolution)
 
+    def test_oversized_mode_fields_are_refused_before_the_field(self, monkeypatch):
+        # 256^2 nodes x 3000 modes x 3 components: 4.7 GB, refused before
+        # the monolayer field (or any mode array) is evaluated
+        def no_field(*args):
+            raise AssertionError("field evaluated before the memory check")
+
+        monkeypatch.setattr(bisfield, "monolayer_field", no_field)
+        cfg = LayeredConfig("abba", 3000, 0.4)
+        with pytest.raises(UsageError, match="65536 momenta x 3000 mode fields need 4.7 GB"):
+            sample_grid(cfg, 3, ("global",), 256)
+        with pytest.raises(UsageError, match="mode fields need"):
+            characterize(cfg, resolution=256)
+
     @pytest.mark.parametrize("cfg, observable, calls", [
         (LayeredConfig("abba", 2, 0.4), ("global",), 1),
         (LayeredConfig("abba", 3, 0.4, "haldane", 1.5), ("subspace", 2), 1),

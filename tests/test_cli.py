@@ -374,6 +374,14 @@ EXIT_SWEEP = [
     (2, ["estimate-t", "--true-t", "0.4", "--grid", "1000000"]),
     (2, ["chern", "--grid", "1000000"]),
     (2, ["chern", "--filled", "1", "--grid", "1000000"]),
+    # 10^10 scan cells, and 10^5-layer or 256^2 x 3000-mode arrays,
+    # refused before any of them exists
+    (2, ["phase-diagram", "--steps", "100000", "--grid", "16"]),
+    (2, ["tasp", "--layers", "100000", "--grid", "16"]),
+    (2, ["bis", "--layers", "100000", "--grid", "16"]),
+    (2, ["phase-diagram", "--layers", "100000", "--grid", "16"]),
+    (2, ["phase-diagram", "--layers", "100000", "--model", "haldane", "--grid", "16"]),
+    (2, ["tasp", "--layers", "3000", "--grid", "256"]),
 ]
 
 

@@ -117,7 +117,7 @@ def test_wrong_mode_angles_cannot_certify_a_frame(stacking, layers, monkeypatch)
 
     monkeypatch.setattr(frames_module, "sine_modes", shifted_modes)
     cfg = LayeredConfig(stacking, layers, 1.2, "haldane", 0.5)
-    KX, KY = topology._cell_nodes(sampling_cell(cfg.model), 40)
+    KX, KY = sampling_cell(cfg.model).nodes(40, 40)
     V, sines, gap, E = frames(cfg, KX, KY)
     assert np.all(sines > FRAME_SINE_MAX)
     assert np.all(projector_error(V, eigh_frames(cfg, KX, KY)) <= 1e-12)

@@ -166,6 +166,54 @@ def test_boundary_representative_computes_its_region(monkeypatch):
     assert np.array_equal(failed.chern[keep], ref[0][keep])
 
 
+def test_equal_labels_share_one_cell_across_the_window():
+    # abba N = 2, 3 x 3 cells: the corner cells (0, 2), (2, 0) and (2, 2)
+    # lie outside all four closing circles, but no path of far cells joins
+    # them inside the window, so joining neighbours computed each of them
+    window = ((-1.28, 1.31), (-0.99, 2.38))
+    pd = phase_diagram("abba", 2, *window, 3)
+    assert_same_scan(pd, reference_scan.phase_diagram("abba", 2, *window, 3))
+    assert pd.computed.sum() == 4
+    assert [pd.computed[c] for c in ((0, 2), (2, 0), (2, 2))] == [False, False, True]
+
+
+@st.composite
+def scan_centres(draw):
+    """Cell centres of a qwz scan window, many of them within a few
+    SCAN_MARGIN of a closing circle (w t)^2 + (m - a)^2 = 1."""
+    stacking = draw(st.sampled_from(["abba", "ba"]))
+    layers = draw(st.integers(1, 6))
+    closings = topology._closings(stacking, layers, "qwz")
+    k = draw(st.integers(0, len(closings[0]) - 1))
+    w, a = closings[0][k], closings[1][k]
+    phi = draw(st.floats(-np.pi, np.pi))
+    r = 1.0 + draw(st.floats(-0.1, 0.1))
+    near_circle = (r * np.sin(phi) / w if abs(w) > 1e-3 else r * np.sin(phi), a + r * np.cos(phi))
+    centre = draw(st.one_of(st.just(near_circle),
+                            st.tuples(st.floats(-3.0, 3.0), st.floats(-3.5, 3.5))))
+    half = draw(st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)))
+    steps = draw(st.tuples(st.integers(1, 30), st.integers(1, 30)))
+    ts, ms = ((c - h) + (np.arange(n) + 0.5) * 2 * h / n for c, h, n in zip(centre, half, steps))
+    return closings, ts, ms
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan_centres())
+def test_near_is_the_four_edge_test(case):
+    # a cell is near when an edge of its box, in the field coordinates
+    # (s, m) = (w t, m) of a closing, meets that closing's unit circle
+    closings, ts, ms = case
+    d = topology.SCAN_MARGIN
+    want = np.zeros((len(ts), len(ms)), dtype=bool)
+    m = ms[None, :]
+    for w, a in zip(*closings):
+        s = w * ts[:, None]
+        for s0, m0, s1, m1 in ((s - d, m - d, s + d, m - d), (s - d, m + d, s + d, m + d),
+                               (s - d, m - d, s - d, m + d), (s + d, m - d, s + d, m + d)):
+            want |= topology._segment_meets(a, s0, m0, s1, m1)
+    assert np.array_equal(topology._near(closings, ts, ms), want)
+
+
 def unit_field(h):
     return h / np.linalg.norm(h, axis=-1, keepdims=True)
 

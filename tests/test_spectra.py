@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerquench import (DegenerateSpectrumError, LayeredConfig, UnsupportedStackingError,
-                         abba_transform, analytic_levels, analytic_positive_levels,
+                         UsageError, abba_transform, analytic_levels, analytic_positive_levels,
                          build_layered, degeneracy_groups, eigvec_identities, level_labels,
                          monolayer_field, numeric_levels, numeric_spectrum, sine_modes,
                          spectra, subsystem_fields)
@@ -21,6 +21,12 @@ def test_sine_modes_orthonormal_and_eigen():
         S1 = np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1)
         for r in range(N):
             assert np.max(np.abs(S1 @ A[r] - sm.lam[r] * A[r])) < 1e-12
+
+
+def test_oversized_sine_modes_are_usage_errors():
+    # refused before the N x N vectors exist
+    with pytest.raises(UsageError, match="100000 x 100000 sine-mode vectors need 80.0 GB"):
+        sine_modes(100000)
 
 
 def _reads_mode_angles(node):

@@ -197,6 +197,26 @@ class TestInputFloors:
             with pytest.raises(UsageError, match="lattice needs"):
                 phase_diagram(stacking, 2, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=n)
 
+    def test_oversized_scans_are_refused_before_the_tables(self, monkeypatch):
+        def no_tables(*args):
+            raise AssertionError("scan tables built before the memory check")
+
+        monkeypatch.setattr(topology, "_scan_tables", no_tables)
+        # 10^10 cells; the (100000, 100000) level array alone needs 80 GB
+        with pytest.raises(UsageError, match="100000 x 100000 scan cells need"):
+            phase_diagram("abba", 2, (0.0, 2.0), (-1.0, 3.0), 100000)
+        with pytest.raises(UsageError, match="scan cells need"):
+            phase_diagram("ba", 2, (0.0, 2.0), (-1.0, 3.0), (100000, 20000), model="haldane")
+
+    def test_scan_mode_fields_are_refused_before_the_field(self, monkeypatch):
+        def no_field(*args):
+            raise AssertionError("field evaluated before the memory check")
+
+        # 1001^2 periodic nodes x 50 modes x 3 components: 1.2 GB
+        monkeypatch.setattr(topology, "monolayer_field", no_field)
+        with pytest.raises(UsageError, match="1002001 momenta x 50 mode fields need 1.2 GB"):
+            phase_diagram("abba", 50, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=1000)
+
     def test_chern_fhs_bounds_the_stack_before_the_nodes_exist(self, monkeypatch):
         def no_nodes(*args):
             raise AssertionError("nodes allocated before the memory check")
