@@ -22,7 +22,7 @@ from .errors import (DegenerateFieldError, NonQuantizedWindingError, SingularPoi
 from .models import monolayer_component, monolayer_field, require_mode_size, sampling_cell
 from .quench import (gtasp_abba, gtasp_of_field, singular_field_mask, tasp_closed_form,
                      tasp_of_field)
-from .spectra import sine_modes
+from .spectra import sine_lam
 
 # tracked component pair (zero-based) for each quench axis: the two
 # polarization components other than j, in cyclic order
@@ -93,7 +93,7 @@ def _source_shift(grid):
     """Constant added to h_j by the source criterion of this grid."""
     if grid.observable[0] == "subspace" and grid.j == 1:
         r = grid.observable[1]
-        return grid.cfg.t * sine_modes(grid.cfg.layers).lam[r - 1]
+        return grid.cfg.t * sine_lam(grid.cfg.layers)[r - 1]
     return 0.0
 
 
@@ -354,9 +354,19 @@ def _check_tol_bis(tol_bis):
         raise UsageError(f"tol_bis must be positive, got {float(tol_bis)}")
 
 
-def _check_delta(delta):
+def _check_delta(delta, grid):
+    """delta must be finite, positive and below the smallest node spacing
+    of the grid: a step across nodes differentiates the field over more
+    than the grid resolves (at 128^2 a step of 3 gave a clean wrong
+    winding)."""
     if not (np.isfinite(delta) and delta > 0):
         raise UsageError(f"delta must be finite and positive, got {float(delta)}")
+    nx, ny = grid.nx, grid.ny
+    b0, b1 = grid.cell.basis[0] / nx, grid.cell.basis[1] / ny
+    spacing = min(float(np.hypot(*v)) for v in (b0, b1, b0 + b1, b0 - b1))
+    if delta >= spacing:
+        raise UsageError(f"delta {float(delta)} must be below the node spacing {spacing:.6g} "
+                         f"of the {int(nx)} x {int(ny)} grid")
 
 
 def extract_bis(grid, tol_bis=1e-6, include_rejected=False):
@@ -400,10 +410,10 @@ def dynamical_field(contour, grid, delta=1e-4):
     At each contour point the inward normal is the normalized gradient
     of the source criterion (pointing toward positive source values);
     the two non-j polarization components are differentiated along it
-    with a central step delta (finite and positive) and the negated
-    derivative is normalized.
+    with a central step delta (finite, positive and below the grid's
+    node spacing) and the negated derivative is normalized.
     """
-    _check_delta(delta)
+    _check_delta(delta, grid)
     src = source_function(grid)
     ev = polarization_evaluator(grid.cfg, grid.j, grid.observable)
     pq = FIELD_COMPONENTS[grid.j]
@@ -473,7 +483,6 @@ def characterize(cfg, j=3, resolution=256, delta=1e-4, tol_bis=1e-6,
     which its own closed-form polarization vanishes, exactly as
     sample_grid -> extract_bis per mode would give them.
     """
-    _check_delta(delta)
     _check_tol_bis(tol_bis)
     if observable[0] != "global":
         layer_factor, observables = 1, [tuple(observable)]
@@ -483,6 +492,7 @@ def characterize(cfg, j=3, resolution=256, delta=1e-4, tol_bis=1e-6,
         layer_factor, observables = cfg.layers, [tuple(observable)]
     evaluators = [polarization_evaluator(cfg, j, obs) for obs in observables]
     lattice = _node_lattice(cfg, j, observables[0], resolution)[0]
+    _check_delta(delta, lattice)
     loops = {}  # source shift -> oriented loops; equal shifts are the same source
     contours = []
     total = 0

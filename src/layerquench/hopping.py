@@ -19,7 +19,7 @@ from .bisfield import TaspGrid, component_zero_curves, polarization_evaluator, s
 from .errors import InconsistentSampleError, TrivialRegimeError, UsageError
 from .models import LayeredConfig, monolayer_field
 from .quench import tasp_closed_form
-from .spectra import sine_modes
+from .spectra import sine_lam
 
 # reference momenta of the ba inversion channels (component -> k)
 REFERENCE_MOMENTA = {
@@ -98,7 +98,7 @@ def estimate_t_abba(source, resolution=256, j=3):
             "no s1 zero curve with nonzero s3 response; "
             "the hopping does not imprint a zero line in this regime")
     pts = np.concatenate(kept)
-    ests = -monolayer_field(cfg, pts[:, 0], pts[:, 1])[..., 0] / sine_modes(cfg.layers).lam[0]
+    ests = -monolayer_field(cfg, pts[:, 0], pts[:, 1])[..., 0] / sine_lam(cfg.layers)[0]
     t_hat = float(np.mean(ests))
     return HoppingEstimate(t_hat=t_hat, method="abba-zero-line",
                            residual=float(np.max(np.abs(ests - t_hat))))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import SingularPointError
 from .models import PAULI, build_layered, monolayer_field
-from .spectra import _level_part, degeneracy_groups, mode_fields, sine_modes
+from .spectra import _level_part, degeneracy_groups, mode_fields, sine_lam, sine_modes
 
 # squared eigenvalues below this are treated as an exact gap closing
 SINGULAR_E2 = 1e-20
@@ -111,7 +111,7 @@ def _ba_matrix(h, cfg):
     """
     N = cfg.layers
     hx, hy, hz = h[..., 0, None], h[..., 1, None], h[..., 2, None]
-    e2 = _level_part(False, hx, hy, cfg.t * sine_modes(N).lam) + hz ** 2
+    e2 = _level_part(False, hx, hy, cfg.t * sine_lam(N)) + hz ** 2
     _require_gap(e2, cfg)
     perp = e2 - hz ** 2
     G = perp + hx ** 2 + hy ** 2
@@ -182,7 +182,7 @@ def singular_field_mask(h, cfg):
     (spectra.positive_levels), bit for bit.
     """
     h = np.asarray(h)
-    lam = sine_modes(cfg.layers).lam.reshape((-1,) + (1,) * (h.ndim - 1))
+    lam = sine_lam(cfg.layers).reshape((-1,) + (1,) * (h.ndim - 1))
     e2 = np.min(_level_part(cfg.stacking == "abba", h[..., 0], h[..., 1], cfg.t * lam)
                 + h[..., 2] ** 2, axis=0)
     return np.sqrt(e2) ** 2 < SINGULAR_E2

@@ -31,16 +31,40 @@ class SineModes:
     @property
     def lam(self):
         """Eigenvalues lam_r = 2 cos(theta_r) of Sigma1."""
-        return 2.0 * np.cos(self.theta)
+        return _eigenvalues(self.theta)
+
+
+def _angles(N):
+    """theta_r = r pi / (N + 1), r = 1..N."""
+    return np.arange(1, N + 1) * np.pi / (N + 1)
+
+
+def _eigenvalues(theta):
+    return 2.0 * np.cos(theta)
+
+
+def _require_modes(N):
+    """Raise UsageError when the N x N sine-mode vectors would exceed
+    LAYERED_BYTES_MAX: the layer bound of every stack, whether a caller
+    builds the vectors or reads only the lam_r (its per-mode arrays and
+    loops grow with N all the same)."""
+    require_size(8.0 * N * N, f"{int(N)} x {int(N)} sine-mode vectors", "use fewer layers")
+
+
+def sine_lam(N):
+    """The Sigma1 eigenvalues lam_r = 2 cos(theta_r) of an N-layer chain,
+    SineModes.lam bit for bit, from N cosines without the N x N vectors.
+    Bounded in N like sine_modes."""
+    _require_modes(N)
+    return _eigenvalues(_angles(N))
 
 
 def sine_modes(N):
     """The sine modes of an N-layer chain; raises UsageError, before
     allocating, when the N x N vectors would exceed LAYERED_BYTES_MAX."""
-    require_size(8.0 * N * N, f"{int(N)} x {int(N)} sine-mode vectors", "use fewer layers")
-    n = np.arange(1, N + 1)
-    theta = n * np.pi / (N + 1)
-    vectors = np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(theta, n))
+    _require_modes(N)
+    theta = _angles(N)
+    vectors = np.sqrt(2.0 / (N + 1)) * np.sin(np.outer(theta, np.arange(1, N + 1)))
     return SineModes(N=N, theta=theta, vectors=vectors)
 
 
@@ -59,7 +83,7 @@ def mode_fields(h, cfg):
     if cfg.stacking != "abba":
         raise UnsupportedStackingError("subsystem fields require the abba stacking")
     out = np.repeat(h[..., None, :], cfg.layers, axis=-2)
-    out[..., 0] = out[..., 0] + cfg.t * sine_modes(cfg.layers).lam
+    out[..., 0] = out[..., 0] + cfg.t * sine_lam(cfg.layers)
     return out
 
 
@@ -83,7 +107,7 @@ def _level_part(abba, h1, h2, tlam):
 def positive_levels(h, cfg):
     """Positive branches E_r (..., N) at monolayer field values h (..., 3)."""
     p = _level_part(cfg.stacking == "abba", h[..., 0, None], h[..., 1, None],
-                    cfg.t * sine_modes(cfg.layers).lam)
+                    cfg.t * sine_lam(cfg.layers))
     return np.sqrt(p + h[..., 2, None] ** 2)
 
 

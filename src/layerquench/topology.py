@@ -10,15 +10,14 @@ extra factor in this convention.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import GaplessError, NonQuantizedWindingError, UsageError
-from .frames import sine_mode_frames
+from .frames import overlap_det, sine_mode_frames
 from .models import (LayeredConfig, build_layered, monolayer_field, require_layered_size,
                      require_mode_size, require_size, sampling_cell)
-from .spectra import _level_part, positive_levels, sine_modes
+from .spectra import _level_part, positive_levels, sine_lam
 # unused here, but the traced benchmark run (perfbench/jobs.py) wraps it in this module
 from .spectra import analytic_positive_levels
 
@@ -63,33 +62,6 @@ SCAN_MARGIN = 0.02
 PHASE_FHS_GRID = 40
 
 
-def _det(o):
-    """Determinant over the two leading (matrix) axes.
-
-    Up to 6 x 6 by Laplace expansion from the last row up: the minors of
-    the last k rows for every column subset, f 2^(f-1) products over the
-    nodes in all.  For the link overlaps (entries at most 1 in modulus)
-    that stays within about 1e-15 of LU, and on a 2-vCPU Xeon it took
-    0.7 / 1.7 / 5.1 ms for f = 4 / 5 / 6 at 100^2 nodes against 8.4 /
-    6.9 / 16 ms with np.linalg.det, which draws level at f = 7 and 8.  For
-    f <= 3 it is the cofactor formula, operation for operation.
-    """
-    f = len(o)
-    if f > 6:
-        return np.linalg.det(np.moveaxis(o, (0, 1), (-2, -1)))
-    minors = {(j,): o[f - 1, j] for j in range(f)}
-    for row in range(f - 2, -1, -1):
-        expanded = {}
-        for cols in combinations(range(f), f - row):
-            total = o[row, cols[0]] * minors[cols[1:]]
-            for i in range(1, len(cols)):
-                term = o[row, cols[i]] * minors[cols[:i] + cols[i + 1:]]
-                total = total - term if i % 2 else total + term
-            expanded[cols] = total
-        minors = expanded
-    return minors[tuple(range(f))]
-
-
 def chern_fhs(cfg, filled=None, grid_n=100):
     """Chern number of the lowest `filled` bands via plaquette link variables.
 
@@ -99,12 +71,18 @@ def chern_fhs(cfg, filled=None, grid_n=100):
     filled-band frames of both stackings and any depth come from the
     sine-mode blocks and the analytic levels, with the gap 2 min E_r
     (frames.sine_mode_frames: two-band modes in closed form, ba mode pairs
-    from the ba bilayer projector); they are certified against the full H
-    node by node and fall back to eigh at the rare nodes they cannot
-    certify.  Other fillings take eigh frames.  A frame is fixed only up
-    to a unitary per node, which changes no plaquette phase.  The
-    summed plaquette field strength is rounded to an integer; doubling
-    grid_n must reproduce it (see tests).
+    from the ba bilayer projector).  They stay in their blocks: a link
+    variable is the product of the 1 x 1 and 2 x 2 block determinants,
+    O(N) per node, because the constant layer vectors of the blocks are
+    orthonormal.  Each frame is certified against the full H, applied
+    through the banded blocks of the coupling matrix; the rare nodes it
+    cannot certify take eigh frames, and the links that touch them the
+    full determinant.  So the result stays a link-variable sum over frames
+    certified against H, independent of the solid-angle degree of
+    total_chern_abba.  Other fillings take eigh frames and full
+    determinants.  A frame is fixed only up to a unitary per node, which
+    changes no plaquette phase.  The summed plaquette field strength is
+    rounded to an integer; doubling grid_n must reproduce it (see tests).
     """
     N = cfg.layers
     if filled is None:
@@ -126,13 +104,10 @@ def chern_fhs(cfg, filled=None, grid_n=100):
         raise GaplessError(
             f"gap {gaps[i, l]:.3e} at k=({KX[i, l]}, {KY[i, l]}) below {GAP_TOL_DEFAULT}")
     if filled == N:
-        V = sine_mode_frames(cfg, KX, KY, h, E)[0]
+        U1, U2 = sine_mode_frames(cfg, KX, KY, h, E).links()
     else:
-        # a strided view made the link einsums about 1.6x slower (N = 5, 100^2)
-        V = np.ascontiguousarray(np.moveaxis(V[..., :filled], (-2, -1), (0, 1)))
-    Vh = V.conj()
-    U1 = _det(np.einsum("cakl,cbkl->abkl", Vh, np.roll(V, -1, axis=2)))
-    U2 = _det(np.einsum("cakl,cbkl->abkl", Vh, np.roll(V, -1, axis=3)))
+        V = np.moveaxis(V[..., :filled], (-2, -1), (0, 1))
+        U1, U2 = (overlap_det(V, np.roll(V, -1, axis=axis)) for axis in (2, 3))
     if min(np.abs(U1).min(), np.abs(U2).min()) < LINK_FLOOR:
         raise GaplessError("near-vanishing link variable; gap unresolved at this grid")
     U1 = U1 / np.abs(U1)
@@ -219,7 +194,7 @@ def chern_two_band(field_fn, grid_n=100, model="qwz"):
 
 def subsystem_field_fn(cfg, r):
     """Momentum -> h_r field of one abba sine mode."""
-    shift = cfg.t * sine_modes(cfg.layers).lam[r - 1]
+    shift = cfg.t * sine_lam(cfg.layers)[r - 1]
 
     def fn(kx, ky):
         h = monolayer_field(cfg, kx, ky).copy()
@@ -275,7 +250,7 @@ def _scan_tables(layers, model, ms, grid_n, cell):
     h3 = np.empty((len(ms),) + h1.shape)
     for l, m in enumerate(ms):
         h3[l] = field(float(m))[2]
-    return h1, h2, h3, sine_modes(layers).lam
+    return h1, h2, h3, sine_lam(layers)
 
 
 def _scan_gaps(abba, tables, ts, per):
@@ -331,7 +306,7 @@ def _closings(stacking, layers, model):
     if model != "qwz":
         return None
     # modes r and N + 1 - r have opposite w and share their closings
-    w = sine_modes(layers).lam[:(layers + 1) // 2] if stacking == "abba" else np.zeros(1)
+    w = sine_lam(layers)[:(layers + 1) // 2] if stacking == "abba" else np.zeros(1)
     w, a = np.broadcast_arrays(w[:, None], np.array([-1.0, 1.0]))
     return w.ravel(), a.ravel()
 

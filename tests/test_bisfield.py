@@ -385,6 +385,14 @@ class TestCharacterize:
         with pytest.raises(UsageError):
             characterize(cfg, resolution=32, **kwargs)
 
+    @pytest.mark.parametrize("delta", [2 * np.pi / 128, 3.0, 10.0, 1e9])
+    def test_steps_across_nodes_are_refused(self, delta):
+        # at 128^2 these steps gave the windings 2, -6 and 2 instead of -2
+        cfg = LayeredConfig("abba", 2, 0.4)
+        with pytest.raises(UsageError, match=r"below the node spacing 0\.0490874 of the 128 x 128"):
+            characterize(cfg, resolution=128, delta=delta)
+        assert characterize(cfg, resolution=128, delta=0.04)["total_w"] == -2
+
     @pytest.mark.parametrize("cfg, nudged", [
         (LayeredConfig("abba", 3, 0.4), False),
         # modes 1 and 3 close exactly at lattice nodes; mode 2 keeps its ring

@@ -339,6 +339,10 @@ EXIT_SWEEP = [
     # m = 3 has no band-inversion surface: refused before any contour exists
     (2, ["bis", "--m", "3", "--delta", "0", "--grid", "64"]),
     (2, ["winding", "--m", "3", "--delta", "nan", "--grid", "64"]),
+    # steps at or above the node spacing (0.049 at 128^2) gave clean wrong windings
+    (2, ["winding", "--delta", "3", "--grid", "128"]),
+    (2, ["winding", "--delta", "10", "--grid", "128"]),
+    (2, ["winding", "--delta", "1e9", "--grid", "128"]),
     (2, ["chern", "--filled", "9", "--grid", "32"]),
     (2, ["chern", "--filled", "0", "--grid", "32"]),
     (2, ["tasp", "--observable", "orbit:1", "--grid", "16"]),

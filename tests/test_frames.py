@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from layerquench import (GaplessError, LayeredConfig, NonQuantizedWindingError,
                          analytic_positive_levels, build_layered, chern_fhs, monolayer_field)
@@ -27,8 +27,8 @@ def frames(cfg, kx, ky):
     E = analytic_positive_levels(kx, ky, cfg)
     # a node on a closing (E = 0) gives nan; callers keep gapped nodes only
     with np.errstate(divide="ignore", invalid="ignore"):
-        V, sines = sine_mode_frames(cfg, kx, ky, monolayer_field(cfg, kx, ky), E)
-    return np.moveaxis(V, (0, 1), (-2, -1)), sines, 2.0 * E.min(axis=-1), E
+        F = sine_mode_frames(cfg, kx, ky, monolayer_field(cfg, kx, ky), E)
+    return np.moveaxis(F.frames(), (0, 1), (-2, -1)), F.sines, 2.0 * E.min(axis=-1), E
 
 
 def eigh_frames(cfg, kx, ky):
@@ -128,6 +128,65 @@ def test_wrong_mode_angles_cannot_certify_a_frame(stacking, layers, monkeypatch)
     assert solved == [(40 * 40,)]
 
 
+@pytest.mark.parametrize("stacking, layers", [
+    pytest.param("abba", 2, id="2"), pytest.param("abba", 5, id="5"),
+    pytest.param("ba", 3, id="3-ba"), pytest.param("ba", 4, id="4-ba")])
+def test_orthonormal_wrong_modes_cannot_certify_a_frame(stacking, layers, monkeypatch):
+    # rotated sine modes stay an orthonormal layer basis, so the once per
+    # call basis check passes; H does not keep their blocks, the bound
+    # sees it, and no node is certified
+    rotation = np.linalg.qr(np.random.default_rng(layers).normal(size=(layers, layers)))[0]
+
+    def rotated_modes(N):
+        modes = sine_modes(N)
+        if N != layers:
+            return modes
+        return SineModes(N=N, theta=modes.theta, vectors=rotation @ modes.vectors)
+
+    monkeypatch.setattr(frames_module, "sine_modes", rotated_modes)
+    cfg = LayeredConfig(stacking, layers, 1.2, "haldane", 0.5)
+    KX, KY = sampling_cell(cfg.model).nodes(40, 40)
+    V, sines, gap, E = frames(cfg, KX, KY)
+    assert np.all(sines > FRAME_SINE_MAX)
+    assert np.all(projector_error(V, eigh_frames(cfg, KX, KY)) <= 1e-12)
+    golden = json.loads(GOLDEN.read_text())
+    assert chern_fhs(cfg, grid_n=40) == golden[f"{stacking} {layers} haldane 1.2 0.5 40"]
+
+
+@pytest.mark.parametrize("stacking, layers", [("abba", 3), ("ba", 4), ("ba", 5)])
+def test_certified_bound_covers_the_full_residual(stacking, layers, monkeypatch):
+    # the bound splits R = H V - V M into block residuals and a leakage
+    # bound; with rotated modes both parts are large, and the bound must
+    # still cover ||R||_F / (min E - lam_max(M)) taken with the dense H
+    rotation = np.linalg.qr(np.random.default_rng(layers).normal(size=(layers, layers)))[0]
+
+    def rotated_modes(N):
+        modes = sine_modes(N)
+        if N != layers:
+            return modes
+        return SineModes(N=N, theta=modes.theta, vectors=rotation @ modes.vectors)
+
+    monkeypatch.setattr(frames_module, "sine_modes", rotated_modes)
+    monkeypatch.setattr(frames_module, "FRAME_SINE_MAX", np.inf)
+    cfg = LayeredConfig(stacking, layers, 1.2, "qwz", 0.5)
+    kx, ky = np.random.default_rng(0).uniform(-np.pi, np.pi, size=(2, 50))
+    V, sines, gap, E = frames(cfg, kx, ky)
+    HV = build_layered(kx, ky, cfg) @ V
+    pairs = layers // 2 if stacking == "ba" else 0
+    M = np.zeros(V.shape[:1] + (layers, layers), dtype=complex)
+    ritz = dagger(V) @ HV
+    for r in range(pairs):
+        M[:, 2 * r:2 * r + 2, 2 * r:2 * r + 2] = ritz[:, 2 * r:2 * r + 2, 2 * r:2 * r + 2]
+    single = np.arange(2 * pairs, layers)
+    M[:, single, single] = -E[:, pairs:layers - pairs]
+    residual = np.linalg.norm(HV - V @ M, axis=(-2, -1))
+    sep = E.min(axis=-1) - np.linalg.eigvalsh(M)[:, -1]
+    ok = sep > 0
+    assert ok.sum() > 10 and np.all(residual > 1e-3)
+    assert np.all(sines[ok] >= residual[ok] / sep[ok] * (1 - 1e-9))
+    assert np.all(np.isinf(sines[~ok]))
+
+
 @pytest.mark.parametrize("t", [0.4, 1.2, 2.5, -1.2])
 @pytest.mark.parametrize("m", [-3.0, -1.0, 0.5, 1.0])
 def test_ba_levels_coinciding_at_the_zone_centre(t, m):
@@ -205,6 +264,51 @@ def test_eigh_is_reached_only_off_half_filling(monkeypatch):
                         (LayeredConfig("ba", 4, 0.4), 3)]:
         with pytest.raises(AssertionError, match="eigh called"):
             chern_fhs(cfg, filled, grid_n=16)
+
+
+def plaquettes(U1, U2):
+    U1, U2 = U1 / np.abs(U1), U2 / np.abs(U2)
+    return U1 * np.roll(U2, -1, axis=0) * np.conj(np.roll(U1, -1, axis=1)) * np.conj(U2)
+
+
+def chern_or_error(cfg, grid):
+    try:
+        return chern_fhs(cfg, grid_n=grid)
+    except (GaplessError, NonQuantizedWindingError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacking=st.sampled_from(["abba", "ba"]), model=st.sampled_from(["qwz", "haldane"]),
+       layers=st.integers(1, 6), t=st.floats(-2.5, 2.5), m=st.floats(-4.0, 4.0),
+       grid=st.integers(16, 40), kept=st.floats(0.0, 1.0))
+def test_block_links_give_the_full_determinant_phases(stacking, model, layers, t, m, grid, kept):
+    # the links of chern_fhs are products of block determinants, and full
+    # determinants where a link touches an eigh frame; both give the
+    # plaquette phases of the full determinants of the same frames.  A
+    # sine bound at a quantile of the node bounds sends a random share of
+    # the nodes to eigh, which mixes both kinds of link in one plaquette
+    cfg = LayeredConfig(stacking, layers, t, model, m)
+    KX, KY = sampling_cell(model).nodes(grid, grid)
+    h = monolayer_field(cfg, KX, KY)
+    E = spectra.positive_levels(h, cfg)
+    assume(2.0 * E.min() > topology.GAP_TOL_DEFAULT)
+    want = chern_or_error(cfg, grid)
+    sines = sine_mode_frames(cfg, KX, KY, h, E).sines
+    for bound in (FRAME_SINE_MAX, np.quantile(sines, kept)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frames_module, "FRAME_SINE_MAX", bound)
+            F = sine_mode_frames(cfg, KX, KY, h, E)
+            assert chern_or_error(cfg, grid) == want
+        U = F.links()
+        V = F.frames()
+        full = [frames_module.overlap_det(V, np.roll(V, -1, axis=axis)) for axis in (2, 3)]
+        if min(np.abs(u).min() for u in full) < topology.LINK_FLOOR:
+            continue
+        assert np.abs(plaquettes(*U) - plaquettes(*full)).max() <= 1e-12
+        if isinstance(want, int):
+            total = topology.FHS_ORIENTATION * np.angle(plaquettes(*full)).sum() / (2 * np.pi)
+            assert np.rint(total) == want
 
 
 BATTERY_MASSES = {"qwz": (-3.0, -1.0, 0.5, 1.0, 2.0),

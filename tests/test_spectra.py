@@ -10,6 +10,7 @@ from layerquench import (DegenerateSpectrumError, LayeredConfig, UnsupportedStac
                          build_layered, degeneracy_groups, eigvec_identities, level_labels,
                          monolayer_field, numeric_levels, numeric_spectrum, sine_modes,
                          spectra, subsystem_fields)
+from layerquench import bisfield, hopping, quench, topology
 from layerquench.models import PAULI
 
 
@@ -27,6 +28,24 @@ def test_oversized_sine_modes_are_usage_errors():
     # refused before the N x N vectors exist
     with pytest.raises(UsageError, match="100000 x 100000 sine-mode vectors need 80.0 GB"):
         sine_modes(100000)
+
+
+def test_sine_lam_is_the_mode_eigenvalues():
+    for N in (1, 2, 3, 7, 40):
+        assert np.array_equal(spectra.sine_lam(N), sine_modes(N).lam)
+
+
+def test_eigenvalue_readers_build_no_mode_vectors(monkeypatch):
+    # sampling reads only the lam_r: N cosines, not the N x N sine-mode
+    # vectors (128 MB at N = 4000), which it once built on every call
+    def no_vectors(N):
+        raise AssertionError(f"{N} x {N} sine-mode vectors built")
+
+    for module in (spectra, quench, bisfield, hopping, topology):
+        if hasattr(module, "sine_modes"):
+            monkeypatch.setattr(module, "sine_modes", no_vectors)
+    grid = bisfield.sample_grid(LayeredConfig("abba", 4000, 0.4), 3, ("global",), 16)
+    assert grid.values.shape == (16, 16, 3) and np.isfinite(grid.values).all()
 
 
 def _reads_mode_angles(node):

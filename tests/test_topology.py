@@ -17,6 +17,8 @@ from layerquench import (
     total_chern_abba,
 )
 from layerquench import models, topology
+from layerquench.frames import sine_mode_frames
+from layerquench.spectra import positive_levels
 
 SQUARE_PHASES = [(1.0, -1), (-1.0, 1), (3.0, 0), (-3.0, 0)]
 
@@ -243,10 +245,17 @@ class TestInputFloors:
 
 @pytest.mark.parametrize("f", range(1, 9))
 def test_link_determinant_matches_lu(f):
-    # chern_fhs takes the determinants of its link overlaps, whose entries
-    # are at most 1 in modulus, by Laplace expansion up to 6 x 6
-    rng = np.random.default_rng(f)
-    q = np.linalg.qr(rng.normal(size=(12, 12, f, f)) + 1j * rng.normal(size=(12, 12, f, f)))[0]
-    o = q * rng.uniform(0.5, 1.0, size=(12, 12, 1, f))
-    got = topology._det(np.ascontiguousarray(np.moveaxis(o, (-2, -1), (0, 1))))
-    assert np.abs(got - np.linalg.det(o)).max() <= 1e-14
+    # chern_fhs takes each link at half filling as the product of the
+    # 1 x 1 and 2 x 2 block determinants of the sine-mode frames; for f
+    # layers of both stackings and models it is the LU determinant of the
+    # full f x f overlap of the same frames
+    for stacking in ("abba", "ba"):
+        for model, t, m in (("qwz", 0.3, 0.5), ("haldane", 0.7, 0.5)):
+            cfg = LayeredConfig(stacking, f, t, model, m)
+            KX, KY = models.sampling_cell(model).nodes(16, 16)
+            h = models.monolayer_field(cfg, KX, KY)
+            frames = sine_mode_frames(cfg, KX, KY, h, positive_levels(h, cfg))
+            V = frames.frames()
+            for axis, U in zip((2, 3), frames.links()):
+                o = np.einsum("cakl,cbkl->klab", V.conj(), np.roll(V, -1, axis=axis))
+                assert np.abs(U - np.linalg.det(o)).max() <= 1e-14
