@@ -27,7 +27,7 @@ from .errors import LayerQuenchError, UnsupportedStackingError, UsageError
 from .hopping import ba_reference_magnitudes, estimate_t_abba, estimate_t_ba
 from .models import LayeredConfig
 from .quench import tasp_closed_form, time_averaged_expectation, mixed_state, global_observable
-from .topology import PHASE_FHS_GRID, chern_fhs, phase_diagram, total_chern_abba
+from .topology import chern_fhs, phase_diagram, total_chern_abba
 
 # option name -> (type, default); the single source of truth for config
 # file keys, flag resolution and manifest echo
@@ -325,8 +325,6 @@ def cmd_phase_diagram(opts):
              "m_range": [opts["m_min"], opts["m_max"]], "steps": opts["steps"],
              "boundary_cells": int(pd.boundary.sum()),
              "cells_computed": int(pd.computed.sum()), "scan_grid": scan_grid}
-    if opts["stacking"] == "ba":
-        extra["fhs_grid"] = PHASE_FHS_GRID
     _write_json(os.path.join(out, "phase_manifest.json"), _manifest("phase-diagram", opts, extra))
     print(f"phase diagram {len(pd.ts)}x{len(pd.ms)} written to {out}")
     return 0

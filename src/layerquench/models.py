@@ -65,8 +65,10 @@ class LayeredConfig:
             raise UsageError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if self.layers < 1:
             raise UsageError("layers must be a positive integer")
-        if not np.isfinite(self.t) or not np.isfinite(self.m):
-            raise UsageError("t and m must be finite")
+        # e2 G^2 of quench._ba_matrix grows as t^6 and overflows from |t| ~ 1e51
+        if not (abs(self.t) <= 1e50 and abs(self.m) <= 1e50):
+            raise UsageError(f"t and m must be finite with |t|, |m| <= 1e50, "
+                             f"got t={float(self.t)!r}, m={float(self.m)!r}")
 
     def __str__(self):
         # plain numbers, also for a config built from numpy scalars

@@ -53,13 +53,8 @@ SCAN_CHUNK_BYTES = 1 << 17
 # rows) and beyond 0.06 on 16.  A cell ends as boundary only when grids
 # n, 2n and 4n >= 64 all fail, so within 0.008 of a closing; farther
 # cells may need a finer grid, which gives the same integer as the copy.
-# ba closings sit on nodes of the even link-variable grids: 600 ba cells
-# within 0.04 of a line (N = 1..3, |t| < 3) needed no finer grid.  0.02
-# leaves room above the base-grid 0.012 and the boundary 0.008
+# 0.02 leaves room above the base-grid 0.012 and the boundary 0.008
 SCAN_MARGIN = 0.02
-
-# base grid of the link-variable Chern number of a ba scan cell
-PHASE_FHS_GRID = 40
 
 
 def chern_fhs(cfg, filled=None, grid_n=100):
@@ -290,23 +285,21 @@ def _abba_cells(tables, t, l):
     return chern, certified
 
 
-def _closings(stacking, layers, model):
-    """Half-filling gap closings of a square-lattice stack in the (t, m) plane.
+def _closings(layers, model):
+    """Half-filling gap closings of a square-lattice abba stack in the (t, m) plane.
 
     Returns (w, a) arrays: the closings are the curves
     (w t)^2 + (m - a)^2 = 1, unit circles in the field coordinates
     (s, m) = (w t, m).  abba mode r closes where sin ky = 0,
     sin kx = -t lam_r and m = cos kx + cos ky, so w = lam_r = 2 cos(theta_r)
     and a = +-1, and the distance of (s, m) from the circles is the
-    smallest modulus the mode field takes.  The ba levels vanish only
-    where the monolayer field does, on the lines m in {-2, 0, 2}: the
-    same circles with w = 0.  None for a model without closed-form
-    closings (haldane).
+    smallest modulus the mode field takes.  None for a model without
+    closed-form closings (haldane).
     """
     if model != "qwz":
         return None
     # modes r and N + 1 - r have opposite w and share their closings
-    w = sine_lam(layers)[:(layers + 1) // 2] if stacking == "abba" else np.zeros(1)
+    w = sine_lam(layers)[:(layers + 1) // 2]
     w, a = np.broadcast_arrays(w[:, None], np.array([-1.0, 1.0]))
     return w.ravel(), a.ravel()
 
@@ -344,11 +337,9 @@ def _representatives(closings, far, gap, ts, ms):
     closing: (w t)^2 + (m - a)^2 < 1.  The label fixes the Chern number,
     the sum of the mode degrees.  Each abba mode's degree is constant on
     the three parts of the plane outside its two tangent circles: inside
-    one, inside the other, and outside both, which is connected.  For ba
-    the circles are the lines m in {-2, 0, 2} (w = 0), and the two strips
-    |m| > 2 share the label (0, 0) because both are trivial.  So far cells
-    with equal labels take the Chern number of their largest-gap cell
-    (the first in scan order on a tie), connected or not; every other
+    one, inside the other, and outside both, which is connected.  So far
+    cells with equal labels take the Chern number of their largest-gap
+    cell (the first in scan order on a tie), connected or not; every other
     cell represents itself.
     """
     rep = np.arange(far.size)
@@ -378,21 +369,25 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
     the set of closings a cell lies inside; the other cells with that
     label copy it (if that cell turns out boundary, they are all
     computed).  Without closed-form closings every cell is near, which
-    makes the scan dense.  abba cells use the mode-degree sum, taken for
-    a chunk of cells and all their modes in one array pass; ba cells use
-    the link-variable Chern number at PHASE_FHS_GRID, one cell at a time.
-    A cell that cannot be certified on the base grid is retried on finer
-    ones before it is flagged as boundary.  With threads > 1, worker
-    threads take whole chunks; this is the only thread pool of the
-    package.
+    makes the scan dense.  A cell's mode-degree sum is taken for a chunk
+    of cells and all their modes in one array pass, and retried on finer
+    grids before the cell is flagged as boundary.  A ba level vanishes
+    only where the monolayer field does (spectra._level_part), and at
+    t = 0 a ba stack is N monolayers, so a ba scan keeps its own gaps and
+    is N times the abba N = 1 scan of its masses at t = 0.  With
+    threads > 1, worker threads take whole chunks; this is the only
+    thread pool of the package.
     """
     st, sm = (steps, steps) if np.ndim(steps) == 0 else steps
     if st < 1 or sm < 1:
         raise UsageError(f"steps must be at least 1, got {st} x {sm}")
+    # the window corners bound every cell centre
+    for t, m in zip(t_range, m_range):
+        LayeredConfig(stacking, layers, t, model, m)
     ts = t_range[0] + (np.arange(st) + 0.5) * (t_range[1] - t_range[0]) / st
     ms = m_range[0] + (np.arange(sm) + 0.5) * (m_range[1] - m_range[0]) / sm
     abba = stacking == "abba"
-    closings = _closings(stacking, layers, model)
+    closings = _closings(layers, model) if abba else None
     # about eight 8-byte words a cell (gap, levels, Chern number, indices)
     # and three for each closing test, bounded before any of them exists
     words = 8 + 3 * (0 if closings is None else len(closings[0]))
@@ -402,23 +397,27 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
     per = max(1, SCAN_CHUNK_BYTES // (layers * (grid_n + 1) ** 2 * 8))
     gap = _scan_gaps(abba, tables, ts, per)
     boundary = gap < GAP_TOL_DEFAULT
+    if not abba:
+        col = phase_diagram("abba", 1, (0.0, 0.0), m_range, (1, sm), model, grid_n, threads)
+        boundary |= col.boundary
+        computed = np.zeros((st, sm), dtype=bool)
+        computed[np.argmax(gap, axis=0), np.arange(sm)] = col.computed[0]
+        return PhaseDiagram(stacking, layers, ts, ms, np.where(boundary, 0, layers * col.chern),
+                            gap, boundary, computed)
     chern = np.zeros((st, sm), dtype=int)
 
     far = ~_near(closings, ts, ms)
     rep = _representatives(closings, far, gap, ts, ms)
     cells = np.arange(st * sm)
 
-    def refine(i, l, factors):
+    def refine(i, l):
         # a cell too close to a phase boundary may be uncertifiable at
         # the base grid; refine before flagging it as boundary
         cfg = LayeredConfig(stacking=stacking, layers=layers, t=float(ts[i]),
                             model=model, m=float(ms[l]))
-        for factor in factors:
+        for factor in (2, 4):
             try:
-                if abba:
-                    chern[i, l] = total_chern_abba(cfg, factor * grid_n)
-                else:
-                    chern[i, l] = chern_fhs(cfg, layers, factor * PHASE_FHS_GRID)
+                chern[i, l] = total_chern_abba(cfg, factor * grid_n)
                 return
             except (GaplessError, NonQuantizedWindingError):
                 continue
@@ -426,13 +425,9 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
 
     def work(chunk):
         i, l = np.divmod(chunk, sm)
-        if abba:
-            chern[i, l], ok = _abba_cells(tables, ts[i], l)
-            for i_, l_ in zip(i[~ok], l[~ok]):
-                refine(i_, l_, (2, 4))
-            return
-        for i_, l_ in zip(i, l):
-            refine(i_, l_, (1, 2, 4))
+        chern[i, l], ok = _abba_cells(tables, ts[i], l)
+        for i_, l_ in zip(i[~ok], l[~ok]):
+            refine(i_, l_)
 
     def compute(mask):
         todo = np.flatnonzero(mask & ~boundary.ravel())
@@ -479,5 +474,5 @@ def segment_crosses_transition(layers, p0, p1):
 
     Exact: the quadratic root test of _segment_meets on every closing.
     """
-    w, a = _closings("abba", layers, "qwz")
+    w, a = _closings(layers, "qwz")
     return bool(_segment_meets(a, w * p0[0], p0[1], w * p1[0], p1[1]).any())

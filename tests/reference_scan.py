@@ -4,8 +4,9 @@ This is the scan that layerquench.topology.phase_diagram replaced: one
 LayeredConfig per (t, m) cell, the half-filling gap from
 analytic_positive_levels, and for abba cells one unit-field degree per
 sine mode built from np.cross, einsum and np.roll, refined twice before
-a cell is flagged as boundary.  The batched scan must reproduce its
-chern and boundary arrays, and its gap_min bit for bit.
+a cell is flagged as boundary.  A ba cell is N times the same degree of
+the monolayer at its mass, on the same grids.  The batched scan must
+reproduce its chern and boundary arrays, and its gap_min bit for bit.
 """
 
 import numpy as np
@@ -13,8 +14,7 @@ import numpy as np
 from layerquench import GaplessError, LayeredConfig, NonQuantizedWindingError
 from layerquench.models import sampling_cell
 from layerquench.spectra import analytic_positive_levels
-from layerquench.topology import (DEN_FLOOR, GAP_TOL_DEFAULT, ROUND_TOL, chern_fhs,
-                                  subsystem_field_fn)
+from layerquench.topology import DEN_FLOOR, GAP_TOL_DEFAULT, ROUND_TOL, subsystem_field_fn
 
 
 def cell_nodes(cell, n):
@@ -66,7 +66,7 @@ def total_chern_abba(cfg, grid_n):
 
 
 def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz",
-                  grid_n=48, gap_tol=GAP_TOL_DEFAULT, fhs_grid=40):
+                  grid_n=48, gap_tol=GAP_TOL_DEFAULT):
     """Serial per-cell scan; returns (chern, gap_min, boundary, factor),
     factor being the grid refinement that certified each cell (0 for a
     boundary cell)."""
@@ -92,7 +92,8 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz",
                     if stacking == "abba":
                         chern[i, l] = total_chern_abba(cfg, factor * grid_n)
                     else:
-                        chern[i, l] = chern_fhs(cfg, layers, factor * fhs_grid)
+                        mono = LayeredConfig("abba", 1, 0.0, model, cfg.m)
+                        chern[i, l] = layers * total_chern_abba(mono, factor * grid_n)
                     factor_used[i, l] = factor
                     break
                 except (GaplessError, NonQuantizedWindingError):

@@ -204,14 +204,27 @@ class TestPhaseDiagram:
         assert len(hit) == 1
 
     def test_manifest_records_the_ba_resolutions(self, tmp_path):
-        # the scan is capped at 64 and ba Chern numbers use their own grid,
-        # whatever --grid was typed
+        # the scan is capped at 64 whatever --grid was typed; ba Chern
+        # numbers are N monolayer degrees on that grid, with no grid of their own
         assert run("phase-diagram", "--stacking", "ba", "--steps", "2",
                    "--out", tmp_path) == 0
         manifest = load_json(tmp_path / "phase_manifest.json")
         assert manifest["config"]["grid"] == "256"
         assert manifest["scan_grid"] == 64
-        assert manifest["fhs_grid"] == 40
+        assert "fhs_grid" not in manifest
+
+    def test_ba_cell_near_a_line_is_n_monolayer_degrees(self, tmp_path):
+        # link variables at 40^2 gave -1 for this N = 3 cell within 0.005 of
+        # m = -2; chern_fhs at 80^2-640^2 and 3 x the monolayer degree give 3
+        t, m = -2.6484617753548463, -1.9955393691757681
+        assert run("phase-diagram", "--stacking", "ba", "--layers", "3", "--steps", "1",
+                   "--t-min", repr(t), "--t-max", repr(t), "--m-min", repr(m),
+                   "--m-max", repr(m), "--out", tmp_path) == 0
+        rows = (tmp_path / "phase_diagram.csv").read_text().splitlines()
+        assert rows[1].split(",")[:3] == [repr(t), repr(m), "3"]
+        manifest = load_json(tmp_path / "phase_manifest.json")
+        assert manifest["boundary_cells"] == 0
+        assert manifest["cells_computed"] == 1
 
 
 class TestEstimateT:
@@ -365,6 +378,13 @@ EXIT_SWEEP = [
     (2, ["tasp", "--t", "nan", "--grid", "16"]),
     (2, ["bis", "--t", "inf", "--grid", "16"]),
     (2, ["phase-diagram", "--t-min", "nan", "--steps", "2", "--grid", "16"]),
+    # beyond |t|, |m| = 1e50 the closed forms overflow and warned on stderr
+    (2, ["tasp", "--stacking", "ba", "--t", "1e70", "--grid", "16"]),
+    (2, ["chern", "--stacking", "ba", "--m", "1e150", "--grid", "16"]),
+    (2, ["phase-diagram", "--stacking", "ba", "--t-min", "1e300", "--t-max", "1e301",
+         "--steps", "2", "--grid", "16"]),
+    (0, ["tasp", "--stacking", "ba", "--model", "haldane", "--t", "1e50", "--m=-1e50",
+         "--grid", "16"]),
     (2, ["tasp", "--threads", "0", "--grid", "16"]),
     (2, ["estimate-t", "--layers", "1", "--true-t", "0.3", "--grid", "32"]),
     (2, ["estimate-t", "--stacking", "ba", "--sample", "s1=nan"]),
@@ -389,6 +409,8 @@ EXIT_SWEEP = [
 ]
 
 
+# a float warning would reach stderr outside pytest
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("code, argv", EXIT_SWEEP,
                          ids=["_".join(argv).replace("--", "") for _, argv in EXIT_SWEEP])
 def test_exit_code_sweep(tmp_path, capsys, code, argv):

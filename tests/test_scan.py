@@ -5,9 +5,11 @@ in reference_scan.py: equal chern and boundary arrays and a
 bitwise-equal gap_min, over stackings, layer counts, models, grids,
 windows (random ones among them), chunk sizes and thread counts.  The
 share of cells it computes, rather than copies from a region's
-representative, is checked on the benchmark's window shapes.  The degree
-kernel is checked against the np.cross/einsum/roll solid-angle sum it
-replaced, on random fields.
+representative, is checked on the benchmark's window shapes.  A ba scan
+is N times the scan of its mass column; its cells are also checked
+against the link-variable Chern number.  The degree kernel is checked
+against the np.cross/einsum/roll solid-angle sum it replaced, on random
+fields.
 """
 
 import sys
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layerquench import GaplessError, phase_diagram, topology
+from layerquench import GaplessError, LayeredConfig, chern_fhs, phase_diagram, topology
 import reference_scan
 
 WINDOW = ((0.0, 2.0), (-1.0, 3.0))
@@ -123,47 +125,93 @@ def bench_windows(steps):
                (-1 + shift * 4 / steps, 3 + shift * 4 / steps))
 
 
+def mass_column(window, steps):
+    """The abba N = 1 scan at t = 0 over the masses of a scan window."""
+    return phase_diagram("abba", 1, (0.0, 0.0), window[1], (1, steps))
+
+
 @pytest.mark.parametrize("stacking,steps,share", [("abba", 32, 0.15), ("ba", 12, 0.25)])
 def test_bench_windows_compute_few_cells(stacking, steps, share):
     for window in bench_windows(steps):
         pd = phase_diagram(stacking, 2, *window, steps)
         assert 0 < pd.computed.sum() <= share * steps ** 2
-        # a copied cell is never boundary
-        assert not pd.boundary[~pd.computed].any()
+        if stacking == "abba":
+            # a copied cell is never boundary
+            assert not pd.boundary[~pd.computed].any()
+        else:
+            # a ba cell is boundary where its own gap closes or its mass
+            # column's degree is boundary
+            col = mass_column(window, steps)
+            want = (pd.gap_min < topology.GAP_TOL_DEFAULT) | col.boundary
+            assert np.array_equal(pd.boundary, want)
 
 
 @pytest.mark.parametrize("stacking", ["abba", "ba"])
 def test_haldane_scans_compute_every_cell(stacking):
-    # the triangular-lattice model has no closed-form gap closings
+    # the triangular-lattice model has no closed-form gap closings, so
+    # every cell that takes a degree is computed: each (t, m) cell of an
+    # abba scan, and each mass of a ba scan's column, which marks one
+    # degree per column at its largest-gap cell
     pd = phase_diagram(stacking, 2, (0.0, 1.0), (0.0, 8.0), (3, 4), model="haldane")
-    assert pd.computed.all()
+    if stacking == "abba":
+        assert pd.computed.all()
+    else:
+        assert np.array_equal(pd.computed.sum(axis=0), np.ones(4))
+        assert np.array_equal(np.argmax(pd.computed, axis=0), np.argmax(pd.gap_min, axis=0))
 
 
 def test_boundary_representative_computes_its_region(monkeypatch):
-    # the largest-gap cell of the window represents its region; when no
-    # grid certifies it, the rest of its region is computed cell by cell
+    # the largest-gap cell of a label in the mass column represents its
+    # region; when no grid certifies it, the rest of its region is
+    # computed cell by cell
     window, steps = SHIFTED, 4
     ref = reference_scan.phase_diagram("ba", 2, *window, steps)
     pd = phase_diagram("ba", 2, *window, steps)
-    i, l = np.unravel_index(np.argmax(ref[1]), ref[1].shape)
-    real = topology.chern_fhs
+    # the ms are -0.43, 0.57, 1.57 and 2.57: two columns share the strip 0 < m < 2
+    strip = (pd.ms > 0.0) & (pd.ms < 2.0)
+    assert np.array_equal(pd.computed.sum(axis=0), [1, 1, 0, 1])
+    col = mass_column(window, steps)
+    l = np.flatnonzero(strip)[np.argmax(col.gap_min[0, strip])]
+    real_cells, real_total = topology._abba_cells, topology.total_chern_abba
+
+    def uncertified_cells(tables, t, ls):
+        chern, ok = real_cells(tables, t, ls)
+        return chern, ok & (ls != l)
 
     def uncertifiable(cfg, *args):
-        if (cfg.t, cfg.m) == (pd.ts[i], pd.ms[l]):
+        if cfg.m == pd.ms[l]:
             raise GaplessError("uncertifiable")
-        return real(cfg, *args)
+        return real_total(cfg, *args)
 
-    monkeypatch.setattr(topology, "chern_fhs", uncertifiable)
+    monkeypatch.setattr(topology, "_abba_cells", uncertified_cells)
+    monkeypatch.setattr(topology, "total_chern_abba", uncertifiable)
     failed = phase_diagram("ba", 2, *window, steps)
-    # the ba closings are the lines m = 0, +-2: the region is the strip of ms[l]
-    strip = np.searchsorted([-2.0, 0.0, 2.0], pd.ms) == np.searchsorted([-2.0, 0.0, 2.0], pd.ms[l])
-    assert not pd.computed[:, strip].all()
-    assert failed.computed[:, strip].all()
+    assert np.array_equal(failed.computed.sum(axis=0), [1, 1, 1, 1])
     expected = ref[2].copy()
-    expected[i, l] = True
+    expected[:, l] = True
     assert np.array_equal(failed.boundary, expected)
     keep = ~expected
     assert np.array_equal(failed.chern[keep], ref[0][keep])
+
+
+def test_ba_cell_near_a_line_matches_link_variables():
+    # an N = 3 cell within 0.005 of m = -2: link variables at 40^2 gave -1;
+    # at 80^2-640^2 they give 3, which is 3 x the monolayer degree
+    t, m = -2.6484617753548463, -1.9955393691757681
+    pd = phase_diagram("ba", 3, (t, t), (m, m), 1)
+    assert (pd.ts[0], pd.ms[0]) == (t, m)
+    assert not pd.boundary[0, 0]
+    assert pd.chern[0, 0] == 3 == chern_fhs(LayeredConfig("ba", 3, t, m=m), grid_n=160)
+
+
+def test_haldane_ba_scan_matches_link_variables():
+    # link variables at 40^2 gave -4 on some of these cells; the exact
+    # ba values are 2 x the monolayer Chern numbers -3 and 0
+    pd = phase_diagram("ba", 2, (0.2, 1.6), (-2.5, 2.5), 8, model="haldane")
+    assert set(pd.chern[~pd.boundary].tolist()) <= {-6, 0}
+    for i, l in zip(*np.nonzero(~pd.boundary)):
+        cfg = LayeredConfig("ba", 2, float(pd.ts[i]), "haldane", float(pd.ms[l]))
+        assert pd.chern[i, l] == chern_fhs(cfg, grid_n=160)
 
 
 def test_equal_labels_share_one_cell_across_the_window():
@@ -181,9 +229,9 @@ def test_equal_labels_share_one_cell_across_the_window():
 def scan_centres(draw):
     """Cell centres of a qwz scan window, many of them within a few
     SCAN_MARGIN of a closing circle (w t)^2 + (m - a)^2 = 1."""
-    stacking = draw(st.sampled_from(["abba", "ba"]))
-    layers = draw(st.integers(1, 6))
-    closings = topology._closings(stacking, layers, "qwz")
+    # the mass column of a ba scan is the abba N = 1 scan
+    layers = draw(st.one_of(st.just(1), st.integers(1, 6)))
+    closings = topology._closings(layers, "qwz")
     k = draw(st.integers(0, len(closings[0]) - 1))
     w, a = closings[0][k], closings[1][k]
     phi = draw(st.floats(-np.pi, np.pi))

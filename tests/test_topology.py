@@ -130,11 +130,11 @@ class TestTransitionCurves:
     def test_curve_count_and_range(self):
         # both N=2 modes shift sin kx by -+t and share the closings
         # t^2 + (m -+ 1)^2 = 1, so they exist up to t=1
-        w, a = topology._closings("abba", 2, "qwz")
+        w, a = topology._closings(2, "qwz")
         assert np.allclose(np.abs(w), 1.0)
         assert sorted(a) == [-1.0, 1.0]
         for layers in range(1, 7):
-            w, a = topology._closings("abba", layers, "qwz")
+            w, a = topology._closings(layers, "qwz")
             # modes r <= (N + 1) / 2 and N + 1 - r share a circle per sign of cos ky
             pairs = 2 * np.cos(sine_modes(layers).theta[:(layers + 1) // 2])
             assert np.allclose(np.sort(np.abs(w)), np.sort(np.abs(pairs).repeat(2)))
@@ -145,7 +145,7 @@ class TestTransitionCurves:
         # the gap of the mode with 2 cos(theta_r) = w at (kx, ky), cos ky = a
         for layers in (2, 3, 4):
             shifts = 2 * np.cos(sine_modes(layers).theta)
-            for w, a in zip(*topology._closings("abba", layers, "qwz")):
+            for w, a in zip(*topology._closings(layers, "qwz")):
                 r = np.flatnonzero(np.isclose(shifts, w))
                 assert len(r) == 1
                 # the middle mode of an odd stack closes at any t, for sin kx = 0
