@@ -3,10 +3,10 @@
 Subcommands: tasp, bis, winding, phase-diagram, chern, estimate-t,
 selftest.  Options resolve in three layers: built-in defaults, then a
 key=value config file (--config), then explicit flags.  All output is
-deterministic: floats use 17 significant digits, line endings are LF,
-JSON keys are sorted and no timestamps are embedded, so identical
-configurations give byte-identical files and serial and threaded runs
-agree.
+deterministic: floats are written as "%.17g" (floattext.g17 for CSV
+columns), line endings are LF, JSON keys are sorted and no timestamps
+are embedded, so identical configurations give byte-identical files and
+serial and threaded runs agree.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
@@ -24,6 +24,7 @@ from .bisfield import characterize, sample_grid
 # unused here, but the traced benchmark run (perfbench/jobs.py) wraps them in this module
 from .bisfield import dynamical_field, extract_bis, winding
 from .errors import LayerQuenchError, UnsupportedStackingError, UsageError
+from .floattext import g17
 from .hopping import ba_reference_magnitudes, estimate_t_abba, estimate_t_ba
 from .models import LayeredConfig
 from .quench import tasp_closed_form, time_averaged_expectation, mixed_state, global_observable
@@ -58,52 +59,55 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
-# A float column is formatted through its distinct values when at most
-# this share of its values is distinct; above it each value takes a %.17g
-# slot.  Empirical, not derived: on 65,536-row columns of random normal
-# floats (2-vCPU Xeon, Python 3.11, numpy 2.4, median of 9 runs) the
-# memoized column cost 30, 44, 57, 61 and 80 ms at 40, 50, 70, 75 and 100 %
-# distinct against 60 ms for the direct slot, so the two break even near
-# 75 %; the cutoff sits below that, where memoizing still wins.
-MEMO_DISTINCT_MAX = 0.7
+# rows are assembled and written in blocks of about this many bytes.  On a
+# 65,536-row tasp file (2-vCPU Xeon, Python 3.11, numpy 2.4, one pinned
+# core) 256 KB blocks wrote in 17.3 ms, 64 KB in 18.7 ms, 1 MB in 26 ms,
+# and the whole file in one block in 32 ms with 2,200 minor faults per
+# file, as its multi-MB temporaries were mapped afresh on every call.
+CSV_BLOCK_BYTES = 1 << 18
 
 
 def _column(col):
-    """(%-format slot, values) of one CSV column.
+    """(texts, index) of one CSV column: row r reads texts[index[r]], an
+    array of NUL-padded byte strings.
 
-    A float array is written with 17 significant digits, any other column
-    through str.  When few enough of a float column's values are distinct
-    (MEMO_DISTINCT_MAX), each distinct value is formatted once and its
-    string repeated.  Values are keyed by their bit pattern, not compared
-    as floats, so -0.0 and 0.0 keep their own strings and the bytes are
-    those of formatting every value.
+    A float array is written as "%.17g" of each value (floattext.g17), any
+    other column through str.  Each distinct text is made once.  Floats
+    are keyed by their bit pattern, not compared as floats, so -0.0 and
+    0.0 keep their own texts.
     """
-    if not (isinstance(col, np.ndarray) and col.dtype.kind == "f"):
-        return "%s", [str(v) for v in col]
-    keys, inverse = np.unique(col.view(f"u{col.itemsize}"), return_inverse=True)
-    if len(keys) > MEMO_DISTINCT_MAX * len(col):
-        return "%.17g", col.tolist()
-    text = ("%.17g\n" * len(keys) % tuple(keys.view(col.dtype).tolist())).split("\n")
-    return "%s", np.array(text, dtype=object)[inverse].tolist()
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        keys, index = np.unique(col.astype(np.float64, copy=False).view(np.uint64),
+                                return_inverse=True)
+        return g17(keys.view(np.float64)), index
+    return np.unique(np.array([str(v).encode() for v in col], dtype=bytes), return_inverse=True)
 
 
 def _write_csv(path, header, columns):
     """Write equal-length columns as CSV rows.
 
-    The whole body is one %-format over the values in row-major order.
-    Float columns are written with 17 significant digits; a column whose
-    values repeat formats each distinct bit pattern once (_column), which
-    leaves the bytes unchanged.
+    Each row is a fixed-width record of its column texts (_column) and
+    separators; CSV_BLOCK_BYTES of records at a time are written with
+    their NUL padding dropped.
     """
-    rows, n = len(columns[0]), len(columns)
-    fmts, flat = [], [None] * (rows * n)
-    for c, col in enumerate(columns):
-        # unpacked straight into flat, so no column's arrays outlive its turn
-        fmt, flat[c::n] = _column(col)
-        fmts.append(fmt)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n")
-        f.write((",".join(fmts) + "\n") * rows % tuple(flat))
+    parts = [_column(col) for col in columns]
+    widths = [texts.itemsize for texts, _ in parts]
+    ends = np.cumsum(widths) + np.arange(1, len(parts) + 1)
+    record = np.dtype({"names": [f"c{c}" for c in range(len(parts))],
+                       "formats": [texts.dtype for texts, _ in parts],
+                       "offsets": list(ends - 1 - widths), "itemsize": int(ends[-1])})
+    rows = len(columns[0])
+    block = np.zeros(max(1, min(rows, CSV_BLOCK_BYTES // record.itemsize)), record)
+    text = block.view(np.uint8).reshape(len(block), -1)
+    text[:, ends - 1] = ord(",")
+    text[:, -1] = ord("\n")
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\n").encode())
+        for start in range(0, rows, len(block)):
+            out = block[:rows - start]
+            for c, (texts, index) in enumerate(parts):
+                out[f"c{c}"] = texts[index[start:start + len(out)]]
+            f.write(out.tobytes().translate(None, b"\0"))
 
 
 def _write_json(path, obj):

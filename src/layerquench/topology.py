@@ -212,8 +212,9 @@ class PhaseDiagram:
     boundary marks cells whose gap minimum falls below GAP_TOL_DEFAULT or
     whose Chern number no refined grid could certify; their chern entry is
     meaningless and reported as "boundary" downstream.  computed marks the
-    cells evaluated on their own; every other cell copies the Chern number
-    of a computed cell with the same closing label (_representatives).
+    cells evaluated on their own, never a cell flagged by its gap; every
+    other cell copies the Chern number of a computed cell with the same
+    closing label (_representatives).
     """
 
     stacking: str
@@ -396,14 +397,16 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
     # each (cells, modes, n + 1, n + 1) array of a chunk stays near SCAN_CHUNK_BYTES
     per = max(1, SCAN_CHUNK_BYTES // (layers * (grid_n + 1) ** 2 * 8))
     gap = _scan_gaps(abba, tables, ts, per)
-    boundary = gap < GAP_TOL_DEFAULT
+    # a gap-flagged cell takes no degree, so it is never computed
+    gapless = gap < GAP_TOL_DEFAULT
+    boundary = gapless.copy()
     if not abba:
         col = phase_diagram("abba", 1, (0.0, 0.0), m_range, (1, sm), model, grid_n, threads)
         boundary |= col.boundary
         computed = np.zeros((st, sm), dtype=bool)
         computed[np.argmax(gap, axis=0), np.arange(sm)] = col.computed[0]
         return PhaseDiagram(stacking, layers, ts, ms, np.where(boundary, 0, layers * col.chern),
-                            gap, boundary, computed)
+                            gap, boundary, computed & ~gapless)
     chern = np.zeros((st, sm), dtype=int)
 
     far = ~_near(closings, ts, ms)
@@ -446,7 +449,8 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
     compute(own & (rep != cells))
     chern.flat[~own] = chern.flat[rep[~own]]
     return PhaseDiagram(stacking=stacking, layers=layers, ts=ts, ms=ms, chern=chern,
-                        gap_min=gap, boundary=boundary, computed=own.reshape(st, sm))
+                        gap_min=gap, boundary=boundary,
+                        computed=own.reshape(st, sm) & ~gapless)
 
 
 def _segment_meets(a, s0, m0, s1, m1):

@@ -1,5 +1,11 @@
 """The columnar CSV writer of the CLI against the per-row reference
-writer it replaced: every file must be byte-identical."""
+writer it replaced: every file must be byte-identical.  The CSV files of
+a fixed CLI sweep are also frozen as sha256 digests in
+tests/golden/csv_digests.json, computed with the per-value writer."""
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,7 +103,7 @@ POOL = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, 1e-300, -1e-300, 5e-
 def csv_columns(draw):
     """Equal-length columns: str columns, and float columns drawn from POOL
     with a drawn number of fresh values, so the share of distinct values
-    falls on either side of MEMO_DISTINCT_MAX."""
+    ranges from a few to all."""
     rows = draw(st.integers(0, 200))
     columns = []
     for _ in range(draw(st.integers(1, 4))):
@@ -122,3 +128,36 @@ def test_writer_matches_reference_on_repeated_values(tmp_path, columns):
     _write_csv(tmp_path / "new.csv", header, columns)
     reference_csv.write_csv(tmp_path / "ref.csv", header, zip(*columns))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+GOLDEN = Path(__file__).parent / "golden" / "csv_digests.json"
+
+# every CSV file these commands write is frozen in GOLDEN; the phase
+# windows put cell centres on gap closings, so both files hold boundary cells
+CSV_SWEEP = {
+    "tasp abba 256": ["tasp", "--grid", "256"],
+    "tasp ba 256": ["tasp", "--stacking", "ba", "--grid", "256"],
+    "tasp haldane 256": ["tasp", "--model", "haldane", "--m", "1.5", "--grid", "256"],
+    "tasp subspace:1 256": ["tasp", "--layers", "3", "--observable", "subspace:1",
+                            "--grid", "256"],
+    "tasp abba 256x96": ["tasp", "--t", "0.7", "--grid", "256x96"],
+    "bis ba 128": ["bis", "--stacking", "ba", "--grid", "128"],
+    "bis abba 128": ["bis", "--layers", "3", "--grid", "128"],
+    "phase-diagram abba 16": ["phase-diagram", "--steps", "16", "--t-min", "-0.0625",
+                              "--t-max", "1.9375", "--m-min", "-2.125", "--m-max", "1.875"],
+    "phase-diagram ba 12": ["phase-diagram", "--stacking", "ba", "--steps", "12",
+                            "--m-min", "-1.5", "--m-max", "2.5"],
+}
+
+
+def csv_digests(argv, out):
+    """sha256 of every CSV file the command writes into out."""
+    assert main(argv + ["--out", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(Path(out).glob("*.csv"))}
+
+
+@pytest.mark.parametrize("case", sorted(CSV_SWEEP))
+def test_csv_digests_are_frozen(tmp_path, case):
+    golden = json.loads(GOLDEN.read_text())
+    assert csv_digests(CSV_SWEEP[case], tmp_path) == golden[case]

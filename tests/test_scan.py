@@ -135,9 +135,12 @@ def test_bench_windows_compute_few_cells(stacking, steps, share):
     for window in bench_windows(steps):
         pd = phase_diagram(stacking, 2, *window, steps)
         assert 0 < pd.computed.sum() <= share * steps ** 2
+        gapless = pd.gap_min < topology.GAP_TOL_DEFAULT
+        # a gap-flagged cell takes no degree
+        assert not (pd.computed & gapless).any()
         if stacking == "abba":
-            # a copied cell is never boundary
-            assert not pd.boundary[~pd.computed].any()
+            # a copied cell with an open gap is never boundary
+            assert not pd.boundary[~pd.computed & ~gapless].any()
         else:
             # a ba cell is boundary where its own gap closes or its mass
             # column's degree is boundary
@@ -224,6 +227,17 @@ def test_equal_labels_share_one_cell_across_the_window():
     assert pd.computed.sum() == 4
     assert [pd.computed[c] for c in ((0, 2), (2, 0), (2, 2))] == [False, False, True]
 
+
+
+def test_gap_flagged_cells_are_not_computed():
+    # the one abba cell sits on the monolayer closing at m = 2, and both ba
+    # cells on the closing at m = 0, which their mass column shares
+    pd = phase_diagram("abba", 1, (0.0, 0.0), (2.0, 2.0), 1)
+    assert pd.gap_min[0, 0] == 0 and pd.boundary[0, 0]
+    assert not pd.computed.any()
+    pd = phase_diagram("ba", 2, (0.3, 0.5), (-0.01, 0.01), (2, 1))
+    assert (pd.gap_min == 0).all() and pd.boundary.all()
+    assert not pd.computed.any()
 
 @st.composite
 def scan_centres(draw):
