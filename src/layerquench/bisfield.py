@@ -30,6 +30,12 @@ FIELD_COMPONENTS = {3: (0, 1), 1: (1, 2), 2: (2, 0)}
 
 WINDING_RESIDUAL_TOL = 0.05
 
+# bytes per node and mode that sampling a lattice holds at its peak: two
+# (nodes, N) float arrays of squared levels in quench.singular_field_mask,
+# and for ba three float arrays and a flag array in quench._ba_column
+# (measured with tracemalloc, N = 50 at 64^2)
+SAMPLE_MODE_BYTES = {"abba": 2 * 8, "ba": 3 * 8 + 1}
+
 
 @dataclass
 class TaspGrid:
@@ -139,13 +145,13 @@ def _node_lattice(cfg, j, observable, resolution):
     field is evaluated once.  Nodes that hit a gap closing exactly are
     offset by half a grid step (kx, ky and h record the offset) and
     checked again alone; if still singular the error names the node.
-    The mode fields of the closed forms are bounded before the field
-    exists.
+    The per-mode arrays of the closed forms (SAMPLE_MODE_BYTES) are
+    bounded before the field exists.
     """
     nx, ny = _resolution(resolution)
     cell = sampling_cell(cfg.model)
     KX, KY = cell.nodes(nx, ny)
-    require_mode_size(KX.size, cfg.layers)
+    require_mode_size(KX.size, cfg.layers, SAMPLE_MODE_BYTES[cfg.stacking])
     h = monolayer_field(cfg, KX, KY)
     hj = h[..., j - 1].copy()
     bad = singular_field_mask(h, cfg)

@@ -84,19 +84,23 @@ def _column(col):
 
 
 def _write_csv(path, header, columns):
-    """Write equal-length columns as CSV rows.
+    """Write equal-length columns as CSV rows."""
+    _write_parts(path, header, [_column(col) for col in columns])
 
-    Each row is a fixed-width record of its column texts (_column) and
-    separators; CSV_BLOCK_BYTES of records at a time are written with
-    their NUL padding dropped.
+
+def _write_parts(path, header, parts):
+    """Write the (texts, index) parts of equal-length columns (_column) as CSV rows.
+
+    Each row is a fixed-width record of its column texts and separators;
+    CSV_BLOCK_BYTES of records at a time are written with their NUL
+    padding dropped.
     """
-    parts = [_column(col) for col in columns]
     widths = [texts.itemsize for texts, _ in parts]
     ends = np.cumsum(widths) + np.arange(1, len(parts) + 1)
     record = np.dtype({"names": [f"c{c}" for c in range(len(parts))],
                        "formats": [texts.dtype for texts, _ in parts],
                        "offsets": list(ends - 1 - widths), "itemsize": int(ends[-1])})
-    rows = len(columns[0])
+    rows = len(parts[0][1])
     block = np.zeros(max(1, min(rows, CSV_BLOCK_BYTES // record.itemsize)), record)
     text = block.view(np.uint8).reshape(len(block), -1)
     text[:, ends - 1] = ord(",")
@@ -252,9 +256,11 @@ def cmd_tasp(opts):
     grid = sample_grid(cfg, opts["axis"], obs, (nx, ny))
     files = [f"tasp_s{comp}.csv" for comp in (1, 2, 3)]
     out = _outdir(opts, *files, "tasp_manifest.json")
+    # the kx and ky texts serve all three files; one value column is held at a time
+    momenta = [_column(grid.kx.ravel()), _column(grid.ky.ravel())]
     for comp, name in enumerate(files, 1):
-        _write_csv(os.path.join(out, name), ["kx", "ky", "value"],
-                   [grid.kx.ravel(), grid.ky.ravel(), grid.values[..., comp - 1].ravel()])
+        _write_parts(os.path.join(out, name), ["kx", "ky", "value"],
+                     momenta + [_column(grid.values[..., comp - 1].ravel())])
     _write_json(os.path.join(out, "tasp_manifest.json"),
                 _manifest("tasp", opts, {"files": files, "rows": nx * ny}))
     print(f"wrote {', '.join(files)} ({nx * ny} rows each) to {out}")
@@ -372,6 +378,9 @@ def cmd_estimate_t(opts, samples):
                                 model=opts["model"], m=opts["m"])
             est = estimate_t_abba(cfg, parse_grid(opts["grid"]), j=opts["axis"])
         else:
+            if hidden < 0:
+                raise UsageError(f"--true-t {hidden!r} is negative; ba magnitudes are even in t, "
+                                 f"so only t >= 0 can be recovered")
             mags = ba_reference_magnitudes(hidden, m=opts["m"], layers=opts["layers"],
                                            j=opts["axis"])
             est = estimate_t_ba(mags, m=opts["m"], layers=opts["layers"], j=opts["axis"])

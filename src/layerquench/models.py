@@ -65,7 +65,7 @@ class LayeredConfig:
             raise UsageError(f"unknown model {self.model!r}, expected one of {MODELS}")
         if self.layers < 1:
             raise UsageError("layers must be a positive integer")
-        # e2 G^2 of quench._ba_matrix grows as t^6 and overflows from |t| ~ 1e51
+        # e2 G^2 of quench._ba_column grows as t^6 and overflows from |t| ~ 1e51
         if not (abs(self.t) <= 1e50 and abs(self.m) <= 1e50):
             raise UsageError(f"t and m must be finite with |t|, |m| <= 1e50, "
                              f"got t={float(self.t)!r}, m={float(self.m)!r}")
@@ -248,10 +248,22 @@ def require_layered_size(size, layers):
                  "use fewer layers or a coarser grid")
 
 
-def require_mode_size(size, layers):
-    """Raise UsageError when the three-component fields of N modes at size
-    momenta, one (size, N, 3) array, exceed LAYERED_BYTES_MAX."""
-    require_size(float(size) * layers * 3 * 8, f"{int(size)} momenta x {int(layers)} mode fields",
+# bytes a mode path holds per momentum beside its per-mode arrays
+# (momenta, monolayer field, values and per-momentum scratch)
+NODE_BYTES = 32 * 8
+
+
+def mode_bytes(size, layers, per_mode):
+    """Bytes held at size momenta by the arrays of N modes, per_mode bytes
+    per momentum and mode, and NODE_BYTES per momentum."""
+    return float(size) * (layers * per_mode + NODE_BYTES)
+
+
+def require_mode_size(size, layers, per_mode):
+    """Raise UsageError when mode_bytes(size, layers, per_mode), the peak of
+    a path over N modes at size momenta, exceeds LAYERED_BYTES_MAX."""
+    require_size(mode_bytes(size, layers, per_mode),
+                 f"{int(size)} momenta x {int(layers)} mode fields",
                  "use fewer layers or a coarser grid")
 
 

@@ -8,9 +8,9 @@ mixed state (1/N) (x) (1 - s_j)/2 prepared by a deep quench along axis j.
 
 import numpy as np
 
-from .errors import SingularPointError
+from .errors import SingularPointError, UnsupportedStackingError, UsageError
 from .models import PAULI, build_layered, monolayer_field
-from .spectra import _level_part, degeneracy_groups, mode_fields, sine_lam, sine_modes
+from .spectra import _level_part, degeneracy_groups, sine_lam, sine_modes
 
 # squared eigenvalues below this are treated as an exact gap closing
 SINGULAR_E2 = 1e-20
@@ -96,8 +96,16 @@ def time_integrated_expectation(H, rho0, O, T=2000.0, dt=0.01):
     return float(np.sum(coef * mean_ph).real)
 
 
-def _ba_matrix(h, cfg):
-    """Vectorized A matrix; h has shape (..., 3), result (..., 3, 3).
+def _masked_sum(num, den, bad):
+    """2 sum_r num / den over the last axis, each term 0 where bad; den is overwritten."""
+    np.copyto(den, 1.0, where=bad)
+    np.divide(num, den, out=den)
+    np.copyto(den, 0.0, where=bad)
+    return 2.0 * den.sum(axis=-1)
+
+
+def _ba_column(h, cfg, j):
+    """Column j of the vectorized A matrix; h has shape (..., 3), result (..., 3).
 
     Sums run over the N positive-branch squared eigenvalues e2 (the
     spectrum is symmetric, so sums over all 2N states carry a factor 2).
@@ -105,27 +113,38 @@ def _ba_matrix(h, cfg):
         A_ab = (2/N) * 2 sum_r (e2 - h3^2)^2 / (e2 G^2)   (a, b in {1,2})
         A_a3 = (1/N) * 2 sum_r (e2 - h3^2) / (e2 G)
         A_33 = (1/2N) * 2 sum_r 1 / e2
-    Terms with G = 0 (in-plane field and shifted mode simultaneously
-    zero) are removable 0/0 limits multiplied by h1 = h2 = 0 in every
-    polarization; they are zeroed rather than propagated as NaN.
+    A is symmetric, and column j takes two of the three sums.  Terms with
+    G = 0 (in-plane field and shifted mode simultaneously zero) are
+    removable 0/0 limits multiplied by h1 = h2 = 0 in every polarization;
+    they are zeroed rather than propagated as NaN.  The (..., N) arrays are
+    updated in place, so at most three of them are alive at once.
     """
     N = cfg.layers
     hx, hy, hz = h[..., 0, None], h[..., 1, None], h[..., 2, None]
-    e2 = _level_part(False, hx, hy, cfg.t * sine_lam(N)) + hz ** 2
+    hz2 = hz ** 2
+    e2 = _level_part(False, hx, hy, cfg.t * sine_lam(N)) + hz2
     _require_gap(e2, cfg)
-    perp = e2 - hz ** 2
-    G = perp + hx ** 2 + hy ** 2
-    ok = G > 1e-30
-    t_ab = np.where(ok, perp ** 2 / np.where(ok, e2 * G ** 2, 1.0), 0.0)
-    t_a3 = np.where(ok, perp / np.where(ok, e2 * G, 1.0), 0.0)
-    s_ab = 2.0 * t_ab.sum(axis=-1)
-    s_a3 = 2.0 * t_a3.sum(axis=-1)
-    s_33 = 2.0 * (1.0 / e2).sum(axis=-1)
-    A = np.empty(h.shape[:-1] + (3, 3))
-    A[..., :2, :2] = ((2.0 / N) * s_ab)[..., None, None]
-    A[..., 0, 2] = A[..., 1, 2] = A[..., 2, 0] = A[..., 2, 1] = (1.0 / N) * s_a3
-    A[..., 2, 2] = (0.5 / N) * s_33
-    return A
+    col = np.empty(h.shape)
+    if j == 3:
+        col[..., 2] = (0.5 / N) * (2.0 * (1.0 / e2).sum(axis=-1))
+    G = e2 - hz2
+    G += hx ** 2
+    G += hy ** 2
+    bad = G > 1e-30
+    np.logical_not(bad, out=bad)
+    if j == 3:
+        G *= e2
+        e2 -= hz2
+        col[..., 0] = col[..., 1] = (1.0 / N) * _masked_sum(e2, G, bad)
+        return col
+    den = e2 * G
+    G *= G
+    G *= e2
+    e2 -= hz2
+    col[..., 2] = (1.0 / N) * _masked_sum(e2, den, bad)
+    e2 *= e2
+    col[..., 0] = col[..., 1] = (2.0 / N) * _masked_sum(e2, G, bad)
+    return col
 
 
 def tasp_closed_form(kx, ky, cfg, j):
@@ -140,12 +159,58 @@ def tasp_closed_form(kx, ky, cfg, j):
     return tasp_of_field(monolayer_field(cfg, kx, ky), cfg, j)
 
 
+def _abba_modes(h, cfg, j, r):
+    """Yield (mode index, (h_r^i h_r^j for i = 1..3), E_r^2) of the abba
+    modes r (all modes for None), one mode and one component at a time.
+
+    h_r = (h1 + t lam_r, h2, h3) and E_r^2 = (h1r^2 + h2^2) + h3^2, in the
+    order of the length-3 sum it replaces.  The levels of every mode are
+    gap-checked (_require_gap) before the mode is yielded, also those of
+    the modes that are not yielded.  The yielded arrays are reused for the
+    next mode.
+    """
+    h1, h2, h3 = (h[..., i].copy() for i in range(3))
+    sq2, sq3 = h2 * h2, h3 * h3
+    hj = (None, h2, h3)[j - 1]
+    # the products without h1r are the same for every mode
+    fixed = {2: (sq2, h3 * h2), 3: (h2 * h3, sq3)}.get(j)
+    h1r, sq1, e2, p1, p2 = (np.empty_like(h1) for _ in range(5))
+    low = np.empty(h1.shape, dtype=bool)
+    tlam = cfg.t * sine_lam(cfg.layers)
+    for k, shift in enumerate(tlam):
+        np.add(h1, shift, out=h1r)
+        np.multiply(h1r, h1r, out=sq1)
+        np.add(sq1, sq2, out=e2)
+        e2 += sq3
+        if np.less(e2, SINGULAR_E2, out=low).any():
+            # the levels of all modes, for the index _require_gap reports
+            _require_gap(np.stack([((h1 + s) ** 2 + sq2) + sq3 for s in tlam], axis=-1), cfg)
+        if r is not None and k != r - 1:
+            continue
+        if j == 1:
+            yield k, (sq1, np.multiply(h2, h1r, out=p1), np.multiply(h3, h1r, out=p2)), e2
+        else:
+            yield k, (np.multiply(h1r, hj, out=p1),) + fixed, e2
+
+
 def tasp_of_field(h, cfg, j):
-    """tasp_closed_form at monolayer field values h (..., 3)."""
-    if cfg.stacking == "abba":
-        # negated after the sum, which keeps the sign of zeros (-0.0 terms sum to +0.0)
-        return -np.sum(-gtasp_of_field(h, cfg, j), axis=-2) / cfg.layers
-    return -h * h[..., j - 1, None] * _ba_matrix(h, cfg)[..., j - 1]
+    """tasp_closed_form at monolayer field values h (..., 3).
+
+    The abba mode sum adds h_r^i h_r^j / E_r^2 in mode order from +0.0,
+    negated after the sum, which keeps the sign of zeros.
+    """
+    if cfg.stacking != "abba":
+        return -h * h[..., j - 1, None] * _ba_column(h, cfg, j)
+    shape = np.shape(h)[:-1]
+    acc = np.zeros((3,) + shape)
+    term = np.empty(shape)
+    for _, prods, e2 in _abba_modes(h, cfg, j, None):
+        for i in range(3):
+            acc[i] += np.divide(prods[i], e2, out=term)
+    out = np.empty(np.shape(h))
+    for i in range(3):
+        out[..., i] = -acc[i] / cfg.layers
+    return out
 
 
 def gtasp_abba(kx, ky, cfg, j, r=None):
@@ -159,12 +224,19 @@ def gtasp_abba(kx, ky, cfg, j, r=None):
 
 
 def gtasp_of_field(h, cfg, j, r=None):
-    """gtasp_abba at monolayer field values h (..., 3)."""
-    hr = mode_fields(h, cfg)
-    e2 = np.sum(hr ** 2, axis=-1)
-    _require_gap(e2, cfg)
-    out = -hr * hr[..., j - 1, None] / e2[..., None]
-    return out if r is None else out[..., r - 1, :]
+    """gtasp_abba at monolayer field values h (..., 3); mode r alone is
+    computed when given, but every mode's gap is checked."""
+    if cfg.stacking != "abba":
+        raise UnsupportedStackingError("subsystem fields require the abba stacking")
+    if r is not None and not 1 <= r <= cfg.layers:
+        raise UsageError(f"subspace mode index {r} is outside 1..{cfg.layers}")
+    shape = np.shape(h)[:-1]
+    out = np.empty(shape + ((3,) if r is not None else (cfg.layers, 3)))
+    for k, prods, e2 in _abba_modes(h, cfg, j, r):
+        at = out if r is not None else out[..., k, :]
+        for i in range(3):
+            at[..., i] = -(prods[i] / e2)
+    return out
 
 
 def singular_mask(kx, ky, cfg):

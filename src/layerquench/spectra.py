@@ -75,13 +75,9 @@ def subsystem_fields(kx, ky, cfg):
     h1 + t and h1 - t.  Only defined for the abba stacking, whose
     Hamiltonian splits into the 2x2 blocks h_r . sigma.
     """
-    return mode_fields(monolayer_field(cfg, kx, ky), cfg)
-
-
-def mode_fields(h, cfg):
-    """subsystem_fields at monolayer field values h (..., 3)."""
     if cfg.stacking != "abba":
         raise UnsupportedStackingError("subsystem fields require the abba stacking")
+    h = monolayer_field(cfg, kx, ky)
     out = np.repeat(h[..., None, :], cfg.layers, axis=-2)
     out[..., 0] = out[..., 0] + cfg.t * sine_lam(cfg.layers)
     return out

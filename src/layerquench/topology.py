@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import GaplessError, NonQuantizedWindingError, UsageError
 from .frames import overlap_det, sine_mode_frames
-from .models import (LayeredConfig, build_layered, monolayer_field, require_layered_size,
-                     require_mode_size, require_size, sampling_cell)
+from .models import (LayeredConfig, build_layered, monolayer_component, monolayer_field,
+                     require_layered_size, require_mode_size, require_size, sampling_cell)
 from .spectra import _level_part, positive_levels, sine_lam
 # unused here, but the traced benchmark run (perfbench/jobs.py) wraps it in this module
 from .spectra import analytic_positive_levels
@@ -43,6 +43,11 @@ FIELD_FLOOR = 1e-9
 # about 25 % slower on a 2-vCPU Xeon; half of it still left the timing
 # of 1024 abba cells dependent on the malloc heap state)
 SCAN_CHUNK_BYTES = 1 << 17
+
+# bytes per node and mode of a one-cell scan chunk at its peak: about
+# sixteen (modes, n + 1, n + 1) float arrays in _abba_cells and _unit_degree
+# (measured with tracemalloc, N = 50 at 16^2 and 64^2)
+SCAN_MODE_BYTES = 17 * 8
 
 # a phase scan computes a cell on its own when the box of this
 # half-width around it, in the field coordinates of a gap closing (see
@@ -116,9 +121,13 @@ def chern_fhs(cfg, filled=None, grid_n=100):
 
 
 def _periodic(a):
-    """a extended by a copy of its first row and column along the last two axes."""
-    a = np.concatenate([a, a[..., :1, :]], axis=-2)
-    return np.concatenate([a, a[..., :1]], axis=-1)
+    """a extended by a copy of its first row and column along the last two
+    axes, as a new contiguous array."""
+    out = np.empty(a.shape[:-2] + (a.shape[-2] + 1, a.shape[-1] + 1))
+    out[..., :-1, :-1] = a
+    out[..., :-1, -1] = a[..., :, 0]
+    out[..., -1, :] = out[..., 0, :]
+    return out
 
 
 def _unit_degree(x, y, z):
@@ -163,6 +172,29 @@ def _unit_degree(x, y, z):
     return area / (2 * np.pi), den_min
 
 
+def _field_degree(h1, h2, h3, KX, KY):
+    """Degree of the unit field h / |h| from its components on the
+    periodically extended grid (_periodic) of the nodes KX, KY.
+
+    |h| = sqrt((h1^2 + h2^2) + h3^2) is np.linalg.norm of the whole field
+    bit for bit.  Raises GaplessError when the field vanishes on the grid
+    or comes close enough that a plaquette cannot be certified.
+    """
+    nrm = np.sqrt((h1 * h1 + h2 * h2) + h3 * h3)
+    if nrm.min() < FIELD_FLOOR:
+        # the first minimum lies off the copied row and column
+        i, l = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
+        raise GaplessError(f"field vanishes at k=({KX[i, l]}, {KY[i, l]})")
+    total, den_min = _unit_degree(h1 / nrm, h2 / nrm, h3 / nrm)
+    if den_min < DEN_FLOOR:
+        raise GaplessError(
+            f"nearly antipodal plaquette (den {den_min:.3g}); gap unresolved at this grid")
+    nearest = np.rint(total)
+    if abs(total - nearest) >= ROUND_TOL:
+        raise NonQuantizedWindingError(f"degree {total} is not integer")
+    return int(nearest)
+
+
 def chern_two_band(field_fn, grid_n=100, model="qwz"):
     """Degree of the normalized field k -> h(k)/|h(k)| over the sampling cell of model.
 
@@ -173,18 +205,7 @@ def chern_two_band(field_fn, grid_n=100, model="qwz"):
     """
     KX, KY = sampling_cell(model).nodes(grid_n, grid_n)
     h = field_fn(KX, KY)
-    nrm = np.linalg.norm(h, axis=-1)
-    if nrm.min() < FIELD_FLOOR:
-        i, l = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
-        raise GaplessError(f"field vanishes at k=({KX[i, l]}, {KY[i, l]})")
-    total, den_min = _unit_degree(*_periodic(np.moveaxis(h / nrm[..., None], -1, 0)))
-    if den_min < DEN_FLOOR:
-        raise GaplessError(
-            f"nearly antipodal plaquette (den {den_min:.3g}); gap unresolved at this grid")
-    nearest = np.rint(total)
-    if abs(total - nearest) >= ROUND_TOL:
-        raise NonQuantizedWindingError(f"degree {total} is not integer")
-    return int(nearest)
+    return _field_degree(*(_periodic(h[..., i]) for i in range(3)), KX, KY)
 
 
 def subsystem_field_fn(cfg, r):
@@ -200,9 +221,16 @@ def subsystem_field_fn(cfg, r):
 
 
 def total_chern_abba(cfg, grid_n=100):
-    """Sum of the two-band degrees of all abba sine-mode fields."""
-    return sum(chern_two_band(subsystem_field_fn(cfg, r), grid_n, cfg.model)
-               for r in range(1, cfg.layers + 1))
+    """Sum of the two-band degrees of all abba sine-mode fields.
+
+    The monolayer components are evaluated once; mode r adds t lam_r to
+    h1, as subsystem_field_fn does, and its degree is taken as in
+    chern_two_band.
+    """
+    KX, KY = sampling_cell(cfg.model).nodes(grid_n, grid_n)
+    h1, h2, h3 = (_periodic(monolayer_component(cfg, KX, KY, i)) for i in range(3))
+    return sum(_field_degree(h1 + shift, h2, h3, KX, KY)
+               for shift in cfg.t * sine_lam(cfg.layers))
 
 
 @dataclass
@@ -233,19 +261,20 @@ def _scan_tables(layers, model, ms, grid_n, cell):
     Returns (h1, h2, h3, lam): the first two monolayer components, which
     depend on neither t nor m, the third for every mass in ms, and the
     Sigma1 eigenvalues lam_r; abba mode r adds t lam_r to h1.  The mode
-    fields of a cell are bounded before any table exists.
+    arrays of a one-cell chunk (SCAN_MODE_BYTES) are bounded before any
+    table exists.
     """
     KX, KY = cell.nodes(grid_n, grid_n)
-    require_mode_size((grid_n + 1) ** 2, layers)
+    require_mode_size((grid_n + 1) ** 2, layers, SCAN_MODE_BYTES)
 
-    def field(m):
+    def component(i, m=0.0):
         cfg = LayeredConfig("abba", layers, 0.0, model, m)
-        return _periodic(np.moveaxis(monolayer_field(cfg, KX, KY), -1, 0))
+        return _periodic(monolayer_component(cfg, KX, KY, i))
 
-    h1, h2, _ = field(0.0)
+    h1, h2 = component(0), component(1)
     h3 = np.empty((len(ms),) + h1.shape)
     for l, m in enumerate(ms):
-        h3[l] = field(float(m))[2]
+        h3[l] = component(2, float(m))
     return h1, h2, h3, sine_lam(layers)
 
 

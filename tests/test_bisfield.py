@@ -1,6 +1,7 @@
 """Tests for measured-polarization grids, ring extraction and winding numbers."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from layerquench import (
     component_zero_curves,
     dynamical_field,
     extract_bis,
+    models,
     monolayer_field,
     quench,
     qwz_field,
@@ -87,17 +89,34 @@ class TestSampleGrid:
             characterize(cfg, resolution=resolution)
 
     def test_oversized_mode_fields_are_refused_before_the_field(self, monkeypatch):
-        # 256^2 nodes x 3000 modes x 3 components: 4.7 GB, refused before
-        # the monolayer field (or any mode array) is evaluated
+        # 256^2 nodes x 3000 modes x two float arrays of squared levels:
+        # 3.2 GB, refused before the monolayer field (or any mode array)
+        # is evaluated
         def no_field(*args):
             raise AssertionError("field evaluated before the memory check")
 
         monkeypatch.setattr(bisfield, "monolayer_field", no_field)
         cfg = LayeredConfig("abba", 3000, 0.4)
-        with pytest.raises(UsageError, match="65536 momenta x 3000 mode fields need 4.7 GB"):
+        with pytest.raises(UsageError, match="65536 momenta x 3000 mode fields need 3.2 GB"):
             sample_grid(cfg, 3, ("global",), 256)
         with pytest.raises(UsageError, match="mode fields need"):
             characterize(cfg, resolution=256)
+
+    @pytest.mark.parametrize("stacking, observable, j", [
+        (stacking, observable, j) for j in (1, 2, 3)
+        for stacking, observable in (("abba", ("global",)), ("abba", ("subspace", 2)),
+                                     ("ba", ("global",)))])
+    def test_sampling_peak_is_within_the_counted_bytes(self, stacking, observable, j):
+        # what the mode bound counts is what sampling holds at its peak
+        cfg = LayeredConfig(stacking, 50, 0.4)
+        tracemalloc.start()
+        try:
+            sample_grid(cfg, j, observable, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counted = models.mode_bytes(64 * 64, 50, bisfield.SAMPLE_MODE_BYTES[stacking])
+        assert 0.5 * counted < peak <= counted
 
     @pytest.mark.parametrize("cfg, observable, calls", [
         (LayeredConfig("abba", 2, 0.4), ("global",), 1),

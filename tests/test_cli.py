@@ -391,6 +391,8 @@ EXIT_SWEEP = [
     (2, ["estimate-t", "--stacking", "ba", "--sample", "s3=nan"]),
     (2, ["estimate-t", "--stacking", "ba", "--sample", "s1=inf"]),
     (2, ["estimate-t", "--true-t", "0.4", "--axis", "1", "--grid", "64"]),
+    # ba magnitudes are even in t, so a negative coupling cannot be recovered
+    (2, ["estimate-t", "--stacking", "ba", "--true-t", "-1"]),
     # lattices of 10^11 nodes and more, refused before any node array exists
     (2, ["tasp", "--grid", "99999999999"]),
     (2, ["bis", "--grid", "400000x400000"]),

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from layerquench import (PAULI, LayeredConfig, SingularPointError, build_layered,
+from layerquench import (PAULI, LayeredConfig, SingularPointError, UsageError, build_layered,
                          global_observable, gtasp_abba, mixed_state, monolayer_field,
                          polarization_profile, pure_state, pure_state_check, singular_mask,
                          subspace_observable, tasp_closed_form, time_averaged_expectation,
                          time_integrated_expectation)
-from layerquench.quench import _ba_matrix
+from layerquench.quench import _ba_column
 
 
 def random_k(rng):
@@ -92,9 +92,17 @@ def test_gtasp_mode_sum():
     assert np.max(np.abs(total - 4 * tasp_closed_form(kx, ky, cfg, 3))) < 1e-12
 
 
+@pytest.mark.parametrize("r", [0, -1, 3])
+def test_mode_index_outside_the_stack_is_a_usage_error(r):
+    with pytest.raises(UsageError, match="outside 1..2"):
+        gtasp_abba(0.3, 0.2, LayeredConfig("abba", 2, 0.4), 3, r)
+
+
 def test_ba_coefficient_matrix_symmetric():
     cfg = LayeredConfig("ba", 2, 0.9)
-    A = _ba_matrix(monolayer_field(cfg, 0.7, -0.4), cfg)
+    # column j of A, for each j
+    A = np.stack([_ba_column(monolayer_field(cfg, 0.7, -0.4), cfg, j) for j in (1, 2, 3)],
+                 axis=-1)
     assert np.max(np.abs(A - np.swapaxes(A, -1, -2))) < 1e-14
 
 
@@ -146,6 +154,26 @@ def test_singular_point_on_transition_curve():
     kx = np.arctan2(0.6, 0.8)
     with pytest.raises(SingularPointError):
         gtasp_abba(kx, 0.0, cfg, 3, 2)
+
+
+def test_every_modes_gap_is_checked():
+    """Mode 1 alone is computed, but the closing of mode 2 at the same
+    momentum raises, with the message of mode 2."""
+    cfg = LayeredConfig("abba", 2, 0.6, m=1.8)
+    kx = np.arctan2(0.6, 0.8)
+    with pytest.raises(SingularPointError) as mode1:
+        gtasp_abba(kx, 0.0, cfg, 3, 1)
+    with pytest.raises(SingularPointError) as mode2:
+        gtasp_abba(kx, 0.0, cfg, 3, 2)
+    assert str(mode1.value) == str(mode2.value)
+    # on a momentum array the message names the same sample for every mode
+    kx = np.array([[0.1, 0.2], [kx, 0.3]])
+    messages = set()
+    for r in (None, 1, 2):
+        with pytest.raises(SingularPointError) as exc:
+            gtasp_abba(kx, np.zeros_like(kx), cfg, 3, r)
+        messages.add(str(exc.value))
+    assert len(messages) == 1 and messages.pop().endswith("at sample index (1, 0)")
 
 
 @pytest.mark.parametrize("stacking, evaluate", [

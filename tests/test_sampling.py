@@ -4,7 +4,8 @@ tests/golden/sampling_digests.json holds, per case, the sha256 of
 sample_grid's kx, ky and values and of characterize's contours (points,
 frac, wraps, gfield and windings), or the error the call raised.  The
 cases cover both stackings and both models, every quench axis, the
-global observable and every mode-resolved one of N = 1..4, and a
+global observable and every mode-resolved one of N = 1..4, the global
+observable and mode 3 of abba N = 8 and 9 and the global ba N = 8, and a
 lattice with a nudged node (the gap closes exactly at k = 0).  Every
 sampling kernel must leave them bitwise unchanged.
 """
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerquench import (LayeredConfig, LayerQuenchError, bisfield, characterize, models,
-                         quench, sample_grid, spectra)
+                         quench, sample_grid, spectra, topology)
 
 GOLDEN = Path(__file__).parent / "golden" / "sampling_digests.json"
 
@@ -32,9 +33,13 @@ def sampling_cases():
     cases = []
     for model, (t, m) in PARAMS.items():
         for stacking in ("abba", "ba"):
-            for layers in range(1, 5):
+            # every mode of N = 1..4, then deeper stacks with one mode: from
+            # eight terms on, numpy's pairwise sums take another order
+            depths = [(layers, range(1, layers + 1)) for layers in range(1, 5)]
+            depths += [(8, [3]), (9, [3])] if stacking == "abba" else [(8, ())]
+            for layers, modes in depths:
                 cfg = LayeredConfig(stacking, layers, t, model, m)
-                modes = range(1, layers + 1) if stacking == "abba" else ()
+                modes = modes if stacking == "abba" else ()
                 for obs in [("global",)] + [("subspace", r) for r in modes]:
                     for j in (1, 2, 3):
                         key = f"{stacking} {layers} {model} {':'.join(map(str, obs))} s{j}"
@@ -147,3 +152,77 @@ def test_source_function_evaluates_the_component_alone(model, layers, t, j, mode
     kx, ky = np.array(k).T
     old = models.monolayer_field(cfg, kx, ky)[..., j - 1] + bisfield._source_shift(grid)
     assert _same_bits(bisfield.source_function(grid)(kx, ky), old)
+
+
+def _mode_fields(h, cfg):
+    """The interleaved (..., N, 3) abba mode fields the per-mode kernels replaced."""
+    hr = np.repeat(h[..., None, :], cfg.layers, axis=-2)
+    hr[..., 0] = hr[..., 0] + cfg.t * spectra.sine_lam(cfg.layers)
+    return hr
+
+
+def _ba_matrix(h, cfg):
+    """The whole A matrix of the ba closed form, as it was computed before
+    quench._ba_column took one column."""
+    N = cfg.layers
+    hx, hy, hz = h[..., 0, None], h[..., 1, None], h[..., 2, None]
+    e2 = spectra._level_part(False, hx, hy, cfg.t * spectra.sine_lam(N)) + hz ** 2
+    perp = e2 - hz ** 2
+    G = perp + hx ** 2 + hy ** 2
+    ok = G > 1e-30
+    t_ab = np.where(ok, perp ** 2 / np.where(ok, e2 * G ** 2, 1.0), 0.0)
+    t_a3 = np.where(ok, perp / np.where(ok, e2 * G, 1.0), 0.0)
+    A = np.empty(h.shape[:-1] + (3, 3))
+    A[..., :2, :2] = ((2.0 / N) * (2.0 * t_ab.sum(axis=-1)))[..., None, None]
+    A[..., 0, 2] = A[..., 1, 2] = A[..., 2, 0] = A[..., 2, 1] = (
+        (1.0 / N) * (2.0 * t_a3.sum(axis=-1)))
+    A[..., 2, 2] = (0.5 / N) * (2.0 * (1.0 / e2).sum(axis=-1))
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacking=st.sampled_from(["abba", "ba"]), layers=st.integers(1, 12),
+       t=st.sampled_from([0.0, -0.0, 0.4]) | st.floats(-3.0, 3.0), j=st.integers(1, 3),
+       h=st.lists(st.tuples(*[st.sampled_from(SMALL[:2] + [1.0, -0.5]) | st.floats(-3.0, 3.0)]
+                            * 2, st.sampled_from([0.5, -0.0]) | st.floats(-3.0, 3.0)),
+                  min_size=1, max_size=8))
+def test_per_mode_kernels_are_the_interleaved_expressions(stacking, layers, t, j, h):
+    cfg = LayeredConfig(stacking, layers, t)
+    h = np.array(h)
+    if stacking == "ba":
+        e2 = spectra._level_part(False, h[:, 0, None], h[:, 1, None],
+                                 t * spectra.sine_lam(layers)) + h[:, 2, None] ** 2
+    else:
+        hr = _mode_fields(h, cfg)
+        e2 = np.sum(hr ** 2, axis=-1)
+    if np.any(e2 < quench.SINGULAR_E2):
+        with pytest.raises(LayerQuenchError):
+            quench.tasp_of_field(h, cfg, j)
+        return
+    for row in (slice(None), 0):
+        if stacking == "ba":
+            old = -h * h[..., j - 1, None] * _ba_matrix(h, cfg)[..., j - 1]
+            assert _same_bits(quench.tasp_of_field(h[row], cfg, j), old[row])
+            continue
+        modes = -hr * hr[..., j - 1, None] / e2[..., None]
+        assert _same_bits(quench.tasp_of_field(h[row], cfg, j),
+                          (-np.sum(-modes, axis=-2) / layers)[row])
+        assert _same_bits(quench.gtasp_of_field(h[row], cfg, j), modes[row])
+        for r in range(1, layers + 1):
+            assert _same_bits(quench.gtasp_of_field(h[row], cfg, j, r), modes[row][..., r - 1, :])
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(0, 2), st.integers(1, 5), st.integers(1, 5)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_component_norm_and_extension_are_the_whole_fields(shape, seed):
+    rng = np.random.default_rng(seed)
+    h = rng.choice([0.0, -0.0, 1e-160, 2.0], size=shape + (3,)) * rng.normal(size=shape + (3,))
+    comps = [h[..., i] for i in range(3)]
+    assert _same_bits(np.sqrt((comps[0] * comps[0] + comps[1] * comps[1])
+                              + comps[2] * comps[2]), np.linalg.norm(h, axis=-1))
+    # the concatenated extension the in-place one replaced
+    old = np.concatenate([h, h[..., :1, :, :]], axis=-3)
+    old = np.concatenate([old, old[..., :1, :]], axis=-2)
+    for i in range(3):
+        assert _same_bits(topology._periodic(comps[i]), old[..., i])

@@ -214,9 +214,10 @@ class TestInputFloors:
         def no_field(*args):
             raise AssertionError("field evaluated before the memory check")
 
-        # 1001^2 periodic nodes x 50 modes x 3 components: 1.2 GB
+        # 1001^2 periodic nodes x 50 modes x 17 float arrays of a one-cell chunk: 7.1 GB
         monkeypatch.setattr(topology, "monolayer_field", no_field)
-        with pytest.raises(UsageError, match="1002001 momenta x 50 mode fields need 1.2 GB"):
+        monkeypatch.setattr(topology, "monolayer_component", no_field)
+        with pytest.raises(UsageError, match="1002001 momenta x 50 mode fields need 7.1 GB"):
             phase_diagram("abba", 50, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=1000)
 
     def test_chern_fhs_bounds_the_stack_before_the_nodes_exist(self, monkeypatch):
