@@ -19,9 +19,9 @@ import numpy as np
 
 from .errors import (DegenerateFieldError, NonQuantizedWindingError, SingularPointError,
                      UsageError)
-from .models import monolayer_component, monolayer_field, require_mode_size, sampling_cell
-from .quench import (gtasp_abba, gtasp_of_field, singular_field_mask, tasp_closed_form,
-                     tasp_of_field)
+from .models import LatticeField, monolayer_component, monolayer_field, require_mode_size
+from .quench import (SINGULAR_E2, gtasp_abba, gtasp_of_field, singular_field_mask,
+                     tasp_closed_form, tasp_of_field)
 from .spectra import sine_lam
 
 # tracked component pair (zero-based) for each quench axis: the two
@@ -136,30 +136,57 @@ def _resolution(resolution):
     return nx, ny
 
 
-def _node_lattice(cfg, j, observable, resolution):
+def _singular_nodes(lattice, cfg, h3):
+    """singular_field_mask of the whole field of the lattice, bit for bit,
+    from its third component h3 and the whole field at a few nodes.
+
+    Every level is E_r^2 = p_r + h3^2 >= h3^2, as p_r >= 0 and rounding
+    is monotone, and the test's sqrt and square move h3^2 by a few ulps,
+    so a node can be singular only where h3^2 < 2 SINGULAR_E2.  Only
+    those near nodes take the whole field and the test.
+    """
+    near = h3 ** 2 < 2.0 * SINGULAR_E2
+    bad = np.zeros(h3.shape, dtype=bool)
+    if near.any():
+        at = np.nonzero(near)
+        bad[at] = singular_field_mask(lattice.field(cfg.m, at), cfg)
+    return bad
+
+
+def _node_lattice(cfg, j, observable, resolution, full=False):
     """(grid, h): a grid without polarization values, holding the node
     momenta of an nx x ny lattice over the sampling cell of cfg.model,
-    and the monolayer field h (nx, ny, 3) at them.
+    and, when full, the monolayer field h (nx, ny, 3) at them (else None).
 
-    Nodes sit at fractions (i/nx, l/ny) of the cell, where the monolayer
-    field is evaluated once.  Nodes that hit a gap closing exactly are
-    offset by half a grid step (kx, ky and h record the offset) and
-    checked again alone; if still singular the error names the node.
-    The per-mode arrays of the closed forms (SAMPLE_MODE_BYTES) are
-    bounded before the field exists.
+    Nodes sit at fractions (i/nx, l/ny) of the cell, where the lattice
+    evaluates each component it needs once (models.LatticeField).  When
+    full, the whole field is evaluated, as the closed forms need it, and
+    every node takes the singular-node test; otherwise only h_j and h3
+    are, and the test runs at the nodes _singular_nodes selects.  Singular
+    nodes are offset by half a grid step (kx, ky and h record the offset)
+    and checked again alone; if still singular the error names the node.
+    The per-mode arrays of sampling (SAMPLE_MODE_BYTES) are bounded before
+    the field exists.
     """
     nx, ny = _resolution(resolution)
-    cell = sampling_cell(cfg.model)
-    KX, KY = cell.nodes(nx, ny)
+    lattice = LatticeField(cfg.model, nx, ny)
+    KX, KY, cell = lattice.kx, lattice.ky, lattice.cell
     require_mode_size(KX.size, cfg.layers, SAMPLE_MODE_BYTES[cfg.stacking])
-    h = monolayer_field(cfg, KX, KY)
-    hj = h[..., j - 1].copy()
-    bad = singular_field_mask(h, cfg)
+    if full:
+        h = lattice.field(cfg.m)
+        hj = h[..., j - 1].copy()
+        bad = singular_field_mask(h, cfg)
+    else:
+        h = None
+        hj = lattice.component(j - 1, cfg.m)
+        bad = _singular_nodes(lattice, cfg, hj if j == 3 else lattice.component(2, cfg.m))
     if np.any(bad):
         i, l = np.nonzero(bad)
         KX[bad], KY[bad] = cell.k_at(i / nx + 0.5 / nx, l / ny + 0.5 / ny)
-        h[bad] = monolayer_field(cfg, KX[bad], KY[bad])
-        still = singular_field_mask(h[bad], cfg)
+        nudged = monolayer_field(cfg, KX[bad], KY[bad])
+        if full:
+            h[bad] = nudged
+        still = singular_field_mask(nudged, cfg)
         if np.any(still):
             p = np.flatnonzero(still)[0]
             raise SingularPointError(f"gap closes at grid node ({i[p]}, {l[p]}), "
@@ -177,7 +204,7 @@ def sample_grid(cfg, j, observable=("global",), resolution=256):
     resolution is an integer or a pair of integers.
     """
     r = _mode_index(cfg, observable)
-    grid, h = _node_lattice(cfg, j, observable, resolution)
+    grid, h = _node_lattice(cfg, j, observable, resolution, full=True)
     grid.values = tasp_of_field(h, cfg, j) if r is None else gtasp_of_field(h, cfg, j, r)
     return grid
 

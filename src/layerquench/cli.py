@@ -28,7 +28,7 @@ from .floattext import g17
 from .hopping import ba_reference_magnitudes, estimate_t_abba, estimate_t_ba
 from .models import LayeredConfig
 from .quench import tasp_closed_form, time_averaged_expectation, mixed_state, global_observable
-from .topology import chern_fhs, phase_diagram, total_chern_abba
+from .topology import chern_fhs, phase_diagram, require_degree_size, total_chern_abba
 
 # option name -> (type, default); the single source of truth for config
 # file keys, flag resolution and manifest echo
@@ -344,9 +344,13 @@ def cmd_chern(opts):
     cfg = layered_config(opts)
     nx = square_grid(opts["grid"])
     filled = opts["filled"] if opts["filled"] is not None else cfg.layers
+    degrees = cfg.stacking == "abba" and filled == cfg.layers
+    if degrees:
+        # bounded before the link-variable sum runs
+        require_degree_size(nx)
     c = chern_fhs(cfg, filled, grid_n=nx)
     extra = {"chern_fhs": c, "filled": filled}
-    if cfg.stacking == "abba" and filled == cfg.layers:
+    if degrees:
         extra["mode_degree_sum"] = total_chern_abba(cfg, grid_n=nx)
     out = _outdir(opts, "chern.json")
     _write_json(os.path.join(out, "chern.json"), _manifest("chern", opts, extra))

@@ -43,8 +43,9 @@ MIN_GRID = 16
 # of that size is alive beside it while it is summed, and an eigensolve
 # needs about as much again.  chern_fhs holds its eigensolver-free
 # frames, which never build the whole stack, to the same estimate;
-# Cell.nodes holds a node lattice with its monolayer field to it, and
-# require_size the mode fields, sine-mode vectors and scan cells
+# Cell.nodes holds a node lattice with its monolayer field to it,
+# require_size the mode fields, sine-mode vectors and scan cells, and
+# topology.require_degree_size the mode-degree sums
 LAYERED_BYTES_MAX = 10 ** 9
 
 
@@ -101,12 +102,7 @@ class Cell:
         if min(nx, ny) < MIN_GRID:
             raise UsageError(
                 f"grid resolution must be at least {MIN_GRID} per axis, got {int(min(nx, ny))}")
-        nbytes = 5 * 8 * float(nx) * float(ny)
-        if nbytes > LAYERED_BYTES_MAX:
-            raise UsageError(
-                f"a {int(nx)} x {int(ny)} lattice needs {nbytes / 1e9:.1f} GB for its momenta "
-                f"and field, above the {LAYERED_BYTES_MAX / 1e9:.1f} GB limit; "
-                f"use a coarser grid")
+        require_lattice_size(nx, ny, 5 * 8 * float(nx) * float(ny), "its momenta and field")
         return self.k_at(np.arange(nx)[:, None] / nx, np.arange(ny)[None, :] / ny)
 
     def fractions(self, kx, ky):
@@ -185,6 +181,64 @@ def monolayer_component(cfg, kx, ky, i):
                               cfg.m, i)
 
 
+class LatticeField:
+    """The monolayer field of one model at the nodes of an nx x ny lattice
+    over its sampling cell, one component at a time.
+
+    kx, ky are the node momenta of Cell.nodes, which bounds the lattice.
+    component(i, m) equals monolayer_component at these nodes bit for bit
+    for any mass m, and evaluates only the transcendental parts component
+    i needs, each once per lattice:
+    - qwz: the square cell's basis is diagonal, so kx is constant along
+      axis 1 and ky along axis 0, bit for bit, and every component comes
+      from the sines and cosines of the nx + ny axis values;
+    - haldane: the angles k.a_i and k.b_i mix both axes, which do not
+      separate in floating point, so they are taken per node, from the
+      product of the whole node stack as haldane_field takes them (a
+      product of fewer nodes can round differently), and
+      S = 2 sum_i sin(k.b_i) is kept for h3 = m - S.
+    Later changes to kx, ky (nudged nodes) do not reach the parts already
+    taken from them.
+    """
+
+    def __init__(self, model, nx, ny):
+        self.model = model
+        self.cell = sampling_cell(model)
+        self.kx, self.ky = self.cell.nodes(nx, ny)
+        self._S = None
+        if model == "qwz":
+            axes = (self.kx[:, :1], self.ky[:1, :])
+            self._sin = [np.sin(k) for k in axes]
+            self._cos = [np.cos(k) for k in axes]
+
+    def _angles(self, vectors):
+        return np.stack([self.kx, self.ky], axis=-1) @ vectors.T
+
+    def component(self, i, m, at=None):
+        """Component i (zero-based) of the field of mass m at every node,
+        (nx, ny), or at the nodes at, a pair of index arrays.  m may be an
+        array of masses on leading axes (the third component then takes one
+        lattice per mass)."""
+        if self.model == "qwz":
+            def axis(parts, a):
+                return parts[a] if at is None else parts[a].ravel()[at[a]]
+
+            if i == 2:
+                return (m - axis(self._cos, 0)) - axis(self._cos, 1)
+            s = axis(self._sin, i)
+            return s if at is not None else np.broadcast_to(s, self.kx.shape).copy()
+        if i == 2:
+            if self._S is None:
+                self._S = 2.0 * _sum3(np.sin(self._angles(TRI_B)))
+            return m - (self._S if at is None else self._S[at])
+        ka = self._angles(TRI_A)
+        return _haldane_component(ka if at is None else ka[at], m, i)
+
+    def field(self, m, at=None):
+        """All three components, stacked on a last axis as monolayer_field stacks them."""
+        return np.stack([self.component(i, m, at) for i in range(3)], axis=-1)
+
+
 def sampling_cell(model):
     """Periodic cell used for grids, contours and curvature sums.
 
@@ -239,6 +293,15 @@ def require_size(nbytes, arrays, remedy):
     if nbytes > LAYERED_BYTES_MAX:
         raise UsageError(f"{arrays} need {nbytes / 1e9:.1f} GB, above the "
                          f"{LAYERED_BYTES_MAX / 1e9:.1f} GB limit; {remedy}")
+
+
+def require_lattice_size(nx, ny, nbytes, arrays):
+    """Raise UsageError when the named arrays of an nx x ny lattice, nbytes
+    in all, would exceed LAYERED_BYTES_MAX."""
+    if nbytes > LAYERED_BYTES_MAX:
+        raise UsageError(
+            f"a {int(nx)} x {int(ny)} lattice needs {nbytes / 1e9:.1f} GB for {arrays}, "
+            f"above the {LAYERED_BYTES_MAX / 1e9:.1f} GB limit; use a coarser grid")
 
 
 def require_layered_size(size, layers):

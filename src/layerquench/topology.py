@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import GaplessError, NonQuantizedWindingError, UsageError
 from .frames import overlap_det, sine_mode_frames
-from .models import (LayeredConfig, build_layered, monolayer_component, monolayer_field,
-                     require_layered_size, require_mode_size, require_size, sampling_cell)
+from .models import (LatticeField, LayeredConfig, build_layered, monolayer_field,
+                     require_lattice_size, require_layered_size, require_mode_size,
+                     require_size, sampling_cell)
 from .spectra import _level_part, positive_levels, sine_lam
 # unused here, but the traced benchmark run (perfbench/jobs.py) wraps it in this module
 from .spectra import analytic_positive_levels
@@ -44,10 +45,16 @@ FIELD_FLOOR = 1e-9
 # of 1024 abba cells dependent on the malloc heap state)
 SCAN_CHUNK_BYTES = 1 << 17
 
-# bytes per node and mode of a one-cell scan chunk at its peak: about
-# sixteen (modes, n + 1, n + 1) float arrays in _abba_cells and _unit_degree
-# (measured with tracemalloc, N = 50 at 16^2 and 64^2)
+# bytes per node and mode of each cell of a scan chunk at its peak: about
+# sixteen (cells, modes, n + 1, n + 1) float arrays in _abba_cells and
+# _unit_degree (measured with tracemalloc, N = 50 at 16^2 and 64^2)
 SCAN_MODE_BYTES = 17 * 8
+
+# bytes per node of the periodically extended grid that total_chern_abba
+# holds at its peak: the nodes, the periodic components, one mode's unit
+# field and the triangle sums of _unit_degree (measured with tracemalloc,
+# abba N = 2 of both models: 167 to 195 from 256^2 down to 16^2)
+DEGREE_NODE_BYTES = 25 * 8
 
 # a phase scan computes a cell on its own when the box of this
 # half-width around it, in the field coordinates of a gap closing (see
@@ -91,9 +98,10 @@ def chern_fhs(cfg, filled=None, grid_n=100):
         raise UsageError(f"filled must be in 1..{2 * int(N)}, got {int(filled)}")
     # checked before the nodes exist
     require_layered_size(float(grid_n) ** 2, N)
-    KX, KY = sampling_cell(cfg.model).nodes(grid_n, grid_n)
+    lattice = LatticeField(cfg.model, grid_n, grid_n)
+    KX, KY = lattice.kx, lattice.ky
     if filled == N:
-        h = monolayer_field(cfg, KX, KY)
+        h = lattice.field(cfg.m)
         E = positive_levels(h, cfg)
         gaps = 2.0 * E.min(axis=-1)
     else:
@@ -220,16 +228,26 @@ def subsystem_field_fn(cfg, r):
     return fn
 
 
+def require_degree_size(grid_n):
+    """Raise UsageError, before any node exists, when total_chern_abba at
+    grid_n would hold more than LAYERED_BYTES_MAX (DEGREE_NODE_BYTES a node
+    of the periodically extended grid)."""
+    require_lattice_size(grid_n, grid_n, DEGREE_NODE_BYTES * (float(grid_n) + 1.0) ** 2,
+                         "its mode-degree sums")
+
+
 def total_chern_abba(cfg, grid_n=100):
     """Sum of the two-band degrees of all abba sine-mode fields.
 
-    The monolayer components are evaluated once; mode r adds t lam_r to
-    h1, as subsystem_field_fn does, and its degree is taken as in
-    chern_two_band.
+    The monolayer components are evaluated once on the lattice; mode r
+    adds t lam_r to h1, as subsystem_field_fn does, and its degree is taken
+    as in chern_two_band.  Its peak is bounded before the nodes exist
+    (require_degree_size).
     """
-    KX, KY = sampling_cell(cfg.model).nodes(grid_n, grid_n)
-    h1, h2, h3 = (_periodic(monolayer_component(cfg, KX, KY, i)) for i in range(3))
-    return sum(_field_degree(h1 + shift, h2, h3, KX, KY)
+    require_degree_size(grid_n)
+    lattice = LatticeField(cfg.model, grid_n, grid_n)
+    h1, h2, h3 = (_periodic(lattice.component(i, cfg.m)) for i in range(3))
+    return sum(_field_degree(h1 + shift, h2, h3, lattice.kx, lattice.ky)
                for shift in cfg.t * sine_lam(cfg.layers))
 
 
@@ -255,42 +273,45 @@ class PhaseDiagram:
     computed: np.ndarray
 
 
-def _scan_tables(layers, model, ms, grid_n, cell):
-    """k-grid tables of one scan, on the periodically extended grid.
+def _scan_tables(layers, model, ms, grid_n, per):
+    """k-grid tables of one scan.
 
-    Returns (h1, h2, h3, lam): the first two monolayer components, which
-    depend on neither t nor m, the third for every mass in ms, and the
-    Sigma1 eigenvalues lam_r; abba mode r adds t lam_r to h1.  The mode
-    arrays of a one-cell chunk (SCAN_MODE_BYTES) are bounded before any
-    table exists.
+    Returns (h1, h2, h3, lam): the first two monolayer components on the
+    periodically extended grid, which depend on neither t nor m; h3, which
+    maps mass indices l to the third component (len(l), n, n) at the
+    masses ms[l], taken from the node lattice (models.LatticeField) when
+    a chunk asks for it, so no per-mass table exists; and the Sigma1
+    eigenvalues lam_r; abba mode r adds t lam_r to h1.  The mode arrays of
+    a chunk of per cells (SCAN_MODE_BYTES) and the mode-degree sums of a
+    refinement at 4 grid_n are bounded before any table exists.
     """
-    KX, KY = cell.nodes(grid_n, grid_n)
-    require_mode_size((grid_n + 1) ** 2, layers, SCAN_MODE_BYTES)
+    lattice = LatticeField(model, grid_n, grid_n)
+    require_mode_size((grid_n + 1) ** 2, layers, per * SCAN_MODE_BYTES)
+    require_degree_size(4 * grid_n)
 
-    def component(i, m=0.0):
-        cfg = LayeredConfig("abba", layers, 0.0, model, m)
-        return _periodic(monolayer_component(cfg, KX, KY, i))
+    def h3(l):
+        return lattice.component(2, ms[l, None, None])
 
-    h1, h2 = component(0), component(1)
-    h3 = np.empty((len(ms),) + h1.shape)
-    for l, m in enumerate(ms):
-        h3[l] = component(2, float(m))
+    h1, h2 = (_periodic(lattice.component(i, 0.0)) for i in (0, 1))
     return h1, h2, h3, sine_lam(layers)
 
 
-def _scan_gaps(abba, tables, ts, per):
+def _scan_gaps(abba, tables, ts, sm, per):
     """Half-filling gap of every cell, per cells at a time.
 
     E_r^2 is the t-dependent part p_r (spectra._level_part) plus h3^2,
-    and sqrt is monotone, so each gap is the per-cell 2 min E_r.
+    and sqrt is monotone, so each gap is the per-cell 2 min E_r.  The
+    extended grid only repeats nodes, so the minima are taken over the
+    nodes alone.
     """
     h1, h2, h3, lam = tables
-    h3sq = h3 ** 2
-    e2 = np.empty((len(ts), len(h3)))
+    h1, h2 = h1[:-1, :-1], h2[:-1, :-1]
+    e2 = np.empty((len(ts), sm))
     for i, t in enumerate(ts):
         part = _level_part(abba, h1, h2, t * lam[:, None, None])
-        for l in range(0, len(h3), per):
-            e2[i, l:l + per] = (h3sq[l:l + per, None] + part).min(axis=(-3, -2, -1))
+        for l in range(0, sm, per):
+            h3sq = h3(slice(l, l + per)) ** 2
+            e2[i, l:l + per] = (h3sq[:, None] + part).min(axis=(-3, -2, -1))
     return 2.0 * np.sqrt(e2)
 
 
@@ -303,7 +324,7 @@ def _abba_cells(tables, t, l):
     """
     h1, h2, h3, lam = tables
     h1r = h1 + t[:, None, None, None] * lam[:, None, None]
-    h3 = h3[l][:, None]
+    h3 = _periodic(h3(l))[:, None]
     E = np.sqrt(h1r ** 2 + h2 ** 2 + h3 ** 2)
     e_min = E.min(axis=(-2, -1))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -422,10 +443,10 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
     # and three for each closing test, bounded before any of them exists
     words = 8 + 3 * (0 if closings is None else len(closings[0]))
     require_size(8.0 * words * st * sm, f"{int(st)} x {int(sm)} scan cells", "use fewer steps")
-    tables = _scan_tables(layers, model, ms, grid_n, sampling_cell(model))
     # each (cells, modes, n + 1, n + 1) array of a chunk stays near SCAN_CHUNK_BYTES
     per = max(1, SCAN_CHUNK_BYTES // (layers * (grid_n + 1) ** 2 * 8))
-    gap = _scan_gaps(abba, tables, ts, per)
+    tables = _scan_tables(layers, model, ms, grid_n, per)
+    gap = _scan_gaps(abba, tables, ts, sm, per)
     # a gap-flagged cell takes no degree, so it is never computed
     gapless = gap < GAP_TOL_DEFAULT
     boundary = gapless.copy()

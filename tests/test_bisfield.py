@@ -96,6 +96,7 @@ class TestSampleGrid:
             raise AssertionError("field evaluated before the memory check")
 
         monkeypatch.setattr(bisfield, "monolayer_field", no_field)
+        monkeypatch.setattr(models.LatticeField, "component", no_field)
         cfg = LayeredConfig("abba", 3000, 0.4)
         with pytest.raises(UsageError, match="65536 momenta x 3000 mode fields need 3.2 GB"):
             sample_grid(cfg, 3, ("global",), 256)
@@ -126,22 +127,31 @@ class TestSampleGrid:
         (LayeredConfig("abba", 1, 0.0, m=2.0), ("global",), 2),
     ])
     def test_the_field_is_evaluated_once(self, monkeypatch, cfg, observable, calls):
-        # the closed form takes the lattice's own field; nothing else
-        # evaluates the monolayer field on the grid
+        # the closed form takes the lattice's own field, each component
+        # evaluated once on the whole lattice; nothing else evaluates the
+        # monolayer field on the grid, and the nudged node takes it alone
         seen = []
+        component = models.LatticeField.component
+
+        def counted_component(self, i, m, at=None):
+            seen.append((i, self.kx.shape if at is None else np.shape(at[0])))
+            return component(self, i, m, at)
 
         def counted(*args):
-            seen.append(np.shape(args[1]))
+            seen.append(("field", np.shape(args[1])))
             return monolayer_field(*args)
 
         def no_field(*args):
             raise AssertionError("monolayer field evaluated again")
 
+        monkeypatch.setattr(models.LatticeField, "component", counted_component)
         monkeypatch.setattr(bisfield, "monolayer_field", counted)
         monkeypatch.setattr(quench, "monolayer_field", no_field)
         monkeypatch.setattr(spectra, "monolayer_field", no_field)
         sample_grid(cfg, 3, observable, 32)
-        assert len(seen) == calls and seen[0] == (32, 32)
+        assert seen[:3] == [(i, (32, 32)) for i in range(3)]
+        assert len(seen) == 2 + calls and all(s[0] == "field" and len(s[1]) == 1
+                                              for s in seen[3:])
 
     def test_singular_node_is_nudged(self):
         # m=2 closes the gap exactly at k=(0,0), which is a node of any
@@ -418,16 +428,28 @@ class TestCharacterize:
         (LayeredConfig("abba", 3, 1 / np.sqrt(2)), True),
     ])
     def test_one_lattice_and_no_node_values(self, monkeypatch, cfg, nudged):
-        # the monolayer field is evaluated on the lattice once, for the gap
-        # check and the source nodes alike, and again only at the nudged
-        # nodes; no closed form is evaluated on the lattice
-        bad = singular_mask(*sampling_cell(cfg.model).nodes(64, 64), cfg)
+        # the one component characterize reads on the lattice (h3, the
+        # source for j = 3) is evaluated there once; the whole field only at
+        # the candidate nodes, where h3^2 falls below twice the singular
+        # bound, and at the nudged nodes; no closed form is evaluated on the
+        # lattice
+        KX, KY = sampling_cell(cfg.model).nodes(64, 64)
+        bad = singular_mask(KX, KY, cfg)
         assert bad.any() == nudged
+        h3 = monolayer_field(cfg, KX, KY)[..., 2]
+        candidates = int(np.count_nonzero(h3 ** 2 < 2.0 * quench.SINGULAR_E2))
+        # (0, +-pi/2) and (+-pi/2, 0) leave h3 = 1 - cos kx - cos ky at rounding level
+        assert candidates > bad.sum()
         calls = []
         source_loops = bisfield._source_loops
+        component = models.LatticeField.component
+
+        def counted_component(self, i, m, at=None):
+            calls.append((i, self.kx.shape if at is None else np.shape(at[0])))
+            return component(self, i, m, at)
 
         def counted_field(c, kx, ky):
-            calls.append(np.broadcast_shapes(np.shape(kx), np.shape(ky)))
+            calls.append(("field", np.broadcast_shapes(np.shape(kx), np.shape(ky))))
             return monolayer_field(c, kx, ky)
 
         def marked_loops(grid):
@@ -440,6 +462,7 @@ class TestCharacterize:
                 return fn(kx, ky, *args, **kwargs)
             return wrapped
 
+        monkeypatch.setattr(models.LatticeField, "component", counted_component)
         for module in (bisfield, quench, spectra):
             monkeypatch.setattr(module, "monolayer_field", counted_field)
         monkeypatch.setattr(bisfield, "_source_loops", marked_loops)
@@ -447,8 +470,9 @@ class TestCharacterize:
             monkeypatch.setattr(bisfield, name, contour_only(getattr(bisfield, name)))
         result = characterize(cfg, resolution=64)
         lattice = calls[:calls.index("loops")]
-        assert lattice == [(64, 64)] + ([(int(bad.sum()),)] if nudged else [])
-        assert [c for c in calls if c != "loops" and len(c) == 2] == [(64, 64)]
+        assert lattice == ([(2, (64, 64))] + [(i, (candidates,)) for i in range(3)]
+                           + ([("field", (int(bad.sum()),))] if nudged else []))
+        assert [c for c in calls if c != "loops" and len(c[1]) == 2] == [(2, (64, 64))]
         assert result["total_w"] == (-1 if nudged else -3)
 
 

@@ -296,6 +296,18 @@ class TestRejectedInputs:
         assert err.startswith("error: 65536 momenta x 100x100 Hamiltonians need 10.5 GB")
         assert len(err.splitlines()) == 1
 
+    def test_oversized_degree_sums(self, tmp_path, capsys, monkeypatch):
+        # the link variables of one layer at 3900^2 pass their own bound;
+        # the mode-degree sums are refused before any node exists
+        def no_nodes(*args):
+            raise AssertionError("nodes allocated before the memory check")
+
+        monkeypatch.setattr(models.Cell, "nodes", no_nodes)
+        assert run("chern", "--layers", "1", "--grid", "3900", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a 3900 x 3900 lattice needs 3.0 GB for its mode-degree sums")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("stacking, layers, message", [
         pytest.param("ba", 3, "1960000 momenta x 6x6 Hamiltonians need 1.1 GB", id="ba-3"),
         pytest.param("ba", 4, "1960000 momenta x 8x8 Hamiltonians need 2.0 GB", id="ba-4"),
@@ -400,6 +412,8 @@ EXIT_SWEEP = [
     (2, ["estimate-t", "--true-t", "0.4", "--grid", "1000000"]),
     (2, ["chern", "--grid", "1000000"]),
     (2, ["chern", "--filled", "1", "--grid", "1000000"]),
+    # the mode-degree sums (3.0 GB) are refused before the link variables run
+    (2, ["chern", "--layers", "1", "--grid", "3900"]),
     # 10^10 scan cells, and 10^5-layer or 256^2 x 3000-mode arrays,
     # refused before any of them exists
     (2, ["phase-diagram", "--steps", "100000", "--grid", "16"]),

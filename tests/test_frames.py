@@ -15,7 +15,7 @@ from layerquench import (GaplessError, LayeredConfig, NonQuantizedWindingError,
                          analytic_positive_levels, build_layered, chern_fhs, monolayer_field)
 from layerquench import frames as frames_module, spectra, topology
 from layerquench.frames import FRAME_SINE_MAX, sine_mode_frames
-from layerquench.models import sampling_cell
+from layerquench.models import LatticeField, sampling_cell
 from layerquench.spectra import SineModes, sine_modes
 
 GOLDEN = Path(__file__).parent / "golden" / "fhs_battery.json"
@@ -231,23 +231,25 @@ def test_uncertified_frames_fall_back_to_eigh(t, dm, monkeypatch):
 
 def test_half_filling_evaluates_the_field_once(monkeypatch):
     # the levels and the frame certification share one evaluation of the
-    # monolayer field on the grid
+    # monolayer field on the grid: each component once, on the whole lattice
     calls = []
+    component = LatticeField.component
 
-    def counted(*args):
-        calls.append(args)
-        return monolayer_field(*args)
+    def counted(self, i, m, at=None):
+        calls.append((self.kx.shape, i, at))
+        return component(self, i, m, at)
 
     def no_field(*args):
         raise AssertionError("monolayer field evaluated again")
 
-    monkeypatch.setattr(topology, "monolayer_field", counted)
+    monkeypatch.setattr(LatticeField, "component", counted)
+    monkeypatch.setattr(topology, "monolayer_field", no_field)
     monkeypatch.setattr(spectra, "monolayer_field", no_field)
     monkeypatch.setattr(frames_module, "build_layered", no_field)
     for stacking in ("abba", "ba"):
         for model in ("qwz", "haldane"):
             chern_fhs(LayeredConfig(stacking, 3, 0.4, model, 0.5), grid_n=16)
-    assert len(calls) == 4
+    assert calls == 4 * [((16, 16), i, None) for i in range(3)]
 
 
 def test_eigh_is_reached_only_off_half_filling(monkeypatch):

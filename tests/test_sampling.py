@@ -12,11 +12,13 @@ sampling kernel must leave them bitwise unchanged.
 
 import hashlib
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from layerquench import (LayeredConfig, LayerQuenchError, bisfield, characterize, models,
                          quench, sample_grid, spectra, topology)
@@ -139,6 +141,78 @@ def test_each_field_component_is_the_whole_fields_component(model, m, k):
         assert _same_bits(models.monolayer_component(cfg, kx, ky, i), h[..., i])
         assert _same_bits(models.monolayer_component(cfg, kx[0], ky[0], i),
                           models.monolayer_field(cfg, kx[0], ky[0])[i])
+
+
+lattice_size = st.integers(16, 300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(["qwz", "haldane"]), nx=lattice_size, ny=lattice_size,
+       m=st.sampled_from([0.0, -0.0, 2.0, 1e50, -1e50]) | st.floats(-1e50, 1e50),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lattice_field_is_the_whole_fields(model, nx, ny, m, seed):
+    # every component of the lattice helper, on the whole lattice, at
+    # scattered nodes and for masses on a leading axis, is the whole
+    # field's at Cell.nodes
+    cfg = LayeredConfig("abba", 1, 0.0, model, m)
+    KX, KY = models.sampling_cell(model).nodes(nx, ny)
+    if model == "qwz":
+        # the square cell's axes separate bit for bit
+        assert _same_bits(KX, np.broadcast_to(KX[:, :1], KX.shape))
+        assert _same_bits(KY, np.broadcast_to(KY[:1, :], KY.shape))
+    lattice = models.LatticeField(model, nx, ny)
+    assert _same_bits(lattice.kx, KX) and _same_bits(lattice.ky, KY)
+    h = models.monolayer_field(cfg, KX, KY)
+    rng = np.random.default_rng(seed)
+    at = (rng.integers(0, nx, 20), rng.integers(0, ny, 20))
+    for i in range(3):
+        assert _same_bits(lattice.component(i, m), h[..., i])
+        assert _same_bits(lattice.component(i, m), models.monolayer_component(cfg, KX, KY, i))
+        assert _same_bits(lattice.component(i, m, at), h[at][:, i])
+    assert _same_bits(lattice.field(m), h)
+    assert _same_bits(lattice.field(m, at), h[at])
+    ms = np.array([m, -0.5 * m, 1.0])
+    per_mass = [models.monolayer_component(replace(cfg, m=float(x)), KX, KY, 2) for x in ms]
+    assert _same_bits(lattice.component(2, ms[:, None, None]), np.stack(per_mass))
+
+
+# lattices with gap closings exactly at nodes: abba N = 3 at t = 1/sqrt(2)
+# closes modes 1 and 3 at kx = -+pi/2, ky = 0 (grids of 4k nodes); the ba
+# levels close where the monolayer field does, at (0, pi) for m = 0 and at
+# k = 0 for m = 2 (even grids)
+EXACT_CLOSINGS = [("abba", 3, 1 / np.sqrt(2), 1.0), ("ba", 2, 0.4, 0.0), ("ba", 3, 1.1, 2.0),
+                  ("abba", 1, 0.0, 2.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(EXACT_CLOSINGS), model=st.sampled_from(["qwz", "haldane"]),
+       n=st.integers(4, 40).map(lambda k: 4 * k) | st.integers(16, 160),
+       j=st.integers(1, 3), mode=st.integers(0, 3))
+@example(case=EXACT_CLOSINGS[0], model="qwz", n=64, j=3, mode=0)
+@example(case=EXACT_CLOSINGS[0], model="qwz", n=64, j=1, mode=2)
+@example(case=EXACT_CLOSINGS[1], model="qwz", n=64, j=3, mode=0)
+@example(case=EXACT_CLOSINGS[2], model="qwz", n=64, j=2, mode=0)
+def test_pruned_singular_mask_is_the_whole_lattices(case, model, n, j, mode):
+    # the mask from h3 and the near nodes alone is the whole field's, and
+    # characterize's lattice (h_j and h3 only) nudges the nodes that
+    # sample_grid's lattice (the whole field) nudges
+    stacking, layers, t, m = case
+    cfg = LayeredConfig(stacking, layers, t, model, m)
+    lattice = models.LatticeField(model, n, n)
+    whole = quench.singular_field_mask(models.monolayer_field(cfg, lattice.kx, lattice.ky), cfg)
+    # every case closes at a node of a square lattice of 4k nodes
+    assert whole.any() or model == "haldane" or n % 4
+    assert _same_bits(bisfield._singular_nodes(lattice, cfg, lattice.component(2, m)), whole)
+    obs = ("subspace", 1 + mode % layers) if mode and stacking == "abba" else ("global",)
+    try:
+        full = bisfield._node_lattice(cfg, j, obs, n, full=True)[0]
+    except LayerQuenchError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            bisfield._node_lattice(cfg, j, obs, n)
+        return
+    pruned = bisfield._node_lattice(cfg, j, obs, n)[0]
+    for name in ("kx", "ky", "hj"):
+        assert _same_bits(getattr(pruned, name), getattr(full, name))
 
 
 @settings(max_examples=100, deadline=None)

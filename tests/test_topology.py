@@ -1,5 +1,7 @@
 """Tests for Chern numbers, phase diagrams and analytic transition curves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -216,7 +218,7 @@ class TestInputFloors:
 
         # 1001^2 periodic nodes x 50 modes x 17 float arrays of a one-cell chunk: 7.1 GB
         monkeypatch.setattr(topology, "monolayer_field", no_field)
-        monkeypatch.setattr(topology, "monolayer_component", no_field)
+        monkeypatch.setattr(models.LatticeField, "component", no_field)
         with pytest.raises(UsageError, match="1002001 momenta x 50 mode fields need 7.1 GB"):
             phase_diagram("abba", 50, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=1000)
 
@@ -227,6 +229,56 @@ class TestInputFloors:
         monkeypatch.setattr(models.Cell, "nodes", no_nodes)
         with pytest.raises(UsageError, match="1960000 momenta x 6x6 Hamiltonians need 1.1 GB"):
             chern_fhs(LayeredConfig("ba", 3, 0.4), grid_n=1400)
+
+    def test_degree_sums_are_bounded_before_the_nodes_exist(self, monkeypatch):
+        def no_nodes(*args):
+            raise AssertionError("nodes allocated before the memory check")
+
+        # 3901^2 periodic nodes x DEGREE_NODE_BYTES: 3.0 GB, while the link
+        # variables of one layer would be admitted (974 MB)
+        monkeypatch.setattr(models.Cell, "nodes", no_nodes)
+        with pytest.raises(UsageError, match="3900 x 3900 lattice needs 3.0 GB for its mode-degree"):
+            total_chern_abba(LayeredConfig("abba", 1, 0.4), grid_n=3900)
+
+    def test_scan_refinements_are_bounded_before_the_field(self, monkeypatch):
+        def no_field(*args):
+            raise AssertionError("field evaluated before the memory check")
+
+        # a scan at 600 retries uncertified cells at 1200 and 2400:
+        # 2401^2 x DEGREE_NODE_BYTES is 1.2 GB
+        monkeypatch.setattr(models.LatticeField, "component", no_field)
+        with pytest.raises(UsageError, match="2400 x 2400 lattice needs 1.2 GB"):
+            phase_diagram("abba", 1, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=600)
+
+    @pytest.mark.parametrize("model", ["qwz", "haldane"])
+    @pytest.mark.parametrize("n", [16, 40])
+    def test_degree_sum_peak_is_within_the_counted_bytes(self, model, n):
+        cfg = LayeredConfig("abba", 3, 0.4, model, 1.0 if model == "qwz" else 0.5)
+        tracemalloc.start()
+        try:
+            total_chern_abba(cfg, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counted = topology.DEGREE_NODE_BYTES * (n + 1) ** 2
+        assert 0.5 * counted < peak <= counted
+
+    def test_scan_peak_is_within_the_counted_bytes(self):
+        # 2000 masses at 64^2: h3 is taken per chunk, so the peak stays
+        # within the cells and one chunk's mode arrays (it was 135 MB with
+        # an h3 and an h3^2 table over every mass)
+        n, sm = 64, 2000
+        tracemalloc.start()
+        try:
+            phase_diagram("abba", 1, (0.0, 0.0), (-1.0, 3.0), (1, sm), grid_n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        words = 8 + 3 * len(topology._closings(1, "qwz")[0])
+        per = topology.SCAN_CHUNK_BYTES // ((n + 1) ** 2 * 8)
+        counted = 8 * words * sm + models.mode_bytes((n + 1) ** 2, 1,
+                                                     per * topology.SCAN_MODE_BYTES)
+        assert 0.5 * counted < peak <= counted
 
     def test_floor_grid_is_accepted(self):
         assert chern_two_band(subsystem_field_fn(self.CFG, 1), 16) == -1
