@@ -39,8 +39,11 @@ SAMPLE_MODE_BYTES = {"abba": 2 * 8, "ba": 3 * 8 + 1}
 
 @dataclass
 class TaspGrid:
-    """Per-node polarization vectors on the periodic sampling cell; kx, ky
-    are the momenta sampled, with nudged nodes at their nudged momenta."""
+    """Per-node polarization vectors on the periodic sampling cell.
+
+    kx, ky are the momenta sampled, (nx, ny), with the nudged nodes at
+    their nudged momenta (_nudged_momenta); they are built when first read.
+    """
 
     cfg: object
     j: int
@@ -49,9 +52,25 @@ class TaspGrid:
     ny: int
     cell: object
     values: np.ndarray  # (nx, ny, 3); None on the lattices characterize uses
-    kx: np.ndarray  # (nx, ny), as ky and hj
-    ky: np.ndarray
-    hj: np.ndarray  # the monolayer component h_j at the unnudged nodes
+    hj: np.ndarray  # (nx, ny), the monolayer component h_j at the unnudged nodes
+    nudged: tuple  # (i, l), the index arrays of the nudged nodes
+    _k: tuple = field(default=None, init=False, repr=False)
+
+    def _momenta(self):
+        if self._k is None:
+            KX, KY = self.cell.nodes(self.nx, self.ny)
+            i, l = self.nudged
+            KX[i, l], KY[i, l] = _nudged_momenta(self.cell, i, l, self.nx, self.ny)
+            self._k = KX, KY
+        return self._k
+
+    @property
+    def kx(self):
+        return self._momenta()[0]
+
+    @property
+    def ky(self):
+        return self._momenta()[1]
 
 
 @dataclass
@@ -87,12 +106,14 @@ def _mode_index(cfg, observable):
     return r
 
 
-def polarization_evaluator(cfg, j, observable=("global",)):
-    """Vectorized momentum -> 3-vector closed-form evaluator for a grid kind."""
+def polarization_evaluator(cfg, j, observable=("global",), component=None):
+    """Vectorized momentum -> 3-vector closed-form evaluator for a grid
+    kind; with component (1-based), an evaluator of that component alone,
+    bit for bit the 3-vector's (every mode's gap is still checked)."""
     r = _mode_index(cfg, observable)
     if r is None:
-        return lambda kx, ky: tasp_closed_form(kx, ky, cfg, j)
-    return lambda kx, ky: gtasp_abba(kx, ky, cfg, j, r)
+        return lambda kx, ky: tasp_closed_form(kx, ky, cfg, j, component)
+    return lambda kx, ky: gtasp_abba(kx, ky, cfg, j, r, component)
 
 
 def _source_shift(grid):
@@ -153,25 +174,29 @@ def _singular_nodes(lattice, cfg, h3):
     return bad
 
 
+def _nudged_momenta(cell, i, l, nx, ny):
+    """Momenta of the nodes (i, l) of an nx x ny lattice, offset by half a grid step."""
+    return cell.k_at(i / nx + 0.5 / nx, l / ny + 0.5 / ny)
+
+
 def _node_lattice(cfg, j, observable, resolution, full=False):
-    """(grid, h): a grid without polarization values, holding the node
-    momenta of an nx x ny lattice over the sampling cell of cfg.model,
-    and, when full, the monolayer field h (nx, ny, 3) at them (else None).
+    """(grid, h): a grid without polarization values over an nx x ny
+    lattice on the sampling cell of cfg.model, and, when full, the
+    monolayer field h (nx, ny, 3) at its nodes (else None).
 
     Nodes sit at fractions (i/nx, l/ny) of the cell, where the lattice
     evaluates each component it needs once (models.LatticeField).  When
     full, the whole field is evaluated, as the closed forms need it, and
     every node takes the singular-node test; otherwise only h_j and h3
     are, and the test runs at the nodes _singular_nodes selects.  Singular
-    nodes are offset by half a grid step (kx, ky and h record the offset)
-    and checked again alone; if still singular the error names the node.
-    The per-mode arrays of sampling (SAMPLE_MODE_BYTES) are bounded before
-    the field exists.
+    nodes are offset by half a grid step (the grid's momenta and h record
+    the offset) and checked again alone; if still singular the error names
+    the node.  The per-mode arrays of sampling (SAMPLE_MODE_BYTES) are
+    bounded before the field exists.
     """
     nx, ny = _resolution(resolution)
     lattice = LatticeField(cfg.model, nx, ny)
-    KX, KY, cell = lattice.kx, lattice.ky, lattice.cell
-    require_mode_size(KX.size, cfg.layers, SAMPLE_MODE_BYTES[cfg.stacking])
+    require_mode_size(nx * ny, cfg.layers, SAMPLE_MODE_BYTES[cfg.stacking])
     if full:
         h = lattice.field(cfg.m)
         hj = h[..., j - 1].copy()
@@ -180,19 +205,30 @@ def _node_lattice(cfg, j, observable, resolution, full=False):
         h = None
         hj = lattice.component(j - 1, cfg.m)
         bad = _singular_nodes(lattice, cfg, hj if j == 3 else lattice.component(2, cfg.m))
-    if np.any(bad):
-        i, l = np.nonzero(bad)
-        KX[bad], KY[bad] = cell.k_at(i / nx + 0.5 / nx, l / ny + 0.5 / ny)
-        nudged = monolayer_field(cfg, KX[bad], KY[bad])
+    i, l = np.nonzero(bad)
+    if len(i):
+        kx, ky = _nudged_momenta(lattice.cell, i, l, nx, ny)
+        nudged = monolayer_field(cfg, kx, ky)
         if full:
-            h[bad] = nudged
+            h[i, l] = nudged
         still = singular_field_mask(nudged, cfg)
         if np.any(still):
             p = np.flatnonzero(still)[0]
             raise SingularPointError(f"gap closes at grid node ({i[p]}, {l[p]}), "
-                                     f"k=({KX[i[p], l[p]]}, {KY[i[p], l[p]]})")
+                                     f"k=({kx[p]}, {ky[p]})")
     return TaspGrid(cfg=cfg, j=j, observable=tuple(observable), nx=nx, ny=ny,
-                    cell=cell, values=None, kx=KX, ky=KY, hj=hj), h
+                    cell=lattice.cell, values=None, hj=hj, nudged=(i, l)), h
+
+
+def _sampled(cfg, j, observable, resolution, component=None):
+    """(grid, values): the lattice of sample_grid, without values, and the
+    closed form at its nodes, (nx, ny, 3), or (nx, ny) for the one
+    component (1-based) given, bit for bit that component of the whole."""
+    r = _mode_index(cfg, observable)
+    grid, h = _node_lattice(cfg, j, observable, resolution, full=True)
+    if r is None:
+        return grid, tasp_of_field(h, cfg, j, component)
+    return grid, gtasp_of_field(h, cfg, j, r, component)
 
 
 def sample_grid(cfg, j, observable=("global",), resolution=256):
@@ -203,9 +239,7 @@ def sample_grid(cfg, j, observable=("global",), resolution=256):
     the monolayer field the lattice evaluated, in one serial array pass.
     resolution is an integer or a pair of integers.
     """
-    r = _mode_index(cfg, observable)
-    grid, h = _node_lattice(cfg, j, observable, resolution, full=True)
-    grid.values = tasp_of_field(h, cfg, j) if r is None else gtasp_of_field(h, cfg, j, r)
+    grid, grid.values = _sampled(cfg, j, observable, resolution)
     return grid
 
 
@@ -229,18 +263,36 @@ def _bisect_edges(phi, a, b):
     come back point first, (E, 2).  Each bracket is halved until its two
     ends agree to 1e-9 in both coordinates and is then frozen; phi is
     called once per step, on the midpoints of the brackets still open.
+
+    The brackets of a lattice all start one grid step wide, so on an
+    nx = ny lattice they all stay open until the same step.  While every
+    bracket is open, lo and hi are updated as whole arrays; from the first
+    freeze on (unequal axis steps, or a rounding tie at the 1e-9 test) the
+    open brackets are gathered and updated alone.  Either way each bracket
+    sees the same midpoints, signs and freeze step.
     """
     flip = phi(a[0], a[1]) > 0
     lo = np.where(flip, b, a)  # non-positive end
     hi = np.where(flip, a, b)
-    live = np.arange(a.shape[1])
+    live = None  # every bracket is open
     for _ in range(64):
-        mid = 0.5 * (lo[:, live] + hi[:, live])
-        up = phi(mid[0], mid[1]) > 0
-        hi[:, live[up]] = mid[:, up]
-        lo[:, live[~up]] = mid[:, ~up]
-        w = np.abs(hi[:, live] - lo[:, live])
-        live = live[np.maximum(w[0], w[1]) > 1e-9]
+        if live is None:
+            mid = 0.5 * (lo + hi)
+            up = phi(mid[0], mid[1]) > 0
+            np.copyto(hi, mid, where=up)
+            np.copyto(lo, mid, where=~up)
+            w = np.abs(hi - lo)
+            open_ = np.maximum(w[0], w[1]) > 1e-9
+            if open_.all():
+                continue
+            live = np.flatnonzero(open_)
+        else:
+            mid = 0.5 * (lo[:, live] + hi[:, live])
+            up = phi(mid[0], mid[1]) > 0
+            hi[:, live[up]] = mid[:, up]
+            lo[:, live[~up]] = mid[:, ~up]
+            w = np.abs(hi[:, live] - lo[:, live])
+            live = live[np.maximum(w[0], w[1]) > 1e-9]
         if not len(live):
             break
     return (0.5 * (lo + hi)).T
@@ -420,20 +472,23 @@ def extract_bis(grid, tol_bis=1e-6, include_rejected=False):
     return good
 
 
-def component_zero_curves(grid, component):
-    """Zero contours of one measured polarization component.
+def component_zero_curves(grid, component, values=None):
+    """Zero contours of one measured polarization component (1-based).
 
     Unlike extract_bis the source here is the signed component value
     itself, so only sign-changing (transversal) zeros are found.  No
     band-inversion filtering is applied; the residual field tells how
-    small the remaining components are.
+    small the remaining components are.  values holds the component at
+    the grid's nodes, (nx, ny), and defaults to that of grid.values.  The
+    edges are bisected on the closed form of that component alone
+    (polarization_evaluator with a component); only the residual takes
+    the whole closed form, at the contour points.
     """
+    if values is None:
+        values = grid.values[..., component - 1]
+    src = polarization_evaluator(grid.cfg, grid.j, grid.observable, component)
+    loops = _oriented_loops(grid, values, src)
     ev = polarization_evaluator(grid.cfg, grid.j, grid.observable)
-
-    def src(kx, ky):
-        return ev(kx, ky)[..., component - 1]
-
-    loops = _oriented_loops(grid, grid.values[..., component - 1], src)
     return _contours(loops, f"{source_tag(grid)}:zero-s{component}", ev)
 
 

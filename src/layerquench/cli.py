@@ -23,12 +23,15 @@ from . import __version__
 from .bisfield import characterize, sample_grid
 # unused here, but the traced benchmark run (perfbench/jobs.py) wraps them in this module
 from .bisfield import dynamical_field, extract_bis, winding
-from .errors import LayerQuenchError, UnsupportedStackingError, UsageError
+from .errors import (GaplessError, InconsistentInvariantError, LayerQuenchError,
+                     NonQuantizedWindingError, UnsupportedStackingError, UsageError)
 from .floattext import g17
 from .hopping import ba_reference_magnitudes, estimate_t_abba, estimate_t_ba
 from .models import LayeredConfig
 from .quench import tasp_closed_form, time_averaged_expectation, mixed_state, global_observable
-from .topology import chern_fhs, phase_diagram, require_degree_size, total_chern_abba
+from .topology import chern_fhs, half_filling_degree, phase_diagram, require_degree_size
+# unused here, but the traced benchmark run (perfbench/jobs.py) wraps it in this module
+from .topology import total_chern_abba
 
 # option name -> (type, default); the single source of truth for config
 # file keys, flag resolution and manifest echo
@@ -340,24 +343,41 @@ def cmd_phase_diagram(opts):
     return 0
 
 
+# manifest key of the degree oracle at half filling, per stacking
+DEGREE_KEYS = {"abba": "mode_degree_sum", "ba": "layers_times_monolayer_degree"}
+
+
+def _oracle(fn, *args):
+    """fn(*args), or the message of the numerical refusal it raised."""
+    try:
+        return fn(*args)
+    except (GaplessError, NonQuantizedWindingError) as exc:
+        return f"refused ({exc})"
+
+
 def cmd_chern(opts):
     cfg = layered_config(opts)
     nx = square_grid(opts["grid"])
     filled = opts["filled"] if opts["filled"] is not None else cfg.layers
-    degrees = cfg.stacking == "abba" and filled == cfg.layers
-    if degrees:
-        # bounded before the link-variable sum runs
+    extra = {"filled": filled}
+    if filled != cfg.layers:
+        c = extra["chern_fhs"] = chern_fhs(cfg, filled, grid_n=nx)
+        line = f"chern = {c}"
+    else:
+        # at half filling the link-variable sum is checked against the
+        # unit-field degrees, which are bounded before either runs
         require_degree_size(nx)
-    c = chern_fhs(cfg, filled, grid_n=nx)
-    extra = {"chern_fhs": c, "filled": filled}
-    if degrees:
-        extra["mode_degree_sum"] = total_chern_abba(cfg, grid_n=nx)
+        key = DEGREE_KEYS[cfg.stacking]
+        c = _oracle(chern_fhs, cfg, filled, nx)
+        d = _oracle(half_filling_degree, cfg, nx)
+        if isinstance(c, str) or isinstance(d, str) or c != d:
+            raise InconsistentInvariantError(
+                f"no certified half-filling Chern number: chern_fhs {c}, {key} {d}")
+        extra.update({"chern_fhs": c, key: d})
+        line = f"chern = {c} (mode degree sum {d})" if cfg.stacking == "abba" else f"chern = {c}"
     out = _outdir(opts, "chern.json")
     _write_json(os.path.join(out, "chern.json"), _manifest("chern", opts, extra))
-    if "mode_degree_sum" in extra:
-        print(f"chern = {c} (mode degree sum {extra['mode_degree_sum']})")
-    else:
-        print(f"chern = {c}")
+    print(line)
     return 0
 
 

@@ -43,3 +43,7 @@ class TrivialRegimeError(LayerQuenchError):
 
 class InconsistentSampleError(LayerQuenchError):
     """Input sample magnitude lies outside the invertible range."""
+
+
+class InconsistentInvariantError(LayerQuenchError):
+    """Two independent integer oracles disagree, or one of them refuses."""

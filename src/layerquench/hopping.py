@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bisfield import TaspGrid, component_zero_curves, polarization_evaluator, sample_grid
+from .bisfield import TaspGrid, _sampled, component_zero_curves, polarization_evaluator
+# unused here, but the traced benchmark run (perfbench/jobs.py) wraps it in this module
+from .bisfield import sample_grid
 from .errors import InconsistentSampleError, TrivialRegimeError, UsageError
 from .models import LayeredConfig, monolayer_field
 from .quench import tasp_closed_form
@@ -55,9 +57,12 @@ class HoppingEstimate:
 def estimate_t_abba(source, resolution=256, j=3):
     """Estimate t from the subspace-I polarization of an abba stack.
 
-    source is either a sampled subspace-I TaspGrid or a LayeredConfig
-    from which one is generated.  The s1-component zero curves are
-    traced; points with |s3| above SIGMA3_FLOOR lie on h1 = -2 t cos(theta_1)
+    source is either a sampled subspace-I TaspGrid or a LayeredConfig,
+    of which only s1 is sampled on the node lattice of sample_grid (the
+    estimate is bitwise the one from the whole sampled grid).  The
+    s1-component zero curves are traced (component_zero_curves, which
+    bisects on s1 alone); points with |s3| above SIGMA3_FLOOR, which the
+    whole closed form gives at the curve points, lie on h1 = -2 t cos(theta_1)
     rather than on the band-inversion set, and the estimate is the mean
     of -h1 / (2 cos(theta_1)) there, sign kept, with the max-abs
     deviation as residual.  A single layer has no coupling to estimate,
@@ -80,12 +85,13 @@ def estimate_t_abba(source, resolution=256, j=3):
         raise UsageError("estimate_t_abba needs quench axis 2 or 3: along axis 1 the "
                          "subspace-1 s1 polarization never changes sign")
     if isinstance(source, TaspGrid):
-        grid = source
+        grid, s1 = source, None
         if grid.observable != ("subspace", 1):
             raise UsageError("estimate_t_abba needs subspace-1 polarization data")
     else:
-        grid = sample_grid(cfg, j, ("subspace", 1), resolution)
-    curves = component_zero_curves(grid, 1)
+        # only s1 is traced, so only s1 is sampled on the nodes
+        grid, s1 = _sampled(cfg, j, ("subspace", 1), resolution, component=1)
+    curves = component_zero_curves(grid, 1, s1)
     ev = polarization_evaluator(cfg, grid.j, grid.observable)
     kept = []
     for c in curves:

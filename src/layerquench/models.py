@@ -13,6 +13,7 @@ the sublattice/spin index the right one, so 1 (x) s_i acts on spin only.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -92,18 +93,21 @@ class Cell:
         return kx, ky
 
     def nodes(self, nx, ny):
-        """Momenta (nx, ny) of the lattice nodes at fractions (i/nx, l/ny).
+        """Momenta (nx, ny) of the lattice nodes at fractions (i/nx, l/ny),
+        after require_nodes."""
+        self.require_nodes(nx, ny)
+        return self.k_at(np.arange(nx)[:, None] / nx, np.arange(ny)[None, :] / ny)
 
-        Raises UsageError, before allocating, when an axis has fewer than
-        MIN_GRID nodes, or when the two momenta and the three monolayer
-        field components of every node, which each user of a lattice
-        holds, would exceed LAYERED_BYTES_MAX.
-        """
+    @staticmethod
+    def require_nodes(nx, ny):
+        """Raise UsageError when an axis has fewer than MIN_GRID nodes, or
+        when the two momenta and the three monolayer field components of
+        every node, which each user of a lattice holds, would exceed
+        LAYERED_BYTES_MAX."""
         if min(nx, ny) < MIN_GRID:
             raise UsageError(
                 f"grid resolution must be at least {MIN_GRID} per axis, got {int(min(nx, ny))}")
         require_lattice_size(nx, ny, 5 * 8 * float(nx) * float(ny), "its momenta and field")
-        return self.k_at(np.arange(nx)[:, None] / nx, np.arange(ny)[None, :] / ny)
 
     def fractions(self, kx, ky):
         """Inverse of k_at (no wrapping)."""
@@ -185,18 +189,21 @@ class LatticeField:
     """The monolayer field of one model at the nodes of an nx x ny lattice
     over its sampling cell, one component at a time.
 
-    kx, ky are the node momenta of Cell.nodes, which bounds the lattice.
+    The lattice is bounded (Cell.require_nodes) when it is made, and its
+    node momenta kx, ky (those of Cell.nodes) are built when first read.
     component(i, m) equals monolayer_component at these nodes bit for bit
     for any mass m, and evaluates only the transcendental parts component
     i needs, each once per lattice:
     - qwz: the square cell's basis is diagonal, so kx is constant along
       axis 1 and ky along axis 0, bit for bit, and every component comes
-      from the sines and cosines of the nx + ny axis values;
+      from the sines and cosines of the nx + ny axis values, without the
+      node momenta;
     - haldane: the angles k.a_i and k.b_i mix both axes, which do not
       separate in floating point, so they are taken per node, from the
       product of the whole node stack as haldane_field takes them (a
-      product of fewer nodes can round differently), and
-      S = 2 sum_i sin(k.b_i) is kept for h3 = m - S.
+      product of fewer nodes can round differently).  The k.a_i serve h1
+      and h2 from one product, and S = 2 sum_i sin(k.b_i) is kept for
+      h3 = m - S.
     Later changes to kx, ky (nudged nodes) do not reach the parts already
     taken from them.
     """
@@ -204,12 +211,27 @@ class LatticeField:
     def __init__(self, model, nx, ny):
         self.model = model
         self.cell = sampling_cell(model)
-        self.kx, self.ky = self.cell.nodes(nx, ny)
-        self._S = None
+        self.cell.require_nodes(nx, ny)
+        self.shape = (nx, ny)
+        self._ka = self._S = None
         if model == "qwz":
-            axes = (self.kx[:, :1], self.ky[:1, :])
+            # the first column of kx and the first row of ky, as Cell.nodes makes them
+            axes = (self.cell.k_at(np.arange(nx)[:, None] / nx, 0.0)[0],
+                    self.cell.k_at(0.0, np.arange(ny)[None, :] / ny)[1])
             self._sin = [np.sin(k) for k in axes]
             self._cos = [np.cos(k) for k in axes]
+
+    @cached_property
+    def _nodes(self):
+        return self.cell.nodes(*self.shape)
+
+    @property
+    def kx(self):
+        return self._nodes[0]
+
+    @property
+    def ky(self):
+        return self._nodes[1]
 
     def _angles(self, vectors):
         return np.stack([self.kx, self.ky], axis=-1) @ vectors.T
@@ -226,13 +248,14 @@ class LatticeField:
             if i == 2:
                 return (m - axis(self._cos, 0)) - axis(self._cos, 1)
             s = axis(self._sin, i)
-            return s if at is not None else np.broadcast_to(s, self.kx.shape).copy()
+            return s if at is not None else np.broadcast_to(s, self.shape).copy()
         if i == 2:
             if self._S is None:
                 self._S = 2.0 * _sum3(np.sin(self._angles(TRI_B)))
             return m - (self._S if at is None else self._S[at])
-        ka = self._angles(TRI_A)
-        return _haldane_component(ka if at is None else ka[at], m, i)
+        if self._ka is None:
+            self._ka = self._angles(TRI_A)
+        return _haldane_component(self._ka if at is None else self._ka[at], m, i)
 
     def field(self, m, at=None):
         """All three components, stacked on a last axis as monolayer_field stacks them."""

@@ -147,21 +147,23 @@ def _ba_column(h, cfg, j):
     return col
 
 
-def tasp_closed_form(kx, ky, cfg, j):
+def tasp_closed_form(kx, ky, cfg, j, component=None):
     """Closed-form TASP vector for the mixed initial state along axis j.
 
     abba: TASP_i = -(1/N) sum_r h_r^i h_r^j / E_r^2 over the sine modes,
           the mode mean of gtasp_abba.
     ba:   TASP_i = -h_i h_j A_ij (no summation) with the A matrix above.
-    Broadcasts over momentum arrays; shape (..., 3).
+    Broadcasts over momentum arrays; shape (..., 3), or (...) for the
+    one component (1-based) given.
     Raises SingularPointError at gap-closing momenta.
     """
-    return tasp_of_field(monolayer_field(cfg, kx, ky), cfg, j)
+    return tasp_of_field(monolayer_field(cfg, kx, ky), cfg, j, component)
 
 
-def _abba_modes(h, cfg, j, r):
-    """Yield (mode index, (h_r^i h_r^j for i = 1..3), E_r^2) of the abba
-    modes r (all modes for None), one mode and one component at a time.
+def _abba_modes(h, cfg, j, r, component=None):
+    """Yield (mode index, products, E_r^2) of the abba modes r (all modes
+    for None), one mode and one component at a time; products holds
+    h_r^i h_r^j for i = 1..3, or for i = component (1-based) alone.
 
     h_r = (h1 + t lam_r, h2, h3) and E_r^2 = (h1r^2 + h2^2) + h3^2, in the
     order of the length-3 sum it replaces.  The levels of every mode are
@@ -172,11 +174,24 @@ def _abba_modes(h, cfg, j, r):
     h1, h2, h3 = (h[..., i].copy() for i in range(3))
     sq2, sq3 = h2 * h2, h3 * h3
     hj = (None, h2, h3)[j - 1]
+    comps = range(3) if component is None else (component - 1,)
     # the products without h1r are the same for every mode
-    fixed = {2: (sq2, h3 * h2), 3: (h2 * h3, sq3)}.get(j)
+    fixed = {}
+    if j != 1 and 1 in comps:
+        fixed[1] = sq2 if j == 2 else h2 * h3
+    if j != 1 and 2 in comps:
+        fixed[2] = h3 * h2 if j == 2 else sq3
     h1r, sq1, e2, p1, p2 = (np.empty_like(h1) for _ in range(5))
     low = np.empty(h1.shape, dtype=bool)
     tlam = cfg.t * sine_lam(cfg.layers)
+
+    def product(i):
+        if i == 0:
+            return sq1 if j == 1 else np.multiply(h1r, hj, out=p1)
+        if j == 1:
+            return np.multiply((h2, h3)[i - 1], h1r, out=(p1, p2)[i - 1])
+        return fixed[i]
+
     for k, shift in enumerate(tlam):
         np.add(h1, shift, out=h1r)
         np.multiply(h1r, h1r, out=sq1)
@@ -187,56 +202,61 @@ def _abba_modes(h, cfg, j, r):
             _require_gap(np.stack([((h1 + s) ** 2 + sq2) + sq3 for s in tlam], axis=-1), cfg)
         if r is not None and k != r - 1:
             continue
-        if j == 1:
-            yield k, (sq1, np.multiply(h2, h1r, out=p1), np.multiply(h3, h1r, out=p2)), e2
-        else:
-            yield k, (np.multiply(h1r, hj, out=p1),) + fixed, e2
+        yield k, tuple(product(i) for i in comps), e2
 
 
-def tasp_of_field(h, cfg, j):
-    """tasp_closed_form at monolayer field values h (..., 3).
+def tasp_of_field(h, cfg, j, component=None):
+    """tasp_closed_form at monolayer field values h (..., 3); with
+    component (1-based), that component alone, (...), bit for bit.
 
     The abba mode sum adds h_r^i h_r^j / E_r^2 in mode order from +0.0,
     negated after the sum, which keeps the sign of zeros.
     """
     if cfg.stacking != "abba":
-        return -h * h[..., j - 1, None] * _ba_column(h, cfg, j)
+        if component is None:
+            return -h * h[..., j - 1, None] * _ba_column(h, cfg, j)
+        c = component - 1
+        return -h[..., c] * h[..., j - 1] * _ba_column(h, cfg, j)[..., c]
     shape = np.shape(h)[:-1]
-    acc = np.zeros((3,) + shape)
+    n = 3 if component is None else 1
+    acc = np.zeros((n,) + shape)
     term = np.empty(shape)
-    for _, prods, e2 in _abba_modes(h, cfg, j, None):
-        for i in range(3):
+    for _, prods, e2 in _abba_modes(h, cfg, j, None, component):
+        for i in range(n):
             acc[i] += np.divide(prods[i], e2, out=term)
-    out = np.empty(np.shape(h))
-    for i in range(3):
+    out = np.empty(shape + (n,))
+    for i in range(n):
         out[..., i] = -acc[i] / cfg.layers
-    return out
+    return out if component is None else out[..., 0]
 
 
-def gtasp_abba(kx, ky, cfg, j, r=None):
+def gtasp_abba(kx, ky, cfg, j, r=None, component=None):
     """Per-mode polarization -h_r^i h_r^j / E_r^2 of the abba stacking.
 
     This is the time average of subspace_observable(N, r, i) in the
     mixed initial state.  With r=None all modes are returned, shape
-    (..., N, 3); the mode sum equals N times tasp_closed_form.
+    (..., N, 3); the mode sum equals N times tasp_closed_form.  With
+    component (1-based) only that component is computed, without the
+    last axis.
     """
-    return gtasp_of_field(monolayer_field(cfg, kx, ky), cfg, j, r)
+    return gtasp_of_field(monolayer_field(cfg, kx, ky), cfg, j, r, component)
 
 
-def gtasp_of_field(h, cfg, j, r=None):
-    """gtasp_abba at monolayer field values h (..., 3); mode r alone is
-    computed when given, but every mode's gap is checked."""
+def gtasp_of_field(h, cfg, j, r=None, component=None):
+    """gtasp_abba at monolayer field values h (..., 3); mode r and
+    component alone are computed when given, bit for bit, but every
+    mode's gap is checked."""
     if cfg.stacking != "abba":
         raise UnsupportedStackingError("subsystem fields require the abba stacking")
     if r is not None and not 1 <= r <= cfg.layers:
         raise UsageError(f"subspace mode index {r} is outside 1..{cfg.layers}")
-    shape = np.shape(h)[:-1]
-    out = np.empty(shape + ((3,) if r is not None else (cfg.layers, 3)))
-    for k, prods, e2 in _abba_modes(h, cfg, j, r):
+    shape = np.shape(h)[:-1] + (() if r is not None else (cfg.layers,))
+    out = np.empty(shape + (3 if component is None else 1,))
+    for k, prods, e2 in _abba_modes(h, cfg, j, r, component):
         at = out if r is not None else out[..., k, :]
-        for i in range(3):
-            at[..., i] = -(prods[i] / e2)
-    return out
+        for i, p in enumerate(prods):
+            at[..., i] = -(p / e2)
+    return out if component is None else out[..., 0]
 
 
 def singular_mask(kx, ky, cfg):

@@ -42,7 +42,8 @@ FIELD_FLOOR = 1e-9
 # a chunk stays near this size (one cell at the least), so the dozen or
 # so temporaries of a chunk fit a 2 MB L2 cache (twice this size scanned
 # about 25 % slower on a 2-vCPU Xeon; half of it still left the timing
-# of 1024 abba cells dependent on the malloc heap state)
+# of 1024 abba cells dependent on the malloc heap state).  The gap pass
+# holds the level parts of a block of t values of this size too
 SCAN_CHUNK_BYTES = 1 << 17
 
 # bytes per node and mode of each cell of a scan chunk at its peak: about
@@ -180,9 +181,10 @@ def _unit_degree(x, y, z):
     return area / (2 * np.pi), den_min
 
 
-def _field_degree(h1, h2, h3, KX, KY):
+def _field_degree(h1, h2, h3, cell):
     """Degree of the unit field h / |h| from its components on the
-    periodically extended grid (_periodic) of the nodes KX, KY.
+    periodically extended grid (_periodic) of an n x n lattice over the
+    sampling cell cell (models.Cell).
 
     |h| = sqrt((h1^2 + h2^2) + h3^2) is np.linalg.norm of the whole field
     bit for bit.  Raises GaplessError when the field vanishes on the grid
@@ -192,7 +194,9 @@ def _field_degree(h1, h2, h3, KX, KY):
     if nrm.min() < FIELD_FLOOR:
         # the first minimum lies off the copied row and column
         i, l = np.unravel_index(int(np.argmin(nrm)), nrm.shape)
-        raise GaplessError(f"field vanishes at k=({KX[i, l]}, {KY[i, l]})")
+        n = nrm.shape[0] - 1
+        kx, ky = cell.k_at(i / n, l / n)
+        raise GaplessError(f"field vanishes at k=({kx}, {ky})")
     total, den_min = _unit_degree(h1 / nrm, h2 / nrm, h3 / nrm)
     if den_min < DEN_FLOOR:
         raise GaplessError(
@@ -211,9 +215,9 @@ def chern_two_band(field_fn, grid_n=100, model="qwz"):
     Raises GaplessError when the field vanishes on the grid or comes
     close enough that a plaquette cannot be certified.
     """
-    KX, KY = sampling_cell(model).nodes(grid_n, grid_n)
-    h = field_fn(KX, KY)
-    return _field_degree(*(_periodic(h[..., i]) for i in range(3)), KX, KY)
+    cell = sampling_cell(model)
+    h = field_fn(*cell.nodes(grid_n, grid_n))
+    return _field_degree(*(_periodic(h[..., i]) for i in range(3)), cell)
 
 
 def subsystem_field_fn(cfg, r):
@@ -247,8 +251,24 @@ def total_chern_abba(cfg, grid_n=100):
     require_degree_size(grid_n)
     lattice = LatticeField(cfg.model, grid_n, grid_n)
     h1, h2, h3 = (_periodic(lattice.component(i, cfg.m)) for i in range(3))
-    return sum(_field_degree(h1 + shift, h2, h3, lattice.kx, lattice.ky)
+    cell = lattice.cell
+    # the lattice's per-node parts go before the degrees' temporaries exist
+    del lattice
+    return sum(_field_degree(h1 + shift, h2, h3, cell)
                for shift in cfg.t * sine_lam(cfg.layers))
+
+
+def half_filling_degree(cfg, grid_n=100):
+    """Half-filling Chern number from unit-field degrees, an oracle
+    independent of chern_fhs: the mode-degree sum of an abba stack
+    (total_chern_abba), and for a ba stack N times that of the monolayer
+    (abba N = 1 at t = 0, same model and m).  A ba level vanishes only
+    where the monolayer field does (spectra._level_part), so the ba
+    number does not change with t, and at t = 0 the stack is N monolayers.
+    """
+    if cfg.stacking == "abba":
+        return total_chern_abba(cfg, grid_n)
+    return cfg.layers * total_chern_abba(LayeredConfig("abba", 1, 0.0, cfg.model, cfg.m), grid_n)
 
 
 @dataclass
@@ -297,21 +317,25 @@ def _scan_tables(layers, model, ms, grid_n, per):
 
 
 def _scan_gaps(abba, tables, ts, sm, per):
-    """Half-filling gap of every cell, per cells at a time.
+    """Half-filling gap of every cell, per masses at a time.
 
     E_r^2 is the t-dependent part p_r (spectra._level_part) plus h3^2,
     and sqrt is monotone, so each gap is the per-cell 2 min E_r.  The
     extended grid only repeats nodes, so the minima are taken over the
-    nodes alone.
+    nodes alone.  The parts p_r of a block of t values, SCAN_CHUNK_BYTES
+    in all (one t at the least), are held while each chunk of masses
+    takes its h3^2 once for the whole block.
     """
     h1, h2, h3, lam = tables
     h1, h2 = h1[:-1, :-1], h2[:-1, :-1]
     e2 = np.empty((len(ts), sm))
-    for i, t in enumerate(ts):
-        part = _level_part(abba, h1, h2, t * lam[:, None, None])
+    block = max(1, SCAN_CHUNK_BYTES // (len(lam) * h1.size * 8))
+    for b in range(0, len(ts), block):
+        parts = [_level_part(abba, h1, h2, t * lam[:, None, None]) for t in ts[b:b + block]]
         for l in range(0, sm, per):
             h3sq = h3(slice(l, l + per)) ** 2
-            e2[i, l:l + per] = (h3sq[:, None] + part).min(axis=(-3, -2, -1))
+            for i, part in enumerate(parts, b):
+                e2[i, l:l + per] = (h3sq[:, None] + part).min(axis=(-3, -2, -1))
     return 2.0 * np.sqrt(e2)
 
 

@@ -171,6 +171,19 @@ class TestChern:
         assert rep["filled"] == 2
         assert rep["mode_degree_sum"] == -2
 
+    @pytest.mark.parametrize("model, m, layers, want", [
+        ("qwz", 1.0, 2, -2), ("qwz", 1.0, 3, -3), ("haldane", 1.5, 2, -6)])
+    def test_ba_half_filling_is_checked_by_the_monolayer_degree(self, tmp_path, capsys, model,
+                                                                m, layers, want):
+        # the ba integer takes N times the monolayer degree as its oracle,
+        # under its own key; stdout keeps the link-variable line
+        assert run("chern", "--stacking", "ba", "--layers", str(layers), "--model", model,
+                   "--m", str(m), "--grid", "64", "--out", tmp_path) == 0
+        rep = load_json(tmp_path / "chern.json")
+        assert rep["chern_fhs"] == rep["layers_times_monolayer_degree"] == want
+        assert "mode_degree_sum" not in rep
+        assert capsys.readouterr().out == f"chern = {want}\n"
+
     def test_all_bands_filled(self, tmp_path):
         assert run("chern", "--grid", "60", "--filled", "4",
                    "--out", tmp_path) == 0
@@ -414,6 +427,12 @@ EXIT_SWEEP = [
     (2, ["chern", "--filled", "1", "--grid", "1000000"]),
     # the mode-degree sums (3.0 GB) are refused before the link variables run
     (2, ["chern", "--layers", "1", "--grid", "3900"]),
+    # chern_fhs gives -1 and the mode-degree sum the exact 0
+    (1, ["chern", "--stacking", "abba", "--layers", "2", "--model", "haldane",
+         "--t", "0.0844259428061247", "--m", "1.9959446315762408", "--grid", "40"]),
+    # chern_fhs gives -4 for the exact -6, and the monolayer degree refuses at 40^2
+    (1, ["chern", "--stacking", "ba", "--layers", "2", "--model", "haldane",
+         "--t", "0.4", "--m", "1.5", "--grid", "40"]),
     # 10^10 scan cells, and 10^5-layer or 256^2 x 3000-mode arrays,
     # refused before any of them exists
     (2, ["phase-diagram", "--steps", "100000", "--grid", "16"]),

@@ -205,3 +205,42 @@ def test_random_sources_match_reference(source):
     for (p, w), (p0, w0) in zip(got, want):
         assert np.array_equal(p, p0)
         assert np.array_equal(w, w0)
+
+
+def scalar_root(phi, a, b):
+    """Root of phi on the segment a-b by bisection, one edge alone: the
+    midpoint formula and the 1e-9 freeze rule of bisfield._bisect_edges."""
+    lo, hi = (b, a) if phi(a[:1], a[1:])[0] > 0 else (a, b)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if phi(mid[:1], mid[1:])[0] > 0:
+            hi = mid
+        else:
+            lo = mid
+        if not np.max(np.abs(hi - lo)) > 1e-9:
+            break
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=20, deadline=None)
+@given(trig_sources(), st.booleans())
+@example(trig_source(24, 24, 0.1, [(1, 0, 1.0, 0.3), (0, 1, 1.0, 1.1)]), False)
+@example(trig_source(17, 40, -0.2, [(1, 1, 1.0, 0.0), (2, -1, 0.5, 2.0)]), False)
+def test_edges_are_bisected_as_one_edge_alone(source, square):
+    # the batched bisection, whole-array while every bracket is open and
+    # compacted after the first freeze, gives every edge the bits of its
+    # own scalar bisection, on square lattices and on nx != ny ones
+    nx, ny, phi, _ = source
+    if square:
+        ny = nx
+    pos = grid_nodes(phi, nx, ny) > 0
+    hi_, hl = np.nonzero(pos != np.roll(pos, -1, axis=0))
+    vi, vl = np.nonzero(pos != np.roll(pos, -1, axis=1))
+    if not len(hi_) + len(vi):
+        return
+    a = np.stack([np.concatenate([hi_, vi]) / nx, np.concatenate([hl, vl]) / ny])
+    step = np.repeat([[1.0 / nx, 0.0], [0.0, 1.0 / ny]], [len(hi_), len(vi)], axis=0).T
+    b = a + step
+    roots = bisfield._bisect_edges(phi, a, b)
+    want = np.array([scalar_root(phi, a[:, e], b[:, e]) for e in range(a.shape[1])])
+    assert roots.tobytes() == want.tobytes()

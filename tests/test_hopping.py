@@ -19,6 +19,7 @@ from layerquench import (
     estimate_t_ba,
     sample_grid,
 )
+from layerquench import bisfield
 
 
 class TestAbbaEstimator:
@@ -47,6 +48,30 @@ class TestAbbaEstimator:
         est = estimate_t_abba(grid)
         ref = estimate_t_abba(cfg, resolution=96)
         assert est.t_hat == ref.t_hat
+
+    @pytest.mark.parametrize("model, layers, t, m", [
+        ("qwz", 2, 0.41, 1.02), ("qwz", 4, 0.3, -1.3),
+        ("haldane", 2, 0.41, 1.02), ("haldane", 3, 1 / np.sqrt(2), 1.0)])
+    @pytest.mark.parametrize("j", [2, 3])
+    @pytest.mark.parametrize("resolution", [64, (80, 56)])
+    def test_config_keeps_the_bits_of_a_sampled_grid(self, monkeypatch, model, layers, t, m,
+                                                     j, resolution):
+        # a config samples s1 alone on its nodes, yet its estimate has the
+        # bits of the estimate from the whole sampled grid
+        cfg = LayeredConfig("abba", layers, t, model, m)
+        ref = estimate_t_abba(sample_grid(cfg, j, ("subspace", 1), resolution))
+        sampled = []
+        of_field = bisfield.gtasp_of_field
+
+        def counted(h, cfg, j, r=None, component=None):
+            sampled.append((np.shape(h), r, component))
+            return of_field(h, cfg, j, r, component)
+
+        monkeypatch.setattr(bisfield, "gtasp_of_field", counted)
+        est = estimate_t_abba(cfg, resolution, j)
+        n = resolution if np.ndim(resolution) else (resolution, resolution)
+        assert sampled == [(n + (3,), 1, 1)]
+        assert (est.t_hat.hex(), est.residual.hex()) == (ref.t_hat.hex(), ref.residual.hex())
 
     def test_strong_coupling_leaves_no_zero_line(self):
         cfg = LayeredConfig("abba", 2, 1.2)

@@ -7,6 +7,7 @@ from layerquench import (PAULI, LayeredConfig, SingularPointError, UsageError, b
                          polarization_profile, pure_state, pure_state_check, singular_mask,
                          subspace_observable, tasp_closed_form, time_averaged_expectation,
                          time_integrated_expectation)
+from layerquench.bisfield import polarization_evaluator
 from layerquench.quench import _ba_column
 
 
@@ -174,6 +175,25 @@ def test_every_modes_gap_is_checked():
             gtasp_abba(kx, np.zeros_like(kx), cfg, 3, r)
         messages.add(str(exc.value))
     assert len(messages) == 1 and messages.pop().endswith("at sample index (1, 0)")
+
+
+@pytest.mark.parametrize("component", [1, 2, 3])
+def test_one_component_source_checks_every_modes_gap(component):
+    """The one-component source of mode 1 (the s1 zero lines of the abba
+    estimator trace it) raises at the closing of mode 2, which it does not
+    trace, with the message of the whole evaluator."""
+    cfg = LayeredConfig("abba", 2, 0.6, m=1.8)
+    kx = np.array([[0.1, 0.2], [np.arctan2(0.6, 0.8), 0.3]])
+    ky = np.zeros_like(kx)
+    for observable in (("subspace", 1), ("global",)):
+        with pytest.raises(SingularPointError) as whole:
+            polarization_evaluator(cfg, 3, observable)(kx, ky)
+        with pytest.raises(SingularPointError) as one:
+            polarization_evaluator(cfg, 3, observable, component)(kx, ky)
+        assert str(one.value) == str(whole.value)
+        assert str(one.value).endswith("at sample index (1, 0)")
+    with pytest.raises(SingularPointError, match=r"at sample index \(1, 0\)"):
+        gtasp_abba(kx, ky, cfg, 3, None, component)
 
 
 @pytest.mark.parametrize("stacking, evaluate", [

@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from layerquench import (LayeredConfig, LayerQuenchError, bisfield, characterize, models,
-                         quench, sample_grid, spectra, topology)
+from layerquench import (LayeredConfig, LayerQuenchError, bisfield, characterize,
+                         estimate_t_abba, models, quench, sample_grid, spectra, topology)
 
 GOLDEN = Path(__file__).parent / "golden" / "sampling_digests.json"
 
@@ -176,6 +176,46 @@ def test_lattice_field_is_the_whole_fields(model, nx, ny, m, seed):
     assert _same_bits(lattice.component(2, ms[:, None, None]), np.stack(per_mass))
 
 
+def test_node_momenta_are_built_only_when_read(monkeypatch):
+    # qwz components come from the axis values, so no caller that reads
+    # only fields builds the (nx, ny) node momenta; a grid builds them when
+    # they are read, nudged nodes at their nudged momenta
+    cfg = LayeredConfig("abba", 1, 0.0, m=2.0)
+    cell = models.sampling_cell("qwz")
+    KX, KY = cell.nodes(32, 32)
+    bad = quench.singular_mask(KX, KY, cfg)
+    assert bad.sum() == 1
+    i, l = np.nonzero(bad)
+    KX[bad], KY[bad] = cell.k_at(i / 32 + 0.5 / 32, l / 32 + 0.5 / 32)
+
+    def no_nodes(*args):
+        raise AssertionError("node momenta built")
+
+    monkeypatch.setattr(models.Cell, "nodes", no_nodes)
+    bilayer = LayeredConfig("abba", 2, 0.4)
+    characterize(bilayer, resolution=64)
+    estimate_t_abba(bilayer, 64)
+    topology.total_chern_abba(bilayer, 32)
+    topology.phase_diagram("abba", 2, (0.0, 2.0), (-1.0, 3.0), 4, grid_n=16)
+    grid = sample_grid(cfg, 3, ("global",), 32)
+    monkeypatch.undo()
+    assert _same_bits(grid.kx, KX) and _same_bits(grid.ky, KY)
+
+
+def test_haldane_lattice_takes_each_angle_product_once(monkeypatch):
+    # h1 and h2 share the k.a_i of one product, as h3 keeps its S
+    calls = []
+    angles = models.LatticeField._angles
+
+    def counted(self, vectors):
+        calls.append("a" if vectors is models.TRI_A else "b")
+        return angles(self, vectors)
+
+    monkeypatch.setattr(models.LatticeField, "_angles", counted)
+    sample_grid(LayeredConfig("abba", 2, 0.4, "haldane", 1.5), 3, ("global",), 32)
+    assert sorted(calls) == ["a", "b"]
+
+
 # lattices with gap closings exactly at nodes: abba N = 3 at t = 1/sqrt(2)
 # closes modes 1 and 3 at kx = -+pi/2, ky = 0 (grids of 4k nodes); the ba
 # levels close where the monolayer field does, at (0, pi) for m = 0 and at
@@ -284,6 +324,36 @@ def test_per_mode_kernels_are_the_interleaved_expressions(stacking, layers, t, j
         assert _same_bits(quench.gtasp_of_field(h[row], cfg, j), modes[row])
         for r in range(1, layers + 1):
             assert _same_bits(quench.gtasp_of_field(h[row], cfg, j, r), modes[row][..., r - 1, :])
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacking=st.sampled_from(["abba", "ba"]), model=st.sampled_from(["qwz", "haldane"]),
+       layers=st.integers(1, 5), t=st.sampled_from([0.0, 0.6, 1 / np.sqrt(2)])
+       | st.floats(-2.0, 2.0), m=st.sampled_from([1.0, 1.8, 2.0]) | st.floats(-3.0, 3.0),
+       j=st.integers(1, 3), mode=st.integers(0, 5), component=st.integers(1, 3),
+       k=st.lists(st.tuples(st.sampled_from([0.0, np.pi / 2, np.arctan2(0.6, 0.8)])
+                            | momentum, momentum), min_size=1, max_size=6))
+def test_one_component_evaluator_is_the_whole_evaluators_component(
+        stacking, model, layers, t, m, j, mode, component, k):
+    # the source component_zero_curves bisects evaluates one component,
+    # bit for bit the whole closed form's, and raises where it raises
+    cfg = LayeredConfig(stacking, layers, t, model, m)
+    obs = ("global",) if mode == 0 or stacking == "ba" else ("subspace", 1 + mode % layers)
+    kx, ky = np.array(k).T
+    cases = [(bisfield.polarization_evaluator(cfg, j, obs),
+              bisfield.polarization_evaluator(cfg, j, obs, component))]
+    if stacking == "abba":
+        cases.append((lambda x, y: quench.gtasp_abba(x, y, cfg, j),
+                      lambda x, y: quench.gtasp_abba(x, y, cfg, j, None, component)))
+    for whole, one in cases:
+        for x, y in ((kx, ky), (kx[0], ky[0])):
+            try:
+                want = whole(x, y)[..., component - 1]
+            except LayerQuenchError as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    one(x, y)
+                continue
+            assert _same_bits(one(x, y), want)
 
 
 @settings(max_examples=100, deadline=None)

@@ -280,6 +280,22 @@ class TestInputFloors:
                                                      per * topology.SCAN_MODE_BYTES)
         assert 0.5 * counted < peak <= counted
 
+    def test_long_t_scan_peak_is_within_the_counted_bytes(self):
+        # 2000 t values at 64^2: the gap pass holds the level parts of a
+        # block of t values (SCAN_CHUNK_BYTES), not of every t (65 MB here)
+        n, st = 64, 2000
+        tracemalloc.start()
+        try:
+            phase_diagram("abba", 1, (0.0, 2.0), (-1.0, 3.0), (st, 1), grid_n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        words = 8 + 3 * len(topology._closings(1, "qwz")[0])
+        per = topology.SCAN_CHUNK_BYTES // ((n + 1) ** 2 * 8)
+        counted = 8 * words * st + models.mode_bytes((n + 1) ** 2, 1,
+                                                     per * topology.SCAN_MODE_BYTES)
+        assert peak <= counted
+
     def test_floor_grid_is_accepted(self):
         assert chern_two_band(subsystem_field_fn(self.CFG, 1), 16) == -1
 
