@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import (DegenerateFieldError, NonQuantizedWindingError, SingularPointError,
                      UsageError)
-from .models import LatticeField, monolayer_component, monolayer_field, require_mode_size
+from .models import LatticeField, monolayer_component, monolayer_components, require_mode_size
+# unused here, but the traced benchmark run (perfbench/jobs.py) wraps it in this module
+from .models import monolayer_field
 from .quench import (SINGULAR_E2, gtasp_abba, gtasp_of_field, singular_field_mask,
                      tasp_closed_form, tasp_of_field)
 from .spectra import sine_lam
@@ -30,10 +32,10 @@ FIELD_COMPONENTS = {3: (0, 1), 1: (1, 2), 2: (2, 0)}
 
 WINDING_RESIDUAL_TOL = 0.05
 
-# bytes per node and mode that sampling a lattice holds at its peak: two
-# (nodes, N) float arrays of squared levels in quench.singular_field_mask,
-# and for ba three float arrays and a flag array in quench._ba_column
-# (measured with tracemalloc, N = 50 at 64^2)
+# bytes per node and mode that sampling a lattice holds at its peak: for
+# abba the N squared levels and their stack that quench._abba_modes builds
+# only when its gap check raises, for ba three float arrays and a flag
+# array in quench._ba_column (measured with tracemalloc, N = 50 at 64^2)
 SAMPLE_MODE_BYTES = {"abba": 2 * 8, "ba": 3 * 8 + 1}
 
 
@@ -159,18 +161,18 @@ def _resolution(resolution):
 
 def _singular_nodes(lattice, cfg, h3):
     """singular_field_mask of the whole field of the lattice, bit for bit,
-    from its third component h3 and the whole field at a few nodes.
+    from its third component h3 and all three components at a few nodes.
 
     Every level is E_r^2 = p_r + h3^2 >= h3^2, as p_r >= 0 and rounding
     is monotone, and the test's sqrt and square move h3^2 by a few ulps,
     so a node can be singular only where h3^2 < 2 SINGULAR_E2.  Only
-    those near nodes take the whole field and the test.
+    those near nodes take the other components and the test.
     """
     near = h3 ** 2 < 2.0 * SINGULAR_E2
     bad = np.zeros(h3.shape, dtype=bool)
     if near.any():
         at = np.nonzero(near)
-        bad[at] = singular_field_mask(lattice.field(cfg.m, at), cfg)
+        bad[at] = singular_field_mask([lattice.component(i, cfg.m, at) for i in range(3)], cfg)
     return bad
 
 
@@ -179,53 +181,49 @@ def _nudged_momenta(cell, i, l, nx, ny):
     return cell.k_at(i / nx + 0.5 / nx, l / ny + 0.5 / ny)
 
 
-def _node_lattice(cfg, j, observable, resolution, full=False):
-    """(grid, h): a grid without polarization values over an nx x ny
-    lattice on the sampling cell of cfg.model, and, when full, the
-    monolayer field h (nx, ny, 3) at its nodes (else None).
+def _node_lattice(cfg, j, observable, resolution):
+    """(grid, lattice, nudged): a grid without polarization values over an
+    nx x ny lattice on the sampling cell of cfg.model, its LatticeField, and
+    the field components at the nudged nodes (() if none).
 
-    Nodes sit at fractions (i/nx, l/ny) of the cell, where the lattice
-    evaluates each component it needs once (models.LatticeField).  When
-    full, the whole field is evaluated, as the closed forms need it, and
-    every node takes the singular-node test; otherwise only h_j and h3
-    are, and the test runs at the nodes _singular_nodes selects.  Singular
-    nodes are offset by half a grid step (the grid's momenta and h record
-    the offset) and checked again alone; if still singular the error names
-    the node.  The per-mode arrays of sampling (SAMPLE_MODE_BYTES) are
-    bounded before the field exists.
+    Only h_j (the grid's hj) and h3 are evaluated on the lattice, and the
+    singular-node test runs at the nodes _singular_nodes selects.  Singular
+    nodes are offset by half a grid step (the grid's momenta record the
+    offset) and checked again alone; if still singular the error names the
+    node.  The per-mode arrays of sampling (SAMPLE_MODE_BYTES) are bounded
+    before the field exists.
     """
     nx, ny = _resolution(resolution)
     lattice = LatticeField(cfg.model, nx, ny)
     require_mode_size(nx * ny, cfg.layers, SAMPLE_MODE_BYTES[cfg.stacking])
-    if full:
-        h = lattice.field(cfg.m)
-        hj = h[..., j - 1].copy()
-        bad = singular_field_mask(h, cfg)
-    else:
-        h = None
-        hj = lattice.component(j - 1, cfg.m)
-        bad = _singular_nodes(lattice, cfg, hj if j == 3 else lattice.component(2, cfg.m))
+    hj = lattice.component(j - 1, cfg.m)
+    bad = _singular_nodes(lattice, cfg, hj if j == 3 else lattice.component(2, cfg.m))
     i, l = np.nonzero(bad)
+    nudged = ()
     if len(i):
         kx, ky = _nudged_momenta(lattice.cell, i, l, nx, ny)
-        nudged = monolayer_field(cfg, kx, ky)
-        if full:
-            h[i, l] = nudged
+        nudged = monolayer_components(cfg, kx, ky)
         still = singular_field_mask(nudged, cfg)
         if np.any(still):
             p = np.flatnonzero(still)[0]
             raise SingularPointError(f"gap closes at grid node ({i[p]}, {l[p]}), "
                                      f"k=({kx[p]}, {ky[p]})")
     return TaspGrid(cfg=cfg, j=j, observable=tuple(observable), nx=nx, ny=ny,
-                    cell=lattice.cell, values=None, hj=hj, nudged=(i, l)), h
+                    cell=lattice.cell, values=None, hj=hj, nudged=(i, l)), lattice, nudged
 
 
 def _sampled(cfg, j, observable, resolution, component=None):
     """(grid, values): the lattice of sample_grid, without values, and the
     closed form at its nodes, (nx, ny, 3), or (nx, ny) for the one
-    component (1-based) given, bit for bit that component of the whole."""
+    component (1-based) given, bit for bit that component of the whole.
+    h_j is a copy of the grid's hj, which stays unnudged."""
     r = _mode_index(cfg, observable)
-    grid, h = _node_lattice(cfg, j, observable, resolution, full=True)
+    grid, lattice, nudged = _node_lattice(cfg, j, observable, resolution)
+    h = [grid.hj.copy() if i == j - 1 else lattice.component(i, cfg.m) for i in range(3)]
+    # the lattice's cached angles go before the closed form's temporaries exist
+    del lattice
+    for c, value in zip(h, nudged):
+        c[grid.nudged] = value
     if r is None:
         return grid, tasp_of_field(h, cfg, j, component)
     return grid, gtasp_of_field(h, cfg, j, r, component)

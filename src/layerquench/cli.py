@@ -198,27 +198,20 @@ def square_grid(spec):
     return nx
 
 
-def parse_observable(spec, layers):
-    """'global' | 'subspace:R' | 'bilayer:W' -> observable tuple.
-
-    'bilayer:W' is an alias of 'subspace:W' for a stack of two layers.
-    """
+def parse_observable(spec):
+    """'global' | 'subspace:R' -> observable tuple."""
     parts = str(spec).split(":")
     if parts[0] == "global":
         if len(parts) != 1:
             raise UsageError("observable 'global' takes no index")
         return ("global",)
-    if parts[0] in ("subspace", "bilayer"):
+    if parts[0] == "subspace":
         if len(parts) != 2:
-            raise UsageError(f"observable {parts[0]!r} needs an index, e.g. {parts[0]}:1")
+            raise UsageError("observable 'subspace' needs an index, e.g. subspace:1")
         try:
             r = int(parts[1])
         except ValueError:
             raise UsageError(f"bad observable index {parts[1]!r}")
-        if parts[0] == "bilayer" and layers != 2:
-            raise UsageError("bilayer observables require layers = 2")
-        if parts[0] == "bilayer" and not 1 <= r <= 2:
-            raise UsageError(f"bilayer mode index {r} is outside 1..2")
         return ("subspace", r)
     raise UsageError(f"unknown observable kind {parts[0]!r}")
 
@@ -255,7 +248,7 @@ def _outdir(opts, *names):
 def cmd_tasp(opts):
     cfg = layered_config(opts)
     nx, ny = parse_grid(opts["grid"])
-    obs = parse_observable(opts["observable"], opts["layers"])
+    obs = parse_observable(opts["observable"])
     grid = sample_grid(cfg, opts["axis"], obs, (nx, ny))
     files = [f"tasp_s{comp}.csv" for comp in (1, 2, 3)]
     out = _outdir(opts, *files, "tasp_manifest.json")
@@ -274,7 +267,7 @@ def _characterize(opts):
     """Contours with dynamical fields and windings for the configured observable."""
     return characterize(layered_config(opts), opts["axis"], parse_grid(opts["grid"]),
                         opts["delta"], opts["tol_bis"],
-                        parse_observable(opts["observable"], opts["layers"]))
+                        parse_observable(opts["observable"]))
 
 
 def _bis_summary(res, files=None):
@@ -478,7 +471,7 @@ def build_parser():
     common.add_argument("--layers", type=int)
     common.add_argument("--t", type=float)
     common.add_argument("--axis", type=int, help="quench axis j (1, 2 or 3)")
-    common.add_argument("--observable", help="global | subspace:R | bilayer:W")
+    common.add_argument("--observable", help="global | subspace:R")
     common.add_argument("--grid", help="resolution, N or NXxNY")
     common.add_argument("--out", help="output directory")
     common.add_argument("--tol-bis", dest="tol_bis", type=float)

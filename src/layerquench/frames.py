@@ -291,10 +291,10 @@ class SineModeFrames:
 def sine_mode_frames(cfg, kx, ky, h, E):
     """Frames of the N filled bands at half filling, both stackings, any N.
 
-    kx, ky are momentum arrays, h (..., 3) the monolayer field
-    (models.monolayer_field) and E (..., N) the analytic positive levels
-    there, E_r of the sine mode a_r (spectra.sine_modes).  In the
-    basis a_r (x) 1, H is block diagonal:
+    kx, ky are momentum arrays, h = (h1, h2, h3) the monolayer field
+    components (models.monolayer_components) and E (..., N) the analytic
+    positive levels there, E_r of the sine mode a_r (spectra.sine_modes).
+    In the basis a_r (x) 1, H is block diagonal:
     - abba: every mode r is the two-band block h_r . s with
       h_r = (h1 + t lam_r, h2, h3) and level E_r, so a_r (x) v_r
       with v_r its lower eigenvector is a filled band.  v_r is taken in
@@ -336,7 +336,7 @@ def sine_mode_frames(cfg, kx, ky, h, E):
         leak = sum(c[1] for c in compressed)
 
     shape = E.shape[:-1]
-    h = h.reshape(-1, 3)
+    h = [c.reshape(-1) for c in h]
     E = E.reshape(-1, N)
     n = len(E)
     W = np.empty((pairs, 2, 4, n), dtype=complex)
@@ -345,7 +345,7 @@ def sine_mode_frames(cfg, kx, ky, h, E):
     per = max(1, FRAME_BLOCK_BYTES // (16 * (16 * pairs + 2 * S)))
     for k0 in range(0, n, per):
         block = slice(k0, k0 + per)
-        hb, Eb = h[block].T, E[block].T
+        hb, Eb = [c[block] for c in h], E[block].T
         nb = Eb.shape[1]
         built = []
         if pairs:

@@ -19,7 +19,7 @@ from .bisfield import TaspGrid, _sampled, component_zero_curves, polarization_ev
 # unused here, but the traced benchmark run (perfbench/jobs.py) wraps it in this module
 from .bisfield import sample_grid
 from .errors import InconsistentSampleError, TrivialRegimeError, UsageError
-from .models import LayeredConfig, monolayer_field
+from .models import LayeredConfig, monolayer_component
 from .quench import tasp_closed_form
 from .spectra import sine_lam
 
@@ -104,7 +104,7 @@ def estimate_t_abba(source, resolution=256, j=3):
             "no s1 zero curve with nonzero s3 response; "
             "the hopping does not imprint a zero line in this regime")
     pts = np.concatenate(kept)
-    ests = -monolayer_field(cfg, pts[:, 0], pts[:, 1])[..., 0] / sine_lam(cfg.layers)[0]
+    ests = -monolayer_component(cfg, pts[:, 0], pts[:, 1], 0) / sine_lam(cfg.layers)[0]
     t_hat = float(np.mean(ests))
     return HoppingEstimate(t_hat=t_hat, method="abba-zero-line",
                            residual=float(np.max(np.abs(ests - t_hat))))
@@ -116,12 +116,14 @@ def ba_reference_magnitudes(t, m=1.0, layers=2, j=3):
     For m = 1, N = 2 these equal 1/(2+t^2) for the in-plane channels and
     (2+t^2)/(2+2t^2) for the s3 channel.
     """
+    return {key: _reference_magnitude(key, t, m, layers, j) for key in REFERENCE_MOMENTA}
+
+
+def _reference_magnitude(key, t, m, layers, j):
+    """|key| of ba_reference_magnitudes, evaluating that channel alone, bit for bit."""
     cfg = LayeredConfig(stacking="ba", layers=layers, t=float(t), model="qwz", m=float(m))
-    out = {}
-    for key, (kx, ky) in REFERENCE_MOMENTA.items():
-        comp = int(key[1])
-        out[key] = float(abs(tasp_closed_form(kx, ky, cfg, j)[comp - 1]))
-    return out
+    kx, ky = REFERENCE_MOMENTA[key]
+    return float(abs(tasp_closed_form(kx, ky, cfg, j, int(key[1]))))
 
 
 def _invert_rational(key, mag):
@@ -139,15 +141,16 @@ def _invert_rational(key, mag):
 def _invert_numeric(key, mag, m, layers, j):
     """Smallest t in [0, T_SEARCH_MAX] whose |key| magnitude equals mag.
 
-    Returns None for a channel that vanishes for every t and was
-    sampled as 0: it says nothing about t.
+    Only the key channel is evaluated: another channel's reference
+    momentum may close the gap (s3's k = 0 at m = 2).  Returns None for a
+    channel that vanishes for every t and was sampled as 0.
     """
     # scipy costs more to import than the rest of the package; only this
     # solve needs it
     from scipy.optimize import brentq
 
     def f(t):
-        return ba_reference_magnitudes(t, m, layers, j)[key] - mag
+        return _reference_magnitude(key, t, m, layers, j) - mag
 
     tgrid = np.linspace(0.0, T_SEARCH_MAX, 101)
     fvals = np.array([f(t) for t in tgrid])

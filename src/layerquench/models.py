@@ -152,10 +152,19 @@ def _haldane_component(angles, m, i):
     return m - 2.0 * _sum3(np.sin(angles))
 
 
+def _components(model, kx, ky, m):
+    kx, ky = _momenta(kx, ky)
+    if model == "qwz":
+        return tuple(_qwz_component(kx, ky, m, i) for i in range(3))
+    k = np.stack([kx, ky], axis=-1)
+    ka = k @ TRI_A.T
+    return (_haldane_component(ka, m, 0), _haldane_component(ka, m, 1),
+            _haldane_component(k @ TRI_B.T, m, 2))
+
+
 def qwz_field(kx, ky, m):
     """Square-lattice field (sin kx, sin ky, m - cos kx - cos ky)."""
-    kx, ky = _momenta(kx, ky)
-    return np.stack([_qwz_component(kx, ky, m, i) for i in range(3)], axis=-1)
+    return np.stack(_components("qwz", kx, ky, m), axis=-1)
 
 
 def haldane_field(kx, ky, m):
@@ -164,16 +173,16 @@ def haldane_field(kx, ky, m):
     h1 = 4 sum_i cos(k.a_i), h2 = 4 sum_i sin(k.a_i),
     h3 = m - 2 sum_i sin(k.b_i).
     """
-    k = np.stack(_momenta(kx, ky), axis=-1)
-    ka = k @ TRI_A.T
-    return np.stack([_haldane_component(ka, m, 0), _haldane_component(ka, m, 1),
-                     _haldane_component(k @ TRI_B.T, m, 2)], axis=-1)
+    return np.stack(_components("haldane", kx, ky, m), axis=-1)
+
+
+def monolayer_components(cfg, kx, ky):
+    """(h1, h2, h3) of monolayer_field bit for bit, each its own contiguous array."""
+    return _components(cfg.model, kx, ky, cfg.m)
 
 
 def monolayer_field(cfg, kx, ky):
-    if cfg.model == "qwz":
-        return qwz_field(kx, ky, cfg.m)
-    return haldane_field(kx, ky, cfg.m)
+    return np.stack(monolayer_components(cfg, kx, ky), axis=-1)
 
 
 def monolayer_component(cfg, kx, ky, i):
@@ -256,10 +265,6 @@ class LatticeField:
         if self._ka is None:
             self._ka = self._angles(TRI_A)
         return _haldane_component(self._ka if at is None else self._ka[at], m, i)
-
-    def field(self, m, at=None):
-        """All three components, stacked on a last axis as monolayer_field stacks them."""
-        return np.stack([self.component(i, m, at) for i in range(3)], axis=-1)
 
 
 def sampling_cell(model):

@@ -9,7 +9,7 @@ mixed state (1/N) (x) (1 - s_j)/2 prepared by a deep quench along axis j.
 import numpy as np
 
 from .errors import SingularPointError, UnsupportedStackingError, UsageError
-from .models import PAULI, build_layered, monolayer_field
+from .models import PAULI, build_layered, monolayer_components, monolayer_field
 from .spectra import _level_part, degeneracy_groups, sine_lam, sine_modes
 
 # squared eigenvalues below this are treated as an exact gap closing
@@ -105,7 +105,7 @@ def _masked_sum(num, den, bad):
 
 
 def _ba_column(h, cfg, j):
-    """Column j of the vectorized A matrix; h has shape (..., 3), result (..., 3).
+    """Column j of the vectorized A matrix at field components h = (h1, h2, h3); (3, ...).
 
     Sums run over the N positive-branch squared eigenvalues e2 (the
     spectrum is symmetric, so sums over all 2N states carry a factor 2).
@@ -120,13 +120,13 @@ def _ba_column(h, cfg, j):
     updated in place, so at most three of them are alive at once.
     """
     N = cfg.layers
-    hx, hy, hz = h[..., 0, None], h[..., 1, None], h[..., 2, None]
+    hx, hy, hz = (c[..., None] for c in h)
     hz2 = hz ** 2
     e2 = _level_part(False, hx, hy, cfg.t * sine_lam(N)) + hz2
     _require_gap(e2, cfg)
-    col = np.empty(h.shape)
+    col = np.empty((3,) + hz.shape[:-1])
     if j == 3:
-        col[..., 2] = (0.5 / N) * (2.0 * (1.0 / e2).sum(axis=-1))
+        col[2] = (0.5 / N) * (2.0 * (1.0 / e2).sum(axis=-1))
     G = e2 - hz2
     G += hx ** 2
     G += hy ** 2
@@ -135,15 +135,15 @@ def _ba_column(h, cfg, j):
     if j == 3:
         G *= e2
         e2 -= hz2
-        col[..., 0] = col[..., 1] = (1.0 / N) * _masked_sum(e2, G, bad)
+        col[0] = col[1] = (1.0 / N) * _masked_sum(e2, G, bad)
         return col
     den = e2 * G
     G *= G
     G *= e2
     e2 -= hz2
-    col[..., 2] = (1.0 / N) * _masked_sum(e2, den, bad)
+    col[2] = (1.0 / N) * _masked_sum(e2, den, bad)
     e2 *= e2
-    col[..., 0] = col[..., 1] = (2.0 / N) * _masked_sum(e2, G, bad)
+    col[0] = col[1] = (2.0 / N) * _masked_sum(e2, G, bad)
     return col
 
 
@@ -157,13 +157,13 @@ def tasp_closed_form(kx, ky, cfg, j, component=None):
     one component (1-based) given.
     Raises SingularPointError at gap-closing momenta.
     """
-    return tasp_of_field(monolayer_field(cfg, kx, ky), cfg, j, component)
+    return tasp_of_field(monolayer_components(cfg, kx, ky), cfg, j, component)
 
 
 def _abba_modes(h, cfg, j, r, component=None):
     """Yield (mode index, products, E_r^2) of the abba modes r (all modes
-    for None), one mode and one component at a time; products holds
-    h_r^i h_r^j for i = 1..3, or for i = component (1-based) alone.
+    for None) at h = (h1, h2, h3), one mode and one component at a time;
+    products holds h_r^i h_r^j for i = 1..3, or for i = component alone.
 
     h_r = (h1 + t lam_r, h2, h3) and E_r^2 = (h1r^2 + h2^2) + h3^2, in the
     order of the length-3 sum it replaces.  The levels of every mode are
@@ -171,7 +171,7 @@ def _abba_modes(h, cfg, j, r, component=None):
     the modes that are not yielded.  The yielded arrays are reused for the
     next mode.
     """
-    h1, h2, h3 = (h[..., i].copy() for i in range(3))
+    h1, h2, h3 = h
     sq2, sq3 = h2 * h2, h3 * h3
     hj = (None, h2, h3)[j - 1]
     comps = range(3) if component is None else (component - 1,)
@@ -206,18 +206,18 @@ def _abba_modes(h, cfg, j, r, component=None):
 
 
 def tasp_of_field(h, cfg, j, component=None):
-    """tasp_closed_form at monolayer field values h (..., 3); with
-    component (1-based), that component alone, (...), bit for bit.
+    """tasp_closed_form at monolayer field components h = (h1, h2, h3):
+    (..., 3), or (...) for the one component (1-based) given, bit for bit.
 
     The abba mode sum adds h_r^i h_r^j / E_r^2 in mode order from +0.0,
     negated after the sum, which keeps the sign of zeros.
     """
     if cfg.stacking != "abba":
-        if component is None:
-            return -h * h[..., j - 1, None] * _ba_column(h, cfg, j)
-        c = component - 1
-        return -h[..., c] * h[..., j - 1] * _ba_column(h, cfg, j)[..., c]
-    shape = np.shape(h)[:-1]
+        col = _ba_column(h, cfg, j)
+        if component is not None:
+            return -h[component - 1] * h[j - 1] * col[component - 1]
+        return np.stack([-h[c] * h[j - 1] * col[c] for c in range(3)], axis=-1)
+    shape = np.shape(h[0])
     n = 3 if component is None else 1
     acc = np.zeros((n,) + shape)
     term = np.empty(shape)
@@ -239,18 +239,18 @@ def gtasp_abba(kx, ky, cfg, j, r=None, component=None):
     component (1-based) only that component is computed, without the
     last axis.
     """
-    return gtasp_of_field(monolayer_field(cfg, kx, ky), cfg, j, r, component)
+    return gtasp_of_field(monolayer_components(cfg, kx, ky), cfg, j, r, component)
 
 
 def gtasp_of_field(h, cfg, j, r=None, component=None):
-    """gtasp_abba at monolayer field values h (..., 3); mode r and
-    component alone are computed when given, bit for bit, but every
+    """gtasp_abba at monolayer field components h = (h1, h2, h3); mode r
+    and component alone are computed when given, bit for bit, but every
     mode's gap is checked."""
     if cfg.stacking != "abba":
         raise UnsupportedStackingError("subsystem fields require the abba stacking")
     if r is not None and not 1 <= r <= cfg.layers:
         raise UsageError(f"subspace mode index {r} is outside 1..{cfg.layers}")
-    shape = np.shape(h)[:-1] + (() if r is not None else (cfg.layers,))
+    shape = np.shape(h[0]) + (() if r is not None else (cfg.layers,))
     out = np.empty(shape + (3 if component is None else 1,))
     for k, prods, e2 in _abba_modes(h, cfg, j, r, component):
         at = out if r is not None else out[..., k, :]
@@ -261,11 +261,11 @@ def gtasp_of_field(h, cfg, j, r=None, component=None):
 
 def singular_mask(kx, ky, cfg):
     """True where some eigenvalue vanishes (closed forms undefined)."""
-    return singular_field_mask(monolayer_field(cfg, kx, ky), cfg)
+    return singular_field_mask(monolayer_components(cfg, kx, ky), cfg)
 
 
 def singular_field_mask(h, cfg):
-    """singular_mask at monolayer field values h (..., 3).
+    """singular_mask at monolayer field components h = (h1, h2, h3).
 
     The squared levels E_r^2 = p_r + h3^2 are taken with the modes on a
     leading axis, where their min is cheap.  sqrt and the square are
@@ -273,10 +273,9 @@ def singular_field_mask(h, cfg):
     test is min_r E_r^2 < SINGULAR_E2 on the squared positive levels
     (spectra.positive_levels), bit for bit.
     """
-    h = np.asarray(h)
-    lam = sine_lam(cfg.layers).reshape((-1,) + (1,) * (h.ndim - 1))
-    e2 = np.min(_level_part(cfg.stacking == "abba", h[..., 0], h[..., 1], cfg.t * lam)
-                + h[..., 2] ** 2, axis=0)
+    h1, h2, h3 = h
+    lam = sine_lam(cfg.layers).reshape((-1,) + (1,) * np.ndim(h1))
+    e2 = np.min(_level_part(cfg.stacking == "abba", h1, h2, cfg.t * lam) + h3 ** 2, axis=0)
     return np.sqrt(e2) ** 2 < SINGULAR_E2
 
 

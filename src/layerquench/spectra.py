@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NonConvergenceError, UnsupportedStackingError
-from .models import PAULI, build_layered, monolayer_field, require_size
+from .models import PAULI, build_layered, monolayer_components, monolayer_field, require_size
 
 DEG_TOL_DEFAULT = 1e-9
 
@@ -101,10 +101,10 @@ def _level_part(abba, h1, h2, tlam):
 
 
 def positive_levels(h, cfg):
-    """Positive branches E_r (..., N) at monolayer field values h (..., 3)."""
-    p = _level_part(cfg.stacking == "abba", h[..., 0, None], h[..., 1, None],
-                    cfg.t * sine_lam(cfg.layers))
-    return np.sqrt(p + h[..., 2, None] ** 2)
+    """Positive branches E_r (..., N) at monolayer field components h = (h1, h2, h3)."""
+    h1, h2, h3 = (c[..., None] for c in h)
+    p = _level_part(cfg.stacking == "abba", h1, h2, cfg.t * sine_lam(cfg.layers))
+    return np.sqrt(p + h3 ** 2)
 
 
 def analytic_positive_levels(kx, ky, cfg):
@@ -113,7 +113,7 @@ def analytic_positive_levels(kx, ky, cfg):
     E_r^2 = p_r + h3^2 (_level_part); for abba E_r = |h_r|.  The full
     spectrum is the symmetric set {+-E_r}.
     """
-    return positive_levels(monolayer_field(cfg, kx, ky), cfg)
+    return positive_levels(monolayer_components(cfg, kx, ky), cfg)
 
 
 def analytic_levels(kx, ky, cfg):

@@ -102,7 +102,7 @@ def chern_fhs(cfg, filled=None, grid_n=100):
     lattice = LatticeField(cfg.model, grid_n, grid_n)
     KX, KY = lattice.kx, lattice.ky
     if filled == N:
-        h = lattice.field(cfg.m)
+        h = [lattice.component(i, cfg.m) for i in range(3)]
         E = positive_levels(h, cfg)
         gaps = 2.0 * E.min(axis=-1)
     else:

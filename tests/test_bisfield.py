@@ -95,7 +95,7 @@ class TestSampleGrid:
         def no_field(*args):
             raise AssertionError("field evaluated before the memory check")
 
-        monkeypatch.setattr(bisfield, "monolayer_field", no_field)
+        monkeypatch.setattr(bisfield, "monolayer_components", no_field)
         monkeypatch.setattr(models.LatticeField, "component", no_field)
         cfg = LayeredConfig("abba", 3000, 0.4)
         with pytest.raises(UsageError, match="65536 momenta x 3000 mode fields need 3.2 GB"):
@@ -107,17 +107,37 @@ class TestSampleGrid:
         (stacking, observable, j) for j in (1, 2, 3)
         for stacking, observable in (("abba", ("global",)), ("abba", ("subspace", 2)),
                                      ("ba", ("global",)))])
-    def test_sampling_peak_is_within_the_counted_bytes(self, stacking, observable, j):
-        # what the mode bound counts is what sampling holds at its peak
-        cfg = LayeredConfig(stacking, 50, 0.4)
-        tracemalloc.start()
-        try:
-            sample_grid(cfg, j, observable, 64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def test_sampling_peak_is_within_the_counted_bytes(self, monkeypatch, stacking, observable,
+                                                       j):
+        # what the mode bound counts is what sampling holds at its peak,
+        # also where the closed form's gap check raises: with the
+        # singular-node test patched out, every mode of a t = 0, m = 2 stack
+        # closes at the node k = 0.  The abba closed form holds no per-mode
+        # array, its raising gap check the levels of every mode
+        def peak(cfg):
+            tracemalloc.start()
+            try:
+                sample_grid(cfg, j, observable, 64)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def raising_peak(cfg):
+            tracemalloc.start()
+            try:
+                with pytest.raises(SingularPointError, match="at sample index"):
+                    sample_grid(cfg, j, observable, 64)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         counted = models.mode_bytes(64 * 64, 50, bisfield.SAMPLE_MODE_BYTES[stacking])
-        assert 0.5 * counted < peak <= counted
+        sampled = peak(LayeredConfig(stacking, 50, 0.4))
+        monkeypatch.setattr(bisfield, "singular_field_mask",
+                            lambda h, cfg: np.zeros(np.shape(h[0]), dtype=bool))
+        raised = raising_peak(LayeredConfig(stacking, 50, 0.0, m=2.0))
+        assert sampled <= counted and raised <= counted
+        assert 0.5 * counted < max(sampled, raised)
 
     @pytest.mark.parametrize("cfg, observable, calls", [
         (LayeredConfig("abba", 2, 0.4), ("global",), 1),
@@ -129,7 +149,8 @@ class TestSampleGrid:
     def test_the_field_is_evaluated_once(self, monkeypatch, cfg, observable, calls):
         # the closed form takes the lattice's own field, each component
         # evaluated once on the whole lattice; nothing else evaluates the
-        # monolayer field on the grid, and the nudged node takes it alone
+        # monolayer field on the grid: the singular-node test takes the
+        # components at a few nodes, and the nudged node takes the field alone
         seen = []
         component = models.LatticeField.component
 
@@ -139,19 +160,20 @@ class TestSampleGrid:
 
         def counted(*args):
             seen.append(("field", np.shape(args[1])))
-            return monolayer_field(*args)
+            return models.monolayer_components(*args)
 
         def no_field(*args):
             raise AssertionError("monolayer field evaluated again")
 
         monkeypatch.setattr(models.LatticeField, "component", counted_component)
-        monkeypatch.setattr(bisfield, "monolayer_field", counted)
-        monkeypatch.setattr(quench, "monolayer_field", no_field)
-        monkeypatch.setattr(spectra, "monolayer_field", no_field)
+        monkeypatch.setattr(bisfield, "monolayer_components", counted)
+        for module in (quench, spectra):
+            monkeypatch.setattr(module, "monolayer_field", no_field)
+            monkeypatch.setattr(module, "monolayer_components", no_field)
         sample_grid(cfg, 3, observable, 32)
-        assert seen[:3] == [(i, (32, 32)) for i in range(3)]
-        assert len(seen) == 2 + calls and all(s[0] == "field" and len(s[1]) == 1
-                                              for s in seen[3:])
+        assert sorted(s for s in seen if len(s[1]) == 2) == [(i, (32, 32)) for i in range(3)]
+        assert len([s for s in seen if s[0] == "field"]) == calls - 1
+        assert all(len(s[1]) == 1 for s in seen if s[0] == "field")
 
     def test_singular_node_is_nudged(self):
         # m=2 closes the gap exactly at k=(0,0), which is a node of any
@@ -450,7 +472,7 @@ class TestCharacterize:
 
         def counted_field(c, kx, ky):
             calls.append(("field", np.broadcast_shapes(np.shape(kx), np.shape(ky))))
-            return monolayer_field(c, kx, ky)
+            return models.monolayer_components(c, kx, ky)
 
         def marked_loops(grid):
             calls.append("loops")
@@ -464,7 +486,7 @@ class TestCharacterize:
 
         monkeypatch.setattr(models.LatticeField, "component", counted_component)
         for module in (bisfield, quench, spectra):
-            monkeypatch.setattr(module, "monolayer_field", counted_field)
+            monkeypatch.setattr(module, "monolayer_components", counted_field)
         monkeypatch.setattr(bisfield, "_source_loops", marked_loops)
         for name in ("tasp_closed_form", "gtasp_abba"):
             monkeypatch.setattr(bisfield, name, contour_only(getattr(bisfield, name)))

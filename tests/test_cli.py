@@ -30,17 +30,16 @@ class TestParsers:
             parse_grid("12q")
 
     def test_observable_specs(self):
-        assert parse_observable("global", 2) == ("global",)
-        assert parse_observable("subspace:2", 2) == ("subspace", 2)
-        assert parse_observable("bilayer:1", 2) == ("subspace", 1)
+        assert parse_observable("global") == ("global",)
+        assert parse_observable("subspace:2") == ("subspace", 2)
         with pytest.raises(UsageError):
-            parse_observable("subspace", 2)
+            parse_observable("subspace")
         with pytest.raises(UsageError):
-            parse_observable("orbit:1", 2)
-        with pytest.raises(UsageError, match="bilayer observables require layers = 2"):
-            parse_observable("bilayer:1", 3)
-        with pytest.raises(UsageError, match=r"bilayer mode index 3 is outside 1\.\.2"):
-            parse_observable("bilayer:3", 2)
+            parse_observable("orbit:1")
+        # bilayer:W, once an alias of subspace:W, is an unknown kind
+        for spec in ("bilayer:1", "bilayer:3"):
+            with pytest.raises(UsageError, match="unknown observable kind 'bilayer'"):
+                parse_observable(spec)
 
 
 class TestTasp:
@@ -126,7 +125,10 @@ class TestModeIndex:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert len(err.splitlines()) == 1
-        assert "outside 1..2" in err
+        if observable.startswith("bilayer"):
+            assert "unknown observable kind 'bilayer'" in err
+        else:
+            assert "outside 1..2" in err
         assert list(tmp_path.iterdir()) == []
 
 
@@ -334,7 +336,7 @@ class TestRejectedInputs:
         def no_field(*args):
             raise AssertionError("chern_fhs went past its memory check")
 
-        monkeypatch.setattr(models, "qwz_field", no_field)
+        monkeypatch.setattr(models.LatticeField, "component", no_field)
         assert run("chern", "--stacking", stacking, "--layers", str(layers), "--grid", "1400",
                    "--out", tmp_path) == 2
         err = capsys.readouterr().err
@@ -367,7 +369,8 @@ class TestRejectedInputs:
 # (numerical failure) or 2 (usage error) and never in a traceback
 EXIT_SWEEP = [
     (0, ["bis", "--grid", "64"]),
-    (0, ["winding", "--observable", "bilayer:2", "--grid", "64"]),
+    # bilayer:W is no longer an alias of subspace:W
+    (2, ["winding", "--observable", "bilayer:2", "--grid", "64"]),
     (0, ["chern", "--filled", "4", "--grid", "32"]),
     (1, ["winding", "--m", "2.0", "--grid", "64"]),
     (2, ["bis", "--tol-bis", "-1", "--grid", "64"]),
@@ -418,6 +421,12 @@ EXIT_SWEEP = [
     (2, ["estimate-t", "--true-t", "0.4", "--axis", "1", "--grid", "64"]),
     # ba magnitudes are even in t, so a negative coupling cannot be recovered
     (2, ["estimate-t", "--stacking", "ba", "--true-t", "-1"]),
+    # at m = 2 the s3 reference momentum k = 0 closes the gap, which an s1
+    # or s2 sample never evaluates
+    (0, ["estimate-t", "--stacking", "ba", "--sample", "s1=0.3", "--m", "2"]),
+    (0, ["estimate-t", "--stacking", "ba", "--sample", "s2=0.3", "--m", "2"]),
+    (0, ["estimate-t", "--stacking", "ba", "--sample", "s1=0.3", "--m", "2", "--axis", "1"]),
+    (1, ["estimate-t", "--stacking", "ba", "--sample", "s3=0.3", "--m", "2"]),
     # lattices of 10^11 nodes and more, refused before any node array exists
     (2, ["tasp", "--grid", "99999999999"]),
     (2, ["bis", "--grid", "400000x400000"]),

@@ -38,7 +38,7 @@ def run(argv, out):
 def test_tasp_files(tmp_path, argv):
     opts = run(argv, tmp_path / "cli")
     grid = sample_grid(layered_config(opts), opts["axis"],
-                       parse_observable(opts["observable"], opts["layers"]),
+                       parse_observable(opts["observable"]),
                        parse_grid(opts["grid"]))
     for comp in (1, 2, 3):
         name = f"tasp_s{comp}.csv"

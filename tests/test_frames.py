@@ -12,10 +12,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from layerquench import (GaplessError, LayeredConfig, NonQuantizedWindingError,
-                         analytic_positive_levels, build_layered, chern_fhs, monolayer_field)
+                         analytic_positive_levels, build_layered, chern_fhs)
 from layerquench import frames as frames_module, spectra, topology
 from layerquench.frames import FRAME_SINE_MAX, sine_mode_frames
-from layerquench.models import LatticeField, sampling_cell
+from layerquench.models import LatticeField, monolayer_components, sampling_cell
 from layerquench.spectra import SineModes, sine_modes
 
 GOLDEN = Path(__file__).parent / "golden" / "fhs_battery.json"
@@ -27,7 +27,7 @@ def frames(cfg, kx, ky):
     E = analytic_positive_levels(kx, ky, cfg)
     # a node on a closing (E = 0) gives nan; callers keep gapped nodes only
     with np.errstate(divide="ignore", invalid="ignore"):
-        F = sine_mode_frames(cfg, kx, ky, monolayer_field(cfg, kx, ky), E)
+        F = sine_mode_frames(cfg, kx, ky, monolayer_components(cfg, kx, ky), E)
     return np.moveaxis(F.frames(), (0, 1), (-2, -1)), F.sines, 2.0 * E.min(axis=-1), E
 
 
@@ -245,6 +245,7 @@ def test_half_filling_evaluates_the_field_once(monkeypatch):
     monkeypatch.setattr(LatticeField, "component", counted)
     monkeypatch.setattr(topology, "monolayer_field", no_field)
     monkeypatch.setattr(spectra, "monolayer_field", no_field)
+    monkeypatch.setattr(spectra, "monolayer_components", no_field)
     monkeypatch.setattr(frames_module, "build_layered", no_field)
     for stacking in ("abba", "ba"):
         for model in ("qwz", "haldane"):
@@ -292,7 +293,7 @@ def test_block_links_give_the_full_determinant_phases(stacking, model, layers, t
     # the nodes to eigh, which mixes both kinds of link in one plaquette
     cfg = LayeredConfig(stacking, layers, t, model, m)
     KX, KY = sampling_cell(model).nodes(grid, grid)
-    h = monolayer_field(cfg, KX, KY)
+    h = monolayer_components(cfg, KX, KY)
     E = spectra.positive_levels(h, cfg)
     assume(2.0 * E.min() > topology.GAP_TOL_DEFAULT)
     want = chern_or_error(cfg, grid)

@@ -18,8 +18,10 @@ from layerquench import (
     estimate_t_abba,
     estimate_t_ba,
     sample_grid,
+    tasp_closed_form,
 )
 from layerquench import bisfield
+from layerquench.hopping import REFERENCE_MOMENTA
 
 
 class TestAbbaEstimator:
@@ -70,7 +72,7 @@ class TestAbbaEstimator:
         monkeypatch.setattr(bisfield, "gtasp_of_field", counted)
         est = estimate_t_abba(cfg, resolution, j)
         n = resolution if np.ndim(resolution) else (resolution, resolution)
-        assert sampled == [(n + (3,), 1, 1)]
+        assert sampled == [((3,) + n, 1, 1)]
         assert (est.t_hat.hex(), est.residual.hex()) == (ref.t_hat.hex(), ref.residual.hex())
 
     def test_strong_coupling_leaves_no_zero_line(self):
@@ -182,6 +184,18 @@ class TestBaQuenchAxis:
     def test_only_vanishing_channels(self):
         with pytest.raises(InconsistentSampleError, match="no sampled channel"):
             estimate_t_ba({"s2": 0.0, "s3": 0.0}, j=1)
+
+    @pytest.mark.parametrize("key, j", [("s1", 3), ("s2", 3), ("s1", 1)])
+    def test_sampled_channel_alone_where_another_closes_the_gap(self, key, j):
+        # at m = 2 the s3 reference momentum k = 0 closes the monolayer gap
+        # for every t; an s1 or s2 sample is inverted from its own channel
+        cfg = LayeredConfig("ba", 2, 0.4, m=2.0)
+        with pytest.raises(SingularPointError):
+            ba_reference_magnitudes(0.4, m=2.0, j=j)
+        mag = abs(tasp_closed_form(*REFERENCE_MOMENTA[key], cfg, j)[int(key[1]) - 1])
+        est = estimate_t_ba({key: mag}, m=2.0, j=j)
+        assert est.method == "ba-numeric"
+        assert abs(est.t_hat - 0.4) < 1e-9
 
 
 SCIPY_PROBE = """

@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from layerquench import (LayeredConfig, LayerQuenchError, bisfield, characterize,
-                         estimate_t_abba, models, quench, sample_grid, spectra, topology)
+from layerquench import (LayeredConfig, LayerQuenchError, SingularPointError, bisfield,
+                         characterize, estimate_t_abba, models, quench, sample_grid, spectra,
+                         topology)
 
 GOLDEN = Path(__file__).parent / "golden" / "sampling_digests.json"
 
@@ -96,6 +97,11 @@ def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def _components(h):
+    """The components (h1, h2, h3) the kernels take, of a stacked field h (..., 3)."""
+    return tuple(np.moveaxis(h, -1, 0))
+
+
 SMALL = [0.0, -0.0, 1e-10, -1e-10, 7e-11, -7e-11, 1e-5, -1e-5, 3e-6, 1e-300]
 
 
@@ -112,11 +118,11 @@ def test_singular_field_mask_is_the_min_of_the_squared_levels(stacking, layers, 
     if on_mode and stacking == "abba":
         # h1 near -t lam_r closes mode r up to the small offsets drawn
         h[:, 0] -= t * spectra.sine_modes(layers).lam[mode % layers]
-    old = np.min(spectra.positive_levels(h, cfg) ** 2, axis=-1) < quench.SINGULAR_E2
-    assert _same_bits(quench.singular_field_mask(h, cfg), old)
-    assert _same_bits(quench.singular_field_mask(h[None], cfg), old[None])
+    old = np.min(spectra.positive_levels(_components(h), cfg) ** 2, axis=-1) < quench.SINGULAR_E2
+    assert _same_bits(quench.singular_field_mask(_components(h), cfg), old)
+    assert _same_bits(quench.singular_field_mask(_components(h[None]), cfg), old[None])
     for row, want in zip(h, old):
-        assert _same_bits(quench.singular_field_mask(row, cfg), want)
+        assert _same_bits(quench.singular_field_mask(_components(row), cfg), want)
 
 
 momentum = st.sampled_from([0.0, -0.0, np.pi, -np.pi]) | st.floats(-50.0, 50.0)
@@ -137,10 +143,12 @@ def test_each_field_component_is_the_whole_fields_component(model, m, k):
         old = np.stack([4.0 * np.cos(ka).sum(axis=-1), 4.0 * np.sin(ka).sum(axis=-1),
                         m - 2.0 * np.sin(kb).sum(axis=-1)], axis=-1)
         assert _same_bits(h, old)
-    for i in range(3):
-        assert _same_bits(models.monolayer_component(cfg, kx, ky, i), h[..., i])
-        assert _same_bits(models.monolayer_component(cfg, kx[0], ky[0], i),
-                          models.monolayer_field(cfg, kx[0], ky[0])[i])
+    for x, y in ((kx, ky), (kx[0], ky[0])):
+        # the one evaluator the public momentum wrappers take, contiguous per component
+        hk = models.monolayer_field(cfg, x, y)
+        for i, c in enumerate(models.monolayer_components(cfg, x, y)):
+            assert _same_bits(c, hk[..., i]) and np.asarray(c).flags.c_contiguous
+            assert _same_bits(models.monolayer_component(cfg, x, y, i), hk[..., i])
 
 
 lattice_size = st.integers(16, 300)
@@ -169,8 +177,6 @@ def test_lattice_field_is_the_whole_fields(model, nx, ny, m, seed):
         assert _same_bits(lattice.component(i, m), h[..., i])
         assert _same_bits(lattice.component(i, m), models.monolayer_component(cfg, KX, KY, i))
         assert _same_bits(lattice.component(i, m, at), h[at][:, i])
-    assert _same_bits(lattice.field(m), h)
-    assert _same_bits(lattice.field(m, at), h[at])
     ms = np.array([m, -0.5 * m, 1.0])
     per_mass = [models.monolayer_component(replace(cfg, m=float(x)), KX, KY, 2) for x in ms]
     assert _same_bits(lattice.component(2, ms[:, None, None]), np.stack(per_mass))
@@ -234,25 +240,80 @@ EXACT_CLOSINGS = [("abba", 3, 1 / np.sqrt(2), 1.0), ("ba", 2, 0.4, 0.0), ("ba", 
 @example(case=EXACT_CLOSINGS[2], model="qwz", n=64, j=2, mode=0)
 def test_pruned_singular_mask_is_the_whole_lattices(case, model, n, j, mode):
     # the mask from h3 and the near nodes alone is the whole field's, and
-    # characterize's lattice (h_j and h3 only) nudges the nodes that
-    # sample_grid's lattice (the whole field) nudges
+    # sample_grid nudges the nodes of the whole lattice's mask and takes
+    # the closed form of the whole field with the nudged nodes' field,
+    # evaluated alone, written in
     stacking, layers, t, m = case
     cfg = LayeredConfig(stacking, layers, t, model, m)
     lattice = models.LatticeField(model, n, n)
-    whole = quench.singular_field_mask(models.monolayer_field(cfg, lattice.kx, lattice.ky), cfg)
+    KX, KY = lattice.kx.copy(), lattice.ky.copy()
+    h = models.monolayer_field(cfg, KX, KY)
+    whole = quench.singular_field_mask(_components(h), cfg)
     # every case closes at a node of a square lattice of 4k nodes
     assert whole.any() or model == "haldane" or n % 4
     assert _same_bits(bisfield._singular_nodes(lattice, cfg, lattice.component(2, m)), whole)
     obs = ("subspace", 1 + mode % layers) if mode and stacking == "abba" else ("global",)
+    i, l = np.nonzero(whole)
+    KX[i, l], KY[i, l] = lattice.cell.k_at(i / n + 0.5 / n, l / n + 0.5 / n)
+    hj = h[..., j - 1].copy()
+    h[i, l] = models.monolayer_field(cfg, KX[i, l], KY[i, l])
+    still = quench.singular_field_mask(_components(h[i, l]), cfg)
     try:
-        full = bisfield._node_lattice(cfg, j, obs, n, full=True)[0]
+        if still.any():
+            p = np.flatnonzero(still)[0]
+            raise SingularPointError(f"gap closes at grid node ({i[p]}, {l[p]}), "
+                                     f"k=({KX[i[p], l[p]]}, {KY[i[p], l[p]]})")
+        if obs[0] == "global":
+            want = quench.tasp_of_field(_components(h), cfg, j)
+        else:
+            want = quench.gtasp_of_field(_components(h), cfg, j, obs[1])
     except LayerQuenchError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            bisfield._node_lattice(cfg, j, obs, n)
+            sample_grid(cfg, j, obs, n)
         return
-    pruned = bisfield._node_lattice(cfg, j, obs, n)[0]
-    for name in ("kx", "ky", "hj"):
-        assert _same_bits(getattr(pruned, name), getattr(full, name))
+    grid = sample_grid(cfg, j, obs, n)
+    assert _same_bits(grid.kx, KX) and _same_bits(grid.ky, KY)
+    assert _same_bits(grid.values, want) and _same_bits(grid.hj, hj)
+
+
+@pytest.mark.parametrize("cfg, nudged", [
+    (LayeredConfig("abba", 2, 0.4), 0),
+    (LayeredConfig("abba", 1, 0.0, m=2.0), 1),
+    (LayeredConfig("ba", 2, 0.4, m=0.0), 2),
+    (LayeredConfig("abba", 3, 1 / np.sqrt(2), "haldane", 1.5), 0),
+])
+def test_sampling_tests_only_the_near_and_nudged_nodes(monkeypatch, cfg, nudged):
+    # the N-mode test runs at the nodes where h3^2 < 2 SINGULAR_E2, then
+    # at the nudged nodes alone, never on the whole lattice
+    n = 64
+    h3 = models.LatticeField(cfg.model, n, n).component(2, cfg.m)
+    near = int(np.count_nonzero(h3 ** 2 < 2.0 * quench.SINGULAR_E2))
+    sizes = []
+    mask = bisfield.singular_field_mask
+
+    def counted(h, cfg):
+        sizes.append(np.size(h[0]))
+        return mask(h, cfg)
+
+    monkeypatch.setattr(bisfield, "singular_field_mask", counted)
+    for j in (1, 3):
+        sizes.clear()
+        grid = sample_grid(cfg, j, ("global",), n)
+        assert len(grid.nudged[0]) == nudged
+        assert sizes == [near] * bool(near) + [nudged] * bool(nudged)
+        assert sum(sizes) < n * n
+
+
+@pytest.mark.parametrize("cfg", [LayeredConfig("abba", 1, 0.0, m=2.0),
+                                 LayeredConfig("ba", 2, 0.4, m=0.0)])
+def test_sampling_leaves_the_grids_hj_unnudged(cfg):
+    # the closed form takes a copy of hj with the nudged nodes written in
+    KX, KY = models.sampling_cell(cfg.model).nodes(32, 32)
+    h = models.monolayer_field(cfg, KX, KY)
+    for j in (1, 2, 3):
+        grid = sample_grid(cfg, j, ("global",), 32)
+        assert len(grid.nudged[0])
+        assert _same_bits(grid.hj, h[..., j - 1])
 
 
 @settings(max_examples=100, deadline=None)
@@ -311,19 +372,20 @@ def test_per_mode_kernels_are_the_interleaved_expressions(stacking, layers, t, j
         e2 = np.sum(hr ** 2, axis=-1)
     if np.any(e2 < quench.SINGULAR_E2):
         with pytest.raises(LayerQuenchError):
-            quench.tasp_of_field(h, cfg, j)
+            quench.tasp_of_field(_components(h), cfg, j)
         return
     for row in (slice(None), 0):
         if stacking == "ba":
             old = -h * h[..., j - 1, None] * _ba_matrix(h, cfg)[..., j - 1]
-            assert _same_bits(quench.tasp_of_field(h[row], cfg, j), old[row])
+            assert _same_bits(quench.tasp_of_field(_components(h[row]), cfg, j), old[row])
             continue
         modes = -hr * hr[..., j - 1, None] / e2[..., None]
-        assert _same_bits(quench.tasp_of_field(h[row], cfg, j),
+        assert _same_bits(quench.tasp_of_field(_components(h[row]), cfg, j),
                           (-np.sum(-modes, axis=-2) / layers)[row])
-        assert _same_bits(quench.gtasp_of_field(h[row], cfg, j), modes[row])
+        assert _same_bits(quench.gtasp_of_field(_components(h[row]), cfg, j), modes[row])
         for r in range(1, layers + 1):
-            assert _same_bits(quench.gtasp_of_field(h[row], cfg, j, r), modes[row][..., r - 1, :])
+            assert _same_bits(quench.gtasp_of_field(_components(h[row]), cfg, j, r),
+                              modes[row][..., r - 1, :])
 
 
 @settings(max_examples=200, deadline=None)

@@ -322,7 +322,7 @@ def test_link_determinant_matches_lu(f):
         for model, t, m in (("qwz", 0.3, 0.5), ("haldane", 0.7, 0.5)):
             cfg = LayeredConfig(stacking, f, t, model, m)
             KX, KY = models.sampling_cell(model).nodes(16, 16)
-            h = models.monolayer_field(cfg, KX, KY)
+            h = models.monolayer_components(cfg, KX, KY)
             frames = sine_mode_frames(cfg, KX, KY, h, positive_levels(h, cfg))
             V = frames.frames()
             for axis, U in zip((2, 3), frames.links()):
