@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
 
 import argparse
+import contextlib
 import errno
 import json
 import os
@@ -25,8 +26,9 @@ from .bisfield import characterize, sample_grid
 from .bisfield import dynamical_field, extract_bis, winding
 from .errors import (GaplessError, InconsistentInvariantError, LayerQuenchError,
                      NonQuantizedWindingError, UnsupportedStackingError, UsageError)
-from .floattext import g17
-from .hopping import ba_reference_magnitudes, estimate_t_abba, estimate_t_ba
+from .floattext import WIDTH, g17
+from .hopping import (ba_gapped_magnitudes, ba_reference_magnitudes, estimate_t_abba,
+                      estimate_t_ba)
 from .models import LayeredConfig
 from .quench import tasp_closed_form, time_averaged_expectation, mixed_state, global_observable
 from .topology import chern_fhs, half_filling_degree, phase_diagram, require_degree_size
@@ -67,6 +69,10 @@ def _fmt(x):
 # core) 256 KB blocks wrote in 17.3 ms, 64 KB in 18.7 ms, 1 MB in 26 ms,
 # and the whole file in one block in 32 ms with 2,200 minor faults per
 # file, as its multi-MB temporaries were mapped afresh on every call.
+# Float texts are made this many bytes at a time too, which bounds g17's
+# temporaries (about 170 bytes a value): on 165,000 distinct values it
+# took 16.2 ms with a 5.9 MB peak in pieces of 10,922, and 28.9 ms with
+# a 27.6 MB peak in one piece.
 CSV_BLOCK_BYTES = 1 << 18
 
 
@@ -75,46 +81,74 @@ def _column(col):
     array of NUL-padded byte strings.
 
     A float array is written as "%.17g" of each value (floattext.g17), any
-    other column through str.  Each distinct text is made once.  Floats
-    are keyed by their bit pattern, not compared as floats, so -0.0 and
-    0.0 keep their own texts.
+    other column through str.  Floats are keyed by their bit pattern, not
+    compared as floats, so -0.0 and 0.0 keep their own texts.  A 2-D float
+    array is read row-major; when it is constant along one axis bit for
+    bit, as the momenta of a rectangular sampling cell are, it is keyed
+    over the other axis, one text per line.  Every other column is keyed by
+    np.unique, and each distinct text is made once.
     """
     if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-        keys, index = np.unique(col.astype(np.float64, copy=False).view(np.uint64),
-                                return_inverse=True)
-        return g17(keys.view(np.float64)), index
+        bits = col.astype(np.float64, copy=False).view(np.uint64)
+        if bits.ndim == 2 and (bits == bits[:, :1]).all():
+            keys, index = bits[:, 0], np.repeat(np.arange(len(bits)), bits.shape[1])
+        elif bits.ndim == 2 and (bits == bits[:1]).all():
+            keys, index = bits[0], np.tile(np.arange(bits.shape[1]), len(bits))
+        else:
+            keys, index = np.unique(bits.ravel(), return_inverse=True)
+        keys = keys.view(np.float64)
+        texts = np.empty(len(keys), f"S{WIDTH}")
+        step = CSV_BLOCK_BYTES // WIDTH
+        for start in range(0, len(keys), step):
+            texts[start:start + step] = g17(keys[start:start + step])
+        return texts, index
     return np.unique(np.array([str(v).encode() for v in col], dtype=bytes), return_inverse=True)
 
 
 def _write_csv(path, header, columns):
     """Write equal-length columns as CSV rows."""
-    _write_parts(path, header, [_column(col) for col in columns])
+    parts = [_column(col) for col in columns]
+    _write_csv_files([path], header, parts[:-1], parts[-1:])
 
 
-def _write_parts(path, header, parts):
-    """Write the (texts, index) parts of equal-length columns (_column) as CSV rows.
+def _write_csv_files(paths, header, shared, lasts):
+    """Write one CSV file per path, all with the same header and rows: the
+    (texts, index) parts (_column) of the shared leading columns, then the
+    file's own part of lasts as the last column.
 
-    Each row is a fixed-width record of its column texts and separators;
-    CSV_BLOCK_BYTES of records at a time are written with their NUL
-    padding dropped.
+    Each row is a fixed-width record of its column texts and separators.
+    The files are written in one pass over blocks of CSV_BLOCK_BYTES of
+    records: a block takes the shared texts once, then for each file takes
+    that file's last texts and is written with its NUL padding dropped,
+    from the one buffer every block reuses.
     """
-    widths = [texts.itemsize for texts, _ in parts]
-    ends = np.cumsum(widths) + np.arange(1, len(parts) + 1)
-    record = np.dtype({"names": [f"c{c}" for c in range(len(parts))],
-                       "formats": [texts.dtype for texts, _ in parts],
+    width = max(texts.itemsize for texts, _ in lasts)
+    lasts = [(texts.astype(f"S{width}", copy=False), index) for texts, index in lasts]
+    formats = [texts.dtype for texts, _ in shared + lasts[:1]]
+    widths = np.array([f.itemsize for f in formats])
+    ends = np.cumsum(widths) + np.arange(1, len(formats) + 1)
+    record = np.dtype({"names": [f"c{c}" for c in range(len(formats))], "formats": formats,
                        "offsets": list(ends - 1 - widths), "itemsize": int(ends[-1])})
-    rows = len(parts[0][1])
-    block = np.zeros(max(1, min(rows, CSV_BLOCK_BYTES // record.itemsize)), record)
-    text = block.view(np.uint8).reshape(len(block), -1)
+    rows = len(lasts[0][1])
+    size = max(1, min(rows, CSV_BLOCK_BYTES // record.itemsize))
+    buffer = bytearray(size * record.itemsize)
+    block = np.frombuffer(buffer, record)
+    text = block.view(np.uint8).reshape(size, -1)
     text[:, ends - 1] = ord(",")
     text[:, -1] = ord("\n")
-    with open(path, "wb") as f:
-        f.write((",".join(header) + "\n").encode())
-        for start in range(0, rows, len(block)):
-            out = block[:rows - start]
-            for c, (texts, index) in enumerate(parts):
-                out[f"c{c}"] = texts[index[start:start + len(out)]]
-            f.write(out.tobytes().translate(None, b"\0"))
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for f in files:
+            f.write((",".join(header) + "\n").encode())
+        for start in range(0, rows, size):
+            n = min(size, rows - start)
+            out = block[:n]
+            for c, (texts, index) in enumerate(shared):
+                np.take(texts, index[start:start + n], out=out[f"c{c}"])
+            for f, (texts, index) in zip(files, lasts):
+                np.take(texts, index[start:start + n], out=out[f"c{len(shared)}"])
+                data = buffer if n == size else buffer[:n * record.itemsize]
+                f.write(data.translate(None, b"\0"))
 
 
 def _write_json(path, obj):
@@ -252,11 +286,12 @@ def cmd_tasp(opts):
     grid = sample_grid(cfg, opts["axis"], obs, (nx, ny))
     files = [f"tasp_s{comp}.csv" for comp in (1, 2, 3)]
     out = _outdir(opts, *files, "tasp_manifest.json")
-    # the kx and ky texts serve all three files; one value column is held at a time
-    momenta = [_column(grid.kx.ravel()), _column(grid.ky.ravel())]
-    for comp, name in enumerate(files, 1):
-        _write_parts(os.path.join(out, name), ["kx", "ky", "value"],
-                     momenta + [_column(grid.values[..., comp - 1].ravel())])
+    # the value columns are keyed first and the float grid dropped before
+    # the momenta exist, which bounds the peak while all three are held
+    values = [_column(grid.values[..., c].ravel()) for c in range(3)]
+    grid.values = None
+    _write_csv_files([os.path.join(out, name) for name in files], ["kx", "ky", "value"],
+                     [_column(grid.kx), _column(grid.ky)], values)
     _write_json(os.path.join(out, "tasp_manifest.json"),
                 _manifest("tasp", opts, {"files": files, "rows": nx * ny}))
     print(f"wrote {', '.join(files)} ({nx * ny} rows each) to {out}")
@@ -398,8 +433,8 @@ def cmd_estimate_t(opts, samples):
             if hidden < 0:
                 raise UsageError(f"--true-t {hidden!r} is negative; ba magnitudes are even in t, "
                                  f"so only t >= 0 can be recovered")
-            mags = ba_reference_magnitudes(hidden, m=opts["m"], layers=opts["layers"],
-                                           j=opts["axis"])
+            mags = ba_gapped_magnitudes(hidden, m=opts["m"], layers=opts["layers"],
+                                        j=opts["axis"])
             est = estimate_t_ba(mags, m=opts["m"], layers=opts["layers"], j=opts["axis"])
         extra = {"true_t": hidden, "error": abs(est.t_hat - hidden)}
     else:

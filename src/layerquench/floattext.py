@@ -49,6 +49,11 @@ _GROUP_TEXT = (_Q[:, None] // np.array([1000, 100, 10, 1]) % 10
 _GROUP_ZEROS = ((_Q % 10 == 0).astype(np.int64) + (_Q % 100 == 0) + (_Q % 1000 == 0)
                 + (_Q == 0))
 
+# row e: WIDTH bytes, the first e of them 0xff and the rest 0, as 64-bit
+# words; a text row ANDed with row e keeps its first e bytes
+_KEEP = np.where(np.arange(WIDTH) < np.arange(WIDTH + 1)[:, None], 0xFF,
+                 0).astype(np.uint8).view(np.uint64)
+
 
 def _scaled(a, p):
     """a * 10**(16 - p) as the exact sum hi + lo (Dekker's two-product)."""
@@ -118,19 +123,25 @@ def _positional(d, p, negative):
     # text end: 17 - zeros digits kept, and the point only if a fraction is
     end = negative + np.where(p >= 0, np.where(16 - p > zeros, 18 - zeros, p + 1),
                               18 - p - zeros)
-    rows *= np.arange(WIDTH) < end[:, None]
+    words = rows.view(np.uint64)
+    words &= _KEEP[end]
     return rows
 
 
 def g17(values):
     """("%.17g" % v).encode() of each float64 v, as an array of dtype
     S<WIDTH>.  Values sorted by magnitude within each sign (np.unique of
-    their bit patterns) take the fewest passes."""
+    their bit patterns) take the fewest passes.  When every value is
+    positional the rows of _positional are the result as they are;
+    otherwise they are scattered among the texts Python formats.  The
+    temporaries come to about 170 bytes per value."""
     x = np.asarray(values, dtype=np.float64)
-    texts = np.zeros(len(x), f"S{WIDTH}")
     ax = np.abs(x)
     fast = np.flatnonzero((ax >= 1e-5) & (ax < 1e17))
     d, p, ok = _significands(ax[fast])
+    if len(fast) == len(x) and ok.all():
+        return _positional(d, p, x < 0).view(f"S{WIDTH}").ravel()
+    texts = np.zeros(len(x), f"S{WIDTH}")
     fast = fast[ok]
     texts[fast] = _positional(d[ok], p[ok], x[fast] < 0).view(texts.dtype).ravel()
     rest = np.ones(len(x), dtype=bool)

@@ -18,7 +18,7 @@ import numpy as np
 from .bisfield import TaspGrid, _sampled, component_zero_curves, polarization_evaluator
 # unused here, but the traced benchmark run (perfbench/jobs.py) wraps it in this module
 from .bisfield import sample_grid
-from .errors import InconsistentSampleError, TrivialRegimeError, UsageError
+from .errors import InconsistentSampleError, SingularPointError, TrivialRegimeError, UsageError
 from .models import LayeredConfig, monolayer_component
 from .quench import tasp_closed_form
 from .spectra import sine_lam
@@ -117,6 +117,23 @@ def ba_reference_magnitudes(t, m=1.0, layers=2, j=3):
     (2+t^2)/(2+2t^2) for the s3 channel.
     """
     return {key: _reference_magnitude(key, t, m, layers, j) for key in REFERENCE_MOMENTA}
+
+
+def ba_gapped_magnitudes(t, m=1.0, layers=2, j=3):
+    """ba_reference_magnitudes of the channels whose reference momentum
+    keeps the gap open at t (s3's k = 0 closes it at m = 2 for every t).
+
+    Raises the SingularPointError of the last channel when none is left.
+    """
+    mags = {}
+    for key in REFERENCE_MOMENTA:
+        try:
+            mags[key] = _reference_magnitude(key, t, m, layers, j)
+        except SingularPointError as exc:
+            closed = exc
+    if not mags:
+        raise closed
+    return mags
 
 
 def _reference_magnitude(key, t, m, layers, j):

@@ -13,7 +13,7 @@ the sublattice/spin index the right one, so 1 (x) s_i acts on spin only.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -307,13 +307,29 @@ def interlayer_alternating(N):
     return S
 
 
+# layer factors F of the structure matrices F (x) s_i
+LAYER_FACTORS = {"1": np.eye, "Sig1": interlayer_chain, "Sig2": interlayer_alternating}
+
+
+@lru_cache(maxsize=16)
+def structure_matrix(factor, N, i):
+    """F (x) s_i for the layer factor F (a key of LAYER_FACTORS) of N
+    layers and the Pauli matrix s_i (0-based i), read-only.
+
+    Built once per (factor, N, i) for the 16 most recent keys, so every
+    product with it keeps the bits of a fresh np.kron.
+    """
+    M = np.kron(LAYER_FACTORS[factor](N), PAULI[i])
+    M.flags.writeable = False
+    return M
+
+
 def coupling_matrix(cfg):
     """The k-independent interlayer part of the Bloch Hamiltonian."""
     N = cfg.layers
     if cfg.stacking == "abba":
-        return cfg.t * np.kron(interlayer_chain(N), PAULI[0])
-    return 0.5 * cfg.t * (np.kron(interlayer_chain(N), PAULI[0])
-                          + np.kron(interlayer_alternating(N), PAULI[1]))
+        return cfg.t * structure_matrix("Sig1", N, 0)
+    return 0.5 * cfg.t * (structure_matrix("Sig1", N, 0) + structure_matrix("Sig2", N, 1))
 
 
 def require_size(nbytes, arrays, remedy):
@@ -369,11 +385,10 @@ def build_layered(kx, ky, cfg):
     N = cfg.layers
     require_layered_size(np.prod(np.broadcast_shapes(np.shape(kx), np.shape(ky)), dtype=float), N)
     h = monolayer_field(cfg, kx, ky)
-    eye = np.eye(N)
     # accumulated in place, so one product is alive beside the stack
     H = np.zeros(h.shape[:-1] + (2 * N, 2 * N), dtype=complex)
     for i in range(3):
-        H += h[..., i, None, None] * np.kron(eye, PAULI[i])
+        H += h[..., i, None, None] * structure_matrix("1", N, i)
     H += coupling_matrix(cfg)
     return H
 
@@ -382,14 +397,14 @@ def hamiltonian_terms(cfg):
     """Structure matrices of the Hamiltonian terms, without field prefactors.
 
     Returns a list of (label, matrix) pairs: the three monolayer terms
-    1 (x) s_i and the interlayer term(s) of the requested stacking.
+    1 (x) s_i and the interlayer term(s) of the requested stacking, each a
+    read-only structure_matrix.
     """
     N = cfg.layers
-    eye = np.eye(N)
-    terms = [(f"1.s{i + 1}", np.kron(eye, PAULI[i])) for i in range(3)]
-    terms.append(("Sig1.s1", np.kron(interlayer_chain(N), PAULI[0])))
+    terms = [(f"1.s{i + 1}", structure_matrix("1", N, i)) for i in range(3)]
+    terms.append(("Sig1.s1", structure_matrix("Sig1", N, 0)))
     if cfg.stacking == "ba":
-        terms.append(("Sig2.s2", np.kron(interlayer_alternating(N), PAULI[1])))
+        terms.append(("Sig2.s2", structure_matrix("Sig2", N, 1)))
     return terms
 
 

@@ -6,10 +6,12 @@ models.build_layered and an initial state polarized along -j, i.e. the
 mixed state (1/N) (x) (1 - s_j)/2 prepared by a deep quench along axis j.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import SingularPointError, UnsupportedStackingError, UsageError
-from .models import PAULI, build_layered, monolayer_components, monolayer_field
+from .models import PAULI, build_layered, monolayer_components, monolayer_field, structure_matrix
 from .spectra import _level_part, degeneracy_groups, sine_lam, sine_modes
 
 # squared eigenvalues below this are treated as an exact gap closing
@@ -24,9 +26,13 @@ def _require_gap(e2, cfg):
         raise SingularPointError(f"gap closes (E=0) for {cfg} at sample index {at}")
 
 
+@lru_cache(maxsize=16)
 def mixed_state(N, j):
-    """Fully layer-mixed, spin-polarized density matrix (1/N) (x) (1 - s_j)/2."""
-    return np.kron(np.eye(N) / N, 0.5 * (np.eye(2) - PAULI[j - 1]))
+    """Fully layer-mixed, spin-polarized density matrix (1/N) (x) (1 - s_j)/2,
+    read-only and built once per (N, j)."""
+    rho = np.kron(np.eye(N) / N, 0.5 * (np.eye(2) - PAULI[j - 1]))
+    rho.flags.writeable = False
+    return rho
 
 
 def pure_state(c, j):
@@ -41,20 +47,23 @@ def pure_state(c, j):
 
 
 def global_observable(N, i):
-    """1 (x) s_i acting identically on every layer."""
-    return np.kron(np.eye(N), PAULI[i - 1])
+    """1 (x) s_i acting identically on every layer (read-only)."""
+    return structure_matrix("1", N, i - 1)
 
 
+@lru_cache(maxsize=16)
 def subspace_observable(N, r, i):
     """Mode-resolved observable N * a_r a_r^T (x) s_i of the abba stacking.
 
     The factor N compensates the 1/N layer weight of the mixed initial
     state, so the time average of this observable equals the closed-form
     per-mode polarization -h_r^i h_r^j / E_r^2.  For N = 2 it coincides
-    with (1 +- s1) (x) s_i.
+    with (1 +- s1) (x) s_i.  Read-only and built once per (N, r, i).
     """
     a = sine_modes(N).vectors[r - 1]
-    return N * np.kron(np.outer(a, a), PAULI[i - 1])
+    O = N * np.kron(np.outer(a, a), PAULI[i - 1])
+    O.flags.writeable = False
+    return O
 
 
 def time_averaged_expectation(H, rho0, O):
@@ -290,7 +299,7 @@ def polarization_profile(H, N):
         raise SingularPointError("profile undefined at a gap closing (E=0)")
     out = np.empty(3)
     for i in range(3):
-        O = np.kron(np.eye(N), PAULI[i])
+        O = structure_matrix("1", N, i)
         M = np.real(np.einsum("am,ab,bm->m", V.conj(), O, V))
         out[i] = np.sum(M / (2.0 * N * E))
     return out

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrumError, NonConvergenceError, UnsupportedStackingError
-from .models import PAULI, build_layered, monolayer_components, monolayer_field, require_size
+from .models import (build_layered, monolayer_components, monolayer_field,
+                     require_size, structure_matrix)
 
 DEG_TOL_DEFAULT = 1e-9
 
@@ -199,7 +200,7 @@ def eigvec_identities(sample, h, stacking):
     res = {}
     vals = {}
     for i in range(3):
-        O = np.kron(np.eye(N), PAULI[i])
+        O = structure_matrix("1", N, i)
         vals[i] = np.real(np.einsum("am,ab,bm->m", V.conj(), O, V))
     res["s3"] = float(np.max(np.abs(vals[2] - h[2] / E)))
     if stacking == "ba":

@@ -427,6 +427,8 @@ EXIT_SWEEP = [
     (0, ["estimate-t", "--stacking", "ba", "--sample", "s2=0.3", "--m", "2"]),
     (0, ["estimate-t", "--stacking", "ba", "--sample", "s1=0.3", "--m", "2", "--axis", "1"]),
     (1, ["estimate-t", "--stacking", "ba", "--sample", "s3=0.3", "--m", "2"]),
+    # synthetic data leaves out the s3 channel there and recovers t from s1 and s2
+    (0, ["estimate-t", "--stacking", "ba", "--true-t", "0.4", "--m", "2"]),
     # lattices of 10^11 nodes and more, refused before any node array exists
     (2, ["tasp", "--grid", "99999999999"]),
     (2, ["bis", "--grid", "400000x400000"]),

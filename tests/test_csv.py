@@ -5,6 +5,7 @@ tests/golden/csv_digests.json, computed with the per-value writer."""
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_csv
-from layerquench.bisfield import characterize, sample_grid
-from layerquench.cli import (_write_csv, build_parser, layered_config, main, parse_grid,
-                             parse_observable, resolve_options)
+from layerquench import cli, models
+from layerquench.bisfield import SAMPLE_MODE_BYTES, characterize, sample_grid
+from layerquench.cli import (_column, _write_csv, _write_csv_files, build_parser, layered_config,
+                             main, parse_grid, parse_observable, resolve_options)
+from layerquench.models import LayeredConfig
 from layerquench.topology import phase_diagram
 
 
@@ -45,6 +48,82 @@ def test_tasp_files(tmp_path, argv):
         reference_csv.write_csv(tmp_path / name, ["kx", "ky", "value"],
                                 reference_csv.tasp_rows(grid.kx, grid.ky, grid.values, comp))
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_tasp_files_span_many_blocks(tmp_path, monkeypatch):
+    # about 13 records of 75 bytes per block: the 640 rows take 49 full
+    # blocks and end on a short one of 3
+    monkeypatch.setattr(cli, "CSV_BLOCK_BYTES", 1000)
+    opts = run(["tasp", "--grid", "32x20"], tmp_path / "cli")
+    grid = sample_grid(layered_config(opts), opts["axis"], ("global",), (32, 20))
+    for comp in (1, 2, 3):
+        name = f"tasp_s{comp}.csv"
+        _write_csv(tmp_path / "one.csv", ["kx", "ky", "value"],
+                   [grid.kx.ravel(), grid.ky.ravel(), grid.values[..., comp - 1].ravel()])
+        reference_csv.write_csv(tmp_path / "ref.csv", ["kx", "ky", "value"],
+                                reference_csv.tasp_rows(grid.kx, grid.ky, grid.values, comp))
+        written = (tmp_path / "cli" / name).read_bytes()
+        assert written == (tmp_path / "one.csv").read_bytes()
+        assert written == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_last_columns_of_different_widths(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_BLOCK_BYTES", 200)
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(23)
+    labels = [["x"] * 23, [f"label{i}" for i in range(23)], list(rng.standard_normal(23))]
+    lasts = [_column(np.array(labels[2]))] + [_column(col) for col in labels[:2]]
+    paths = [tmp_path / f"f{n}.csv" for n in range(3)]
+    _write_csv_files(paths, ["a", "last"], [_column(a)], lasts)
+    for path, col in zip(paths, [labels[2]] + labels[:2]):
+        reference_csv.write_csv(tmp_path / "ref.csv", ["a", "last"], zip(a, col))
+        assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _texts(col):
+    """Per-value "%.17g" of a float column, row-major."""
+    return [("%.17g" % v).encode() for v in np.ravel(col).tolist()]
+
+
+def test_momenta_of_a_square_cell_are_keyed_by_axis():
+    grid = sample_grid(LayeredConfig("abba", 2, 0.4), 3, ("global",), (24, 17))
+    for col, line in ((grid.kx, grid.kx[:, 0]), (grid.ky, grid.ky[0])):
+        texts, index = _column(col)
+        assert texts[index].tolist() == _texts(col)
+        # one text per line, in axis order, which np.unique of the signed
+        # bit patterns would not give
+        assert texts.tolist() == _texts(line)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tasp", "--model", "haldane", "--m", "1.5", "--grid", "20"],
+    # the nudged node at k = (0, 0) breaks the constancy of both axes
+    ["tasp", "--layers", "1", "--t", "0", "--m", "2", "--grid", "32"],
+])
+def test_momenta_off_the_axes_are_keyed_by_value(argv):
+    opts = options(argv)
+    grid = sample_grid(layered_config(opts), opts["axis"], ("global",),
+                       parse_grid(opts["grid"]))
+    for col in (grid.kx, grid.ky):
+        texts, index = _column(col)
+        assert texts[index].tolist() == _texts(col)
+        keys = np.unique(col.view(np.uint64))
+        assert texts.tolist() == _texts(keys.view(np.float64))
+    if grid.nudged[0].size:
+        i, l = grid.nudged
+        assert (i.tolist(), l.tolist()) == ([16], [16])
+        assert len(_column(grid.kx)[0]) == 33
+
+
+def test_tasp_peak_stays_within_the_mode_bound(tmp_path):
+    main(["tasp", "--grid", "256", "--out", str(tmp_path)])
+    tracemalloc.start()
+    try:
+        assert main(["tasp", "--grid", "256", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= models.mode_bytes(256 * 256, 2, SAMPLE_MODE_BYTES["abba"])
 
 
 def test_bis_files_with_source_column(tmp_path):

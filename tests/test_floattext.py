@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerquench.floattext import g17
@@ -57,6 +58,22 @@ def test_sorted_distinct_columns():
     x = rng.standard_normal(20000) * 10.0 ** rng.integers(-8, 20, 20000)
     x = np.concatenate([x, -x, [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e-5, 1e17]])
     assert_g17(np.unique(x.view(np.uint64)).view(np.float64))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0, 0.0])
+def test_positional_column_is_returned_as_laid_out(sign):
+    # every value in [1e-4, 1e17): no value takes Python's "%.17g"; sign 0
+    # mixes both signs
+    rng = np.random.default_rng(11)
+    x = 10.0 ** rng.uniform(-4, 16.9, 3000)
+    x *= sign if sign else rng.choice([-1.0, 1.0], len(x))
+    texts = g17(x)
+    # the laid-out rows themselves, not a copy scattered into fresh texts
+    assert texts.dtype == np.dtype("S24") and texts.base is not None
+    assert_g17(x)
+    x[7] = 0.0
+    assert g17(x).base is None
+    assert_g17(x)
 
 
 def test_empty_column():

@@ -21,7 +21,7 @@ from layerquench import (
     tasp_closed_form,
 )
 from layerquench import bisfield
-from layerquench.hopping import REFERENCE_MOMENTA
+from layerquench.hopping import REFERENCE_MOMENTA, ba_gapped_magnitudes
 
 
 class TestAbbaEstimator:
@@ -196,6 +196,17 @@ class TestBaQuenchAxis:
         est = estimate_t_ba({key: mag}, m=2.0, j=j)
         assert est.method == "ba-numeric"
         assert abs(est.t_hat - 0.4) < 1e-9
+
+
+    def test_gapped_channels_alone_recover_t(self):
+        # at m = 2 the s3 channel is left out; s1 and s2 still give t
+        mags = ba_gapped_magnitudes(0.4, m=2.0)
+        assert sorted(mags) == ["s1", "s2"]
+        est = estimate_t_ba(mags, m=2.0)
+        assert abs(est.t_hat - 0.4) < 1e-12
+        assert est.residual == 0.0
+        # where every reference momentum is gapped, all three channels are kept
+        assert ba_gapped_magnitudes(0.7, m=0.8) == ba_reference_magnitudes(0.7, m=0.8)
 
 
 SCIPY_PROBE = """

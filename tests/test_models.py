@@ -6,7 +6,9 @@ from layerquench import (LayeredConfig, UsageError, anticommutator_table, build_
                          coupling_matrix, haldane_field, monolayer_field, qwz_field,
                          sampling_cell)
 from layerquench import models
-from layerquench.models import PAULI, interlayer_alternating, interlayer_chain
+from layerquench.models import (PAULI, hamiltonian_terms, interlayer_alternating, interlayer_chain,
+                                structure_matrix)
+from layerquench.quench import global_observable, mixed_state, subspace_observable
 
 
 def test_pauli_algebra():
@@ -103,6 +105,40 @@ def test_coupling_matrix_bilayer():
     expected = 0.25 * (np.kron([[0, 1], [1, 0]], PAULI[0])
                        + np.kron([[0, -1j], [1j, 0]], PAULI[1]))
     assert np.allclose(C, expected)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5])
+def test_structure_matrices_are_built_once_and_keep_their_bits(N):
+    fresh = {("1", i): np.kron(np.eye(N), PAULI[i]) for i in range(3)}
+    fresh["Sig1", 0] = np.kron(interlayer_chain(N), PAULI[0])
+    fresh["Sig2", 1] = np.kron(interlayer_alternating(N), PAULI[1])
+    for (factor, i), M in fresh.items():
+        cached = structure_matrix(factor, N, i)
+        assert cached is structure_matrix(factor, N, i)
+        assert cached.tobytes() == M.tobytes()
+    for t in (0.4, -1.3):
+        for stacking in ("abba", "ba"):
+            C = coupling_matrix(LayeredConfig(stacking, N, t))
+            want = t * fresh["Sig1", 0] if stacking == "abba" else \
+                0.5 * t * (fresh["Sig1", 0] + fresh["Sig2", 1])
+            assert C.tobytes() == want.tobytes()
+
+
+def test_cached_matrices_cannot_be_written_in_place():
+    cached = [structure_matrix("Sig1", 3, 0), global_observable(3, 2), mixed_state(3, 3),
+              subspace_observable(3, 2, 1)] + [M for _, M in hamiltonian_terms(
+                  LayeredConfig("ba", 3, 0.4))]
+    for M in cached:
+        before = M.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 1] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            M *= 2.0
+        assert np.array_equal(M, before)
+    # a product is a fresh array, which the caller owns
+    C = coupling_matrix(LayeredConfig("abba", 3, 0.4))
+    C[0, 1] = 7.0
+    assert coupling_matrix(LayeredConfig("abba", 3, 0.4))[0, 1] != 7.0
 
 
 def test_anticommutator_table_bilayer():
