@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 numerical failure, 2 usage error.
 import argparse
 import contextlib
 import errno
+import functools
 import json
 import os
 import sys
@@ -497,7 +498,11 @@ def cmd_selftest(opts):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and reused: argparse
+    keeps no state of a parse in it (parse_args makes a fresh namespace,
+    and --sample, the one appending option, starts from no list)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="key=value config file")
     common.add_argument("--model", choices=("qwz", "haldane"))

@@ -57,16 +57,22 @@ SCAN_MODE_BYTES = 17 * 8
 # abba N = 2 of both models: 167 to 195 from 256^2 down to 16^2)
 DEGREE_NODE_BYTES = 25 * 8
 
+# smallest |h3| at a topological charge that the charge count accepts.
+# h3 there is the field's modulus, so below it the gap (nearly) closes;
+# the closed-form h3 carries a rounding error of about 1e-16 max(|m|, 8)
+CHARGE_FLOOR = 1e-9
+
 # a phase scan computes a cell on its own when the box of this
 # half-width around it, in the field coordinates of a gap closing (see
-# _closings), meets the closing.  Measured on one mode field swept around
+# _closings), meets the closing; the other cells copy a cell of their
+# label and are never checked.  Measured on one mode field swept around
 # its closing circle (3001 angles, distance steps of 0.001): the
 # triangulation fails (den < DEN_FLOOR) up to a field distance of 0.012
 # on the base grid 48, 0.008 on 64, 0.03 on 47 (ky = pi falls between
-# rows) and beyond 0.06 on 16.  A cell ends as boundary only when grids
-# n, 2n and 4n >= 64 all fail, so within 0.008 of a closing; farther
-# cells may need a finer grid, which gives the same integer as the copy.
-# 0.02 leaves room above the base-grid 0.012 and the boundary 0.008
+# rows) and beyond 0.06 on 16.  A near cell the base grid cannot certify
+# takes its topological charges (_charge_count), which are exact at any
+# distance above CHARGE_FLOOR.  0.02 keeps the cells within the base-grid
+# 0.012 of a closing computed on their own
 SCAN_MARGIN = 0.02
 
 
@@ -271,16 +277,95 @@ def half_filling_degree(cfg, grid_n=100):
     return cfg.layers * total_chern_abba(LayeredConfig("abba", 1, 0.0, cfg.model, cfg.m), grid_n)
 
 
+def _charges(model, s):
+    """Topological charges of the abba mode fields (h1 + s, h2, h3).
+
+    The charges are the zeros of (h1 + s, h2) (L. Zhang, L. Zhang and
+    X.-J. Liu, Phys. Rev. A 99, 053606, 2019), in closed form; s holds
+    the shifts t lam_r.  Returns (sign, offset, present): the sign of
+    det d(h1, h2)/d(kx, ky) at each charge, (charges,), taken from its
+    branch; h3 = m - offset at each charge, s.shape + (charges,); and
+    whether the mode has charges, s.shape (with none, every offset is
+    meaningless).
+    - qwz: sin kx = -s and sin ky = 0, so cos kx = +-S with
+      S = sqrt(1 - s^2) and cos ky = +-1; det J = cos kx cos ky and
+      h3 = m - cos kx - cos ky.
+    - haldane: with alpha = k.a_1 and beta = k.a_2 (a positively
+      oriented pair), h2 = 16 sin(alpha/2) sin(beta/2) sin((alpha+beta)/2)
+      vanishes on the lines alpha = 0, beta = 0 and alpha + beta = 0
+      (mod 2 pi), and on each h1 + s = 0 puts the free angle at +-b with
+      cos b = X = -(s + 4)/8 and sin b = S.  The k.b_i are alpha + 2 beta,
+      2 alpha + beta and beta - alpha, so h3 = m -+ 4 S (1 + X) at
+      beta = +-b on alpha = 0, m -+ 4 X S at alpha = +-b on beta = 0 and
+      m +- 4 X S at alpha = +-b on alpha + beta = 0, where det J has the
+      sign +-1, -+1 and +-1.
+    """
+    if model == "qwz":
+        present = np.abs(s) <= 1.0
+        # 1 - s^2 without cancellation; the where keeps sqrt off |s| > 1
+        S = np.sqrt(np.where(present, (1.0 - s) * (1.0 + s), 0.0))[..., None]
+        cos_kx = np.array([1.0, 1.0, -1.0, -1.0])
+        cos_ky = np.array([1.0, -1.0, 1.0, -1.0])
+        return cos_kx * cos_ky, S * cos_kx + cos_ky, present
+    present = (s >= -12.0) & (s <= 4.0)
+    # S = sqrt(1 - X^2) = sqrt((4 - s)(12 + s)) / 8 without cancellation
+    S = np.sqrt(np.where(present, (4.0 - s) * (12.0 + s), 0.0)) / 8.0
+    u = S * (4.0 - s) / 2.0  # 4 S (1 + X)
+    v = -S * (s + 4.0) / 2.0  # 4 X S
+    sign = np.array([1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
+    return sign, np.stack([u, -u, v, -v, -v, v], axis=-1), present
+
+
+def _charge_count(model, s, m):
+    """Mode-degree sums from the topological charges, without a momentum grid.
+
+    s holds the shifts t lam_r of the modes on its last axis; m, the
+    masses, broadcasts against its leading axes.  Each mode's degree is
+    1/2 sum sgn det J sgn h3 over its charges (_charges): Milnor's
+    regular-value degree of (h1 + s, h2) averaged over both poles.
+    Returns (chern, margin), the sums over the modes and the smallest
+    |h3| at a charge of any mode (inf without charges), which is the
+    field's modulus there; a count is exact when margin is above
+    CHARGE_FLOOR.  Two charges that merge (|s| = 1 for qwz, s = 4 or -12
+    for haldane) take opposite branch signs and one h3, so they cancel
+    exactly, as they do past the merge.
+    """
+    sign, offset, present = _charges(model, s)
+    h3 = np.asarray(m, dtype=float)[..., None, None] - offset
+    present = present[..., None]
+    chern = np.where(present, sign * np.sign(h3), 0.0).sum(axis=(-2, -1)) / 2
+    margin = np.where(present, np.abs(h3), np.inf).min(axis=(-2, -1))
+    return chern.astype(int), margin
+
+
+def charge_chern(cfg):
+    """Half-filling Chern number from topological charges, a lattice-free
+    oracle: the charge count of the sine-mode fields for an abba stack,
+    and N times the monolayer count (s = 0) for a ba stack, as in
+    half_filling_degree.  Raises GaplessError when a charge lies within
+    CHARGE_FLOOR of a gap closing.
+    """
+    abba = cfg.stacking == "abba"
+    s = cfg.t * sine_lam(cfg.layers) if abba else np.zeros(1)
+    chern, margin = _charge_count(cfg.model, s, cfg.m)
+    if margin < CHARGE_FLOOR:
+        raise GaplessError(f"field modulus {margin:.3g} at a topological charge "
+                           f"is below {CHARGE_FLOOR}; the gap closes")
+    return int(chern) * (1 if abba else cfg.layers)
+
+
 @dataclass
 class PhaseDiagram:
     """Half-filling Chern numbers on a (t, m) grid of cell centres.
 
     boundary marks cells whose gap minimum falls below GAP_TOL_DEFAULT or
-    whose Chern number no refined grid could certify; their chern entry is
-    meaningless and reported as "boundary" downstream.  computed marks the
-    cells evaluated on their own, never a cell flagged by its gap; every
-    other cell copies the Chern number of a computed cell with the same
-    closing label (_representatives).
+    that neither the base grid's mode degrees nor their topological
+    charges could certify (a charge within CHARGE_FLOOR of a closing);
+    their chern entry is 0, and is reported as "boundary" downstream.
+    computed marks the cells evaluated on their own, by their mode degrees
+    or, where the base grid cannot certify those, by their charges, never
+    a cell flagged by its gap; every other cell copies the Chern number of
+    a computed cell with the same closing label (_representatives).
     """
 
     stacking: str
@@ -301,13 +386,12 @@ def _scan_tables(layers, model, ms, grid_n, per):
     maps mass indices l to the third component (len(l), n, n) at the
     masses ms[l], taken from the node lattice (models.LatticeField) when
     a chunk asks for it, so no per-mass table exists; and the Sigma1
-    eigenvalues lam_r; abba mode r adds t lam_r to h1.  The mode arrays of
-    a chunk of per cells (SCAN_MODE_BYTES) and the mode-degree sums of a
-    refinement at 4 grid_n are bounded before any table exists.
+    eigenvalues lam_r; abba mode r adds t lam_r to h1.  The lattice and
+    the mode arrays of a chunk of per cells (SCAN_MODE_BYTES) are bounded
+    before any table exists; no finer grid is ever taken.
     """
     lattice = LatticeField(model, grid_n, grid_n)
     require_mode_size((grid_n + 1) ** 2, layers, per * SCAN_MODE_BYTES)
-    require_degree_size(4 * grid_n)
 
     def h3(l):
         return lattice.component(2, ms[l, None, None])
@@ -445,8 +529,10 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
     label copy it (if that cell turns out boundary, they are all
     computed).  Without closed-form closings every cell is near, which
     makes the scan dense.  A cell's mode-degree sum is taken for a chunk
-    of cells and all their modes in one array pass, and retried on finer
-    grids before the cell is flagged as boundary.  A ba level vanishes
+    of cells and all their modes in one array pass on the base grid; a
+    cell whose degrees that grid cannot certify takes the count of its
+    topological charges (_charge_count), and is flagged as boundary only
+    when a charge lies within CHARGE_FLOOR of a closing.  A ba level vanishes
     only where the monolayer field does (spectra._level_part), and at
     t = 0 a ba stack is N monolayers, so a ba scan keeps its own gaps and
     is N times the abba N = 1 scan of its masses at t = 0.  With
@@ -487,24 +573,17 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
     rep = _representatives(closings, far, gap, ts, ms)
     cells = np.arange(st * sm)
 
-    def refine(i, l):
-        # a cell too close to a phase boundary may be uncertifiable at
-        # the base grid; refine before flagging it as boundary
-        cfg = LayeredConfig(stacking=stacking, layers=layers, t=float(ts[i]),
-                            model=model, m=float(ms[l]))
-        for factor in (2, 4):
-            try:
-                chern[i, l] = total_chern_abba(cfg, factor * grid_n)
-                return
-            except (GaplessError, NonQuantizedWindingError):
-                continue
-        boundary[i, l] = True
+    lam = tables[3]
 
     def work(chunk):
         i, l = np.divmod(chunk, sm)
         chern[i, l], ok = _abba_cells(tables, ts[i], l)
-        for i_, l_ in zip(i[~ok], l[~ok]):
-            refine(i_, l_)
+        # a cell too close to a phase boundary for the base grid takes its charges
+        i, l = i[~ok], l[~ok]
+        count, margin = _charge_count(model, ts[i, None] * lam, ms[l])
+        refused = margin < CHARGE_FLOOR
+        chern[i, l] = np.where(refused, 0, count)
+        boundary[i, l] = refused
 
     def compute(mask):
         todo = np.flatnonzero(mask & ~boundary.ravel())

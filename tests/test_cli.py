@@ -5,6 +5,7 @@ import json
 import pytest
 
 from layerquench import LayeredConfig, estimate_t_abba, models, tasp_closed_form
+from layerquench import cli
 from layerquench.cli import main, parse_grid, parse_observable
 from layerquench.errors import UsageError
 
@@ -243,6 +244,24 @@ class TestPhaseDiagram:
 
 
 class TestEstimateT:
+    def test_calls_in_one_process_keep_their_own_options(self, tmp_path):
+        # the parser is built once per process; neither --sample lists nor
+        # config values carry over from one call to the next
+        assert cli.build_parser() is cli.build_parser()
+        first, second = tmp_path / "first", tmp_path / "second"
+        cfgfile = tmp_path / "run.conf"
+        cfgfile.write_text("m = 1\n")
+        assert run("estimate-t", "--stacking", "ba", "--config", cfgfile,
+                   "--sample", "s1=%.17g" % (1 / 2.16),
+                   "--sample", "s3=%.17g" % (2.16 / 2.32), "--out", first) == 0
+        cfgfile.write_text("m = 2\n")
+        assert run("estimate-t", "--stacking", "ba", "--config", cfgfile,
+                   "--sample", "s2=0.3", "--out", second) == 0
+        one, two = load_json(first / "estimate.json"), load_json(second / "estimate.json")
+        assert set(one["samples"]) == {"s1", "s3"} and set(two["samples"]) == {"s2"}
+        assert (one["config"]["m"], two["config"]["m"]) == (1.0, 2.0)
+        assert abs(one["t_hat"] - 0.4) < 1e-9
+
     def test_from_measured_samples(self, tmp_path):
         assert run("estimate-t", "--stacking", "ba",
                    "--sample", "s1=%.17g" % (1 / 2.16),

@@ -1,9 +1,13 @@
 """Tests for the phase scan and the unit-field degree kernel.
 
 phase_diagram is checked cell for cell against the dense per-cell scan
-in reference_scan.py: equal chern and boundary arrays and a
-bitwise-equal gap_min, over stackings, layer counts, models, grids,
-windows (random ones among them), chunk sizes and thread counts.  The
+in reference_scan.py, over stackings, layer counts, models, grids,
+windows (random ones among them), chunk sizes and thread counts: a
+bitwise-equal gap_min, and equal chern and boundary entries on every
+cell the reference certifies (on its base grid or a grid 2 or 4 times
+finer) or flags by its gap.  A cell that no grid of the reference
+certifies takes its topological charges in the scan; it must not be
+boundary and must equal the link-variable Chern number at 320^2.  The
 share of cells it computes, rather than copies from a region's
 representative, is checked on the benchmark's window shapes.  A ba scan
 is N times the scan of its mass column; its cells are also checked
@@ -12,25 +16,37 @@ against the np.cross/einsum/roll solid-angle sum it replaced, on random
 fields.
 """
 
+import functools
 import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layerquench import GaplessError, LayeredConfig, chern_fhs, phase_diagram, topology
+from layerquench import LayeredConfig, chern_fhs, phase_diagram, topology
 import reference_scan
 
 WINDOW = ((0.0, 2.0), (-1.0, 3.0))
 SHIFTED = ((0.031, 2.031), (-0.93, 3.07))
 
 
-def assert_same_scan(pd, ref):
+@functools.cache
+def fine_chern(stacking, layers, t, model, m):
+    return chern_fhs(LayeredConfig(stacking, layers, t, model, m), grid_n=320)
+
+
+def assert_same_scan(pd, ref, model="qwz"):
     chern, gap, boundary, _ = ref
-    assert np.array_equal(pd.boundary, boundary)
-    assert np.array_equal(pd.chern, chern)
     assert pd.gap_min.dtype == gap.dtype
     assert pd.gap_min.tobytes() == gap.tobytes()
+    # the reference refuses a cell with an open gap that no grid certifies
+    refused = boundary & (gap >= topology.GAP_TOL_DEFAULT)
+    assert np.array_equal(pd.boundary[~refused], boundary[~refused])
+    assert np.array_equal(pd.chern[~refused], chern[~refused])
+    for i, l in zip(*np.nonzero(refused)):
+        assert not pd.boundary[i, l]
+        assert pd.chern[i, l] == fine_chern(pd.stacking, pd.layers, float(pd.ts[i]), model,
+                                            float(pd.ms[l]))
 
 
 @pytest.fixture(scope="module")
@@ -55,17 +71,35 @@ def test_scan_matches_per_cell_reference(stacking, layers, window, steps, kwargs
     threads = kwargs.pop("threads", 1)
     ref = reference_scan.phase_diagram(stacking, layers, *window, steps, **kwargs)
     pd = phase_diagram(stacking, layers, *window, steps, threads=threads, **kwargs)
-    assert_same_scan(pd, ref)
+    assert_same_scan(pd, ref, kwargs.get("model", "qwz"))
 
 
-def test_refinement_retries_match_reference():
-    # a window hugging the mode-1 transition near (0.42, -0.1): several
-    # cells are certified only on a refined grid
+def test_refinement_retries_match_reference(monkeypatch):
+    # a window hugging the mode-1 transition near (0.42, -0.1): the
+    # reference certifies several cells only on a refined grid and
+    # refuses two; the scan takes the charges of every cell its base grid
+    # cannot certify, and never a finer grid
     window = ((0.40, 0.45), (-0.15, -0.05))
     ref = reference_scan.phase_diagram("abba", 2, *window, 8)
     assert np.sum(ref[3] > 1) >= 5
+    assert np.sum(ref[2] & (ref[1] >= topology.GAP_TOL_DEFAULT)) == 2
+    counted = []
+    real_count = topology._charge_count
+
+    def count(model, s, m):
+        counted.append(len(m))
+        return real_count(model, s, m)
+
+    def no_finer_grid(*args):
+        raise AssertionError("a finer grid was taken")
+
+    monkeypatch.setattr(topology, "_charge_count", count)
+    monkeypatch.setattr(topology, "total_chern_abba", no_finer_grid)
     for threads in (1, 2):
+        counted.clear()
         assert_same_scan(phase_diagram("abba", 2, *window, 8, threads=threads), ref)
+        # every cell is near here, and the base grid is the reference's first
+        assert sum(counted) == np.sum((ref[3] != 1) & (ref[1] >= topology.GAP_TOL_DEFAULT)) == 12
 
 
 @pytest.mark.parametrize("cells_per_chunk", [1, 3, 4, 35])
@@ -165,8 +199,8 @@ def test_haldane_scans_compute_every_cell(stacking):
 
 def test_boundary_representative_computes_its_region(monkeypatch):
     # the largest-gap cell of a label in the mass column represents its
-    # region; when no grid certifies it, the rest of its region is
-    # computed cell by cell
+    # region; when neither its base grid nor its charges certify it, the
+    # rest of its region is computed cell by cell
     window, steps = SHIFTED, 4
     ref = reference_scan.phase_diagram("ba", 2, *window, steps)
     pd = phase_diagram("ba", 2, *window, steps)
@@ -175,19 +209,18 @@ def test_boundary_representative_computes_its_region(monkeypatch):
     assert np.array_equal(pd.computed.sum(axis=0), [1, 1, 0, 1])
     col = mass_column(window, steps)
     l = np.flatnonzero(strip)[np.argmax(col.gap_min[0, strip])]
-    real_cells, real_total = topology._abba_cells, topology.total_chern_abba
+    real_cells, real_count = topology._abba_cells, topology._charge_count
 
     def uncertified_cells(tables, t, ls):
         chern, ok = real_cells(tables, t, ls)
         return chern, ok & (ls != l)
 
-    def uncertifiable(cfg, *args):
-        if cfg.m == pd.ms[l]:
-            raise GaplessError("uncertifiable")
-        return real_total(cfg, *args)
+    def uncertifiable(model, s, m):
+        chern, margin = real_count(model, s, m)
+        return chern, np.where(m == pd.ms[l], 0.0, margin)
 
     monkeypatch.setattr(topology, "_abba_cells", uncertified_cells)
-    monkeypatch.setattr(topology, "total_chern_abba", uncertifiable)
+    monkeypatch.setattr(topology, "_charge_count", uncertifiable)
     failed = phase_diagram("ba", 2, *window, steps)
     assert np.array_equal(failed.computed.sum(axis=0), [1, 1, 1, 1])
     expected = ref[2].copy()

@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layerquench import (
     GaplessError,
     LayeredConfig,
+    NonQuantizedWindingError,
     UsageError,
     chern_fhs,
     chern_two_band,
@@ -20,7 +22,7 @@ from layerquench import (
 )
 from layerquench import models, topology
 from layerquench.frames import sine_mode_frames
-from layerquench.spectra import positive_levels
+from layerquench.spectra import positive_levels, sine_lam
 
 SQUARE_PHASES = [(1.0, -1), (-1.0, 1), (3.0, 0), (-3.0, 0)]
 
@@ -97,6 +99,93 @@ class TestStackedChern:
             except GaplessError:
                 raised += 1
         assert raised >= 1
+
+
+def degree_or_none(cfg, grid_n=200):
+    """total_chern_abba at grid_n, or None where it cannot certify the cell."""
+    try:
+        return total_chern_abba(cfg, grid_n)
+    except (GaplessError, NonQuantizedWindingError):
+        return None
+
+
+def count_or_none(cfg):
+    """The charge count of cfg, or None where it refuses."""
+    try:
+        return topology.charge_chern(cfg)
+    except GaplessError:
+        return None
+
+
+class TestChargeCount:
+    """The topological-charge count (topology.charge_chern), which takes
+    no momentum grid, against the unit-field degrees."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["qwz", "haldane"]), st.integers(1, 6), st.floats(0.0, 3.0),
+           st.floats(-5.5, 5.5))
+    def test_count_equals_the_mode_degrees(self, model, layers, t, m):
+        cfg = LayeredConfig("abba", layers, t, model, m)
+        degree = degree_or_none(cfg)
+        if degree is not None:
+            assert topology.charge_chern(cfg) == degree
+
+    @pytest.mark.parametrize("layers,t,model,m", [
+        (2, 0.4, "qwz", 1.0), (3, 1.0, "qwz", -0.5), (2, 0.4, "haldane", 1.5),
+        (4, 0.9, "haldane", -0.3)])
+    def test_ba_count_is_layers_times_the_monolayer(self, layers, t, model, m):
+        cfg = LayeredConfig("ba", layers, t, model, m)
+        assert topology.charge_chern(cfg) == topology.half_filling_degree(cfg, 200) != 0
+
+    @pytest.mark.parametrize("model,m", [("qwz", 2.0), ("qwz", -2.0), ("qwz", 0.0),
+                                         ("haldane", np.sqrt(3.0))])
+    def test_exact_closing_is_refused(self, model, m):
+        # a monolayer charge sits on h3 = 0: (0, 0) for qwz m = 2, (pi, pi)
+        # for m = -2, (0, pi) and (pi, 0) for m = 0, and beta = 2 pi / 3 on
+        # alpha = 0 for haldane m = sqrt(3)
+        for stacking in ("abba", "ba"):
+            with pytest.raises(GaplessError, match="topological charge"):
+                topology.charge_chern(LayeredConfig(stacking, 1, 0.0, model, m))
+
+    @pytest.mark.parametrize("model,s,closings", [
+        ("qwz", 1.0, (-1.0, 1.0)), ("haldane", 4.0, (0.0,)), ("haldane", -12.0, (0.0,))])
+    def test_merging_charges_give_the_degree_or_refuse(self, model, s, closings):
+        # N = 2 with t lam_1 = s exactly: mode 1's charges merge in pairs
+        # (qwz |s| = 1, haldane s = 4) or all six at k = 0 (haldane
+        # s = -12), where h3 = m - cos ky (qwz) or m (haldane); they cancel
+        # unless the field vanishes there.  Mode 2 has s close to -s
+        t = s / sine_lam(2)[0]
+        assert t * sine_lam(2)[0] == s
+        for m in sorted(set(np.linspace(-5.0, 5.0, 11)) | set(closings)):
+            cfg = LayeredConfig("abba", 2, t, model, float(m))
+            count, degree = count_or_none(cfg), degree_or_none(cfg)
+            if m in closings:
+                assert count is None
+            if degree is not None:
+                assert count == degree
+            assert count is not None or degree is None
+
+    def test_merged_charges_cancel_exactly(self):
+        # at the merge both charges of a pair take one h3 and opposite signs
+        for model, s in (("qwz", 1.0), ("qwz", -1.0), ("haldane", 4.0), ("haldane", -12.0)):
+            for m in (-3.0, -0.5, 0.5, 3.0):
+                chern, margin = topology._charge_count(model, np.array([s]), m)
+                assert chern == 0 and margin > 0.4
+        # past the merge there are no charges and no margin
+        chern, margin = topology._charge_count("haldane", np.array([4.5, -12.5]), 0.0)
+        assert chern == 0 and margin == np.inf
+
+    def test_cells_and_modes_broadcast(self):
+        # one call takes cells x modes; each cell equals its own count
+        rng = np.random.default_rng(7)
+        lam = sine_lam(4)
+        for model in ("qwz", "haldane"):
+            t, m = rng.uniform(0.0, 3.0, 50), rng.uniform(-5.5, 5.5, 50)
+            chern, margin = topology._charge_count(model, t[:, None] * lam, m)
+            assert chern.shape == margin.shape == (50,)
+            for i in range(50):
+                one = topology._charge_count(model, t[i] * lam, m[i])
+                assert (chern[i], margin[i]) == one
 
 
 class TestPhaseDiagram:
@@ -240,15 +329,19 @@ class TestInputFloors:
         with pytest.raises(UsageError, match="3900 x 3900 lattice needs 3.0 GB for its mode-degree"):
             total_chern_abba(LayeredConfig("abba", 1, 0.4), grid_n=3900)
 
-    def test_scan_refinements_are_bounded_before_the_field(self, monkeypatch):
+    def test_scan_grids_are_bounded_before_the_field(self, monkeypatch):
         def no_field(*args):
-            raise AssertionError("field evaluated before the memory check")
+            raise AssertionError("field evaluated")
 
-        # a scan at 600 retries uncertified cells at 1200 and 2400:
-        # 2401^2 x DEGREE_NODE_BYTES is 1.2 GB
+        # a scan takes no grid finer than its own: at 600 it reaches the
+        # field (it was refused for retries at 2400, 2401^2 x
+        # DEGREE_NODE_BYTES = 1.2 GB), and at 1600 its one-cell chunk,
+        # 1601^2 nodes x (SCAN_MODE_BYTES + NODE_BYTES), is refused first
         monkeypatch.setattr(models.LatticeField, "component", no_field)
-        with pytest.raises(UsageError, match="2400 x 2400 lattice needs 1.2 GB"):
+        with pytest.raises(AssertionError, match="field evaluated"):
             phase_diagram("abba", 1, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=600)
+        with pytest.raises(UsageError, match="2563201 momenta x 1 mode fields need 1.0 GB"):
+            phase_diagram("abba", 1, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=1600)
 
     @pytest.mark.parametrize("model", ["qwz", "haldane"])
     @pytest.mark.parametrize("n", [16, 40])
