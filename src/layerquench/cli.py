@@ -5,8 +5,7 @@ selftest.  Options resolve in three layers: built-in defaults, then a
 key=value config file (--config), then explicit flags.  All output is
 deterministic: floats are written as "%.17g" (floattext.g17 for CSV
 columns), line endings are LF, JSON keys are sorted and no timestamps
-are embedded, so identical configurations give byte-identical files and
-serial and threaded runs agree.
+are embedded, so identical configurations give byte-identical files.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
@@ -32,7 +31,8 @@ from .hopping import (ba_gapped_magnitudes, ba_reference_magnitudes, estimate_t_
                       estimate_t_ba)
 from .models import LayeredConfig
 from .quench import tasp_closed_form, time_averaged_expectation, mixed_state, global_observable
-from .topology import chern_fhs, half_filling_degree, phase_diagram, require_degree_size
+from .topology import (charge_chern, chern_fhs, half_filling_degree, phase_diagram,
+                       require_degree_size)
 # unused here, but the traced benchmark run (perfbench/jobs.py) wraps it in this module
 from .topology import total_chern_abba
 
@@ -49,7 +49,10 @@ OPTIONS = {
     "grid": (str, "256"),
     "out": (str, "."),
     "tol_bis": (float, 1e-6),
-    "threads": (int, None),  # None -> QT_THREADS env or 1; sizes the phase-scan pool
+    # accepted and checked (>= 1) but selects nothing: no command runs worker
+    # threads.  The benchmark's cli jobs (perfbench/jobs.py) still pass it;
+    # it goes once they no longer do
+    "threads": (int, 1),
     "delta": (float, 1e-4),
     "t_min": (float, 0.0),
     "t_max": (float, 2.0),
@@ -196,15 +199,6 @@ def resolve_options(args):
             opts[key] = fromfile[key]
         else:
             opts[key] = default
-    if opts["threads"] is None:
-        env = os.environ.get("QT_THREADS", "").strip()
-        if env:
-            try:
-                opts["threads"] = int(env)
-            except ValueError:
-                raise UsageError(f"QT_THREADS={env!r} is not an integer")
-        else:
-            opts["threads"] = 1
     if opts["threads"] < 1:
         raise UsageError("threads must be >= 1")
     if opts["axis"] not in (1, 2, 3):
@@ -257,8 +251,7 @@ def layered_config(opts):
 
 
 def _manifest(command, opts, extra):
-    # threads is an execution detail: leaving it out keeps serial and
-    # parallel runs byte-identical
+    # the options that shape a command's results; threads selects nothing
     echo = {k: opts[k] for k in ("model", "m", "stacking", "layers", "t", "axis",
                                  "observable", "grid", "tol_bis")}
     obj = {"command": command, "config": echo, "version": __version__}
@@ -352,8 +345,7 @@ def cmd_phase_diagram(opts):
     scan_grid = min(square_grid(opts["grid"]), 64)
     pd = phase_diagram(opts["stacking"], opts["layers"],
                        (opts["t_min"], opts["t_max"]), (opts["m_min"], opts["m_max"]),
-                       opts["steps"], model=opts["model"], grid_n=scan_grid,
-                       threads=opts["threads"])
+                       opts["steps"], model=opts["model"], grid_n=scan_grid)
     out = _outdir(opts, "phase_diagram.csv", "phase_matrix.dat", "phase_manifest.json")
     T, M = np.meshgrid(pd.ts, pd.ms, indexing="ij")
     chern = np.where(pd.boundary, "boundary", pd.chern.astype(str))
@@ -365,8 +357,7 @@ def cmd_phase_diagram(opts):
                              for l in range(len(pd.ms))) + "\n")
     extra = {"t_range": [opts["t_min"], opts["t_max"]],
              "m_range": [opts["m_min"], opts["m_max"]], "steps": opts["steps"],
-             "boundary_cells": int(pd.boundary.sum()),
-             "cells_computed": int(pd.computed.sum()), "scan_grid": scan_grid}
+             "boundary_cells": int(pd.boundary.sum()), "scan_grid": scan_grid}
     _write_json(os.path.join(out, "phase_manifest.json"), _manifest("phase-diagram", opts, extra))
     print(f"phase diagram {len(pd.ts)}x{len(pd.ms)} written to {out}")
     return 0
@@ -393,16 +384,18 @@ def cmd_chern(opts):
         c = extra["chern_fhs"] = chern_fhs(cfg, filled, grid_n=nx)
         line = f"chern = {c}"
     else:
-        # at half filling the link-variable sum is checked against the
-        # unit-field degrees, which are bounded before either runs
+        # at half filling the link-variable sum must equal the count of the
+        # topological charges; the unit-field degrees (bounded before either
+        # sum runs) are reported, and must agree too where they certify
         require_degree_size(nx)
         key = DEGREE_KEYS[cfg.stacking]
         c = _oracle(chern_fhs, cfg, filled, nx)
+        q = _oracle(charge_chern, cfg)
         d = _oracle(half_filling_degree, cfg, nx)
-        if isinstance(c, str) or isinstance(d, str) or c != d:
-            raise InconsistentInvariantError(
-                f"no certified half-filling Chern number: chern_fhs {c}, {key} {d}")
-        extra.update({"chern_fhs": c, key: d})
+        if isinstance(c, str) or c != q or (not isinstance(d, str) and d != c):
+            raise InconsistentInvariantError(f"no certified half-filling Chern number: "
+                                             f"chern_fhs {c}, charge_chern {q}, {key} {d}")
+        extra.update({"chern_fhs": c, "charge_chern": q, key: d})
         line = f"chern = {c} (mode degree sum {d})" if cfg.stacking == "abba" else f"chern = {c}"
     out = _outdir(opts, "chern.json")
     _write_json(os.path.join(out, "chern.json"), _manifest("chern", opts, extra))
@@ -515,7 +508,7 @@ def build_parser():
     common.add_argument("--grid", help="resolution, N or NXxNY")
     common.add_argument("--out", help="output directory")
     common.add_argument("--tol-bis", dest="tol_bis", type=float)
-    common.add_argument("--threads", type=int, help="phase-scan threads (QT_THREADS fallback)")
+    common.add_argument("--threads", type=int, help="accepted (>= 1); selects nothing")
     common.add_argument("--delta", type=float, help="normal step for the dynamical field")
 
     p = argparse.ArgumentParser(prog="layerquench",

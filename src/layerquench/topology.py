@@ -8,7 +8,6 @@ monolayer at m = 1 to carry Chern number -1; the skyrmion sum needs no
 extra factor in this convention.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,18 +37,23 @@ LINK_FLOOR = 1e-3
 # smallest field modulus a unit-field degree accepts
 FIELD_FLOOR = 1e-9
 
-# scans take their cells in chunks; every (cells, modes, n, n) array of
-# a chunk stays near this size (one cell at the least), so the dozen or
-# so temporaries of a chunk fit a 2 MB L2 cache (twice this size scanned
-# about 25 % slower on a 2-vCPU Xeon; half of it still left the timing
-# of 1024 abba cells dependent on the malloc heap state).  The gap pass
-# holds the level parts of a block of t values of this size too
+# scans take their masses in chunks; every (masses, modes, n, n) array of
+# a gap-pass chunk stays near this size (one mass at the least), so the
+# temporaries of a chunk fit a 2 MB L2 cache (twice this size scanned
+# about 25 % slower on a 2-vCPU Xeon).  The gap pass holds the level
+# parts of a block of t values of this size too, and the charge count
+# takes its cells in blocks whose arrays are no larger than a chunk's
 SCAN_CHUNK_BYTES = 1 << 17
 
-# bytes per node and mode of each cell of a scan chunk at its peak: about
-# sixteen (cells, modes, n + 1, n + 1) float arrays in _abba_cells and
-# _unit_degree (measured with tracemalloc, N = 50 at 16^2 and 64^2)
-SCAN_MODE_BYTES = 17 * 8
+# bytes per node and mode of each mass of a gap-pass chunk at its peak:
+# the (masses, modes, n, n) sums h3^2 + p_r, the h3 and h3^2 of the
+# masses, and the level parts of a t block as large as the chunk.  The
+# charge count's blocks, at most three arrays of a chunk's size, fit in
+# them too (measured with tracemalloc)
+SCAN_GAP_BYTES = 4 * 8
+
+# the most topological charges a mode field has (haldane; qwz has four)
+CHARGES_MAX = 6
 
 # bytes per node of the periodically extended grid that total_chern_abba
 # holds at its peak: the nodes, the periodic components, one mode's unit
@@ -61,19 +65,6 @@ DEGREE_NODE_BYTES = 25 * 8
 # h3 there is the field's modulus, so below it the gap (nearly) closes;
 # the closed-form h3 carries a rounding error of about 1e-16 max(|m|, 8)
 CHARGE_FLOOR = 1e-9
-
-# a phase scan computes a cell on its own when the box of this
-# half-width around it, in the field coordinates of a gap closing (see
-# _closings), meets the closing; the other cells copy a cell of their
-# label and are never checked.  Measured on one mode field swept around
-# its closing circle (3001 angles, distance steps of 0.001): the
-# triangulation fails (den < DEN_FLOOR) up to a field distance of 0.012
-# on the base grid 48, 0.008 on 64, 0.03 on 47 (ky = pi falls between
-# rows) and beyond 0.06 on 16.  A near cell the base grid cannot certify
-# takes its topological charges (_charge_count), which are exact at any
-# distance above CHARGE_FLOOR.  0.02 keeps the cells within the base-grid
-# 0.012 of a closing computed on their own
-SCAN_MARGIN = 0.02
 
 
 def chern_fhs(cfg, filled=None, grid_n=100):
@@ -219,7 +210,10 @@ def chern_two_band(field_fn, grid_n=100, model="qwz"):
     field_fn maps (kx, ky) arrays to (..., 3) field values.  Equals
     chern_fhs of the corresponding 2x2 Bloch Hamiltonian's lower band.
     Raises GaplessError when the field vanishes on the grid or comes
-    close enough that a plaquette cannot be certified.
+    close enough that a plaquette cannot be certified.  No package path
+    calls it; it stays as the one-field degree of an arbitrary field,
+    which the benchmark's winding check (perfbench/jobs.py) and the
+    acceptance battery take as their oracle.
     """
     cell = sampling_cell(model)
     h = field_fn(*cell.nodes(grid_n, grid_n))
@@ -227,7 +221,13 @@ def chern_two_band(field_fn, grid_n=100, model="qwz"):
 
 
 def subsystem_field_fn(cfg, r):
-    """Momentum -> h_r field of one abba sine mode."""
+    """Momentum -> h_r field of one abba sine mode.
+
+    No package path calls it (total_chern_abba shifts the lattice
+    components in place); it stays as the field chern_two_band takes in
+    the benchmark's winding check and the test-only reference scan
+    (tests/reference_scan.py).
+    """
     shift = cfg.t * sine_lam(cfg.layers)[r - 1]
 
     def fn(kx, ky):
@@ -332,6 +332,8 @@ def _charge_count(model, s, m):
     """
     sign, offset, present = _charges(model, s)
     h3 = np.asarray(m, dtype=float)[..., None, None] - offset
+    # so at most three arrays of the count's (..., modes, charges) shape are held at once
+    del offset
     present = present[..., None]
     chern = np.where(present, sign * np.sign(h3), 0.0).sum(axis=(-2, -1)) / 2
     margin = np.where(present, np.abs(h3), np.inf).min(axis=(-2, -1))
@@ -358,14 +360,12 @@ def charge_chern(cfg):
 class PhaseDiagram:
     """Half-filling Chern numbers on a (t, m) grid of cell centres.
 
-    boundary marks cells whose gap minimum falls below GAP_TOL_DEFAULT or
-    that neither the base grid's mode degrees nor their topological
-    charges could certify (a charge within CHARGE_FLOOR of a closing);
-    their chern entry is 0, and is reported as "boundary" downstream.
-    computed marks the cells evaluated on their own, by their mode degrees
-    or, where the base grid cannot certify those, by their charges, never
-    a cell flagged by its gap; every other cell copies the Chern number of
-    a computed cell with the same closing label (_representatives).
+    chern is each cell's count of topological charges (_charge_count),
+    taken for every cell on its own: the sine-mode counts of an abba
+    stack, N times the monolayer count of a ba stack.  boundary marks the
+    cells whose grid gap minimum falls below GAP_TOL_DEFAULT or that have
+    a charge within CHARGE_FLOOR of a gap closing; their chern entry is 0,
+    and is reported as "boundary" downstream.
     """
 
     stacking: str
@@ -375,28 +375,26 @@ class PhaseDiagram:
     chern: np.ndarray
     gap_min: np.ndarray
     boundary: np.ndarray
-    computed: np.ndarray
 
 
 def _scan_tables(layers, model, ms, grid_n, per):
     """k-grid tables of one scan.
 
-    Returns (h1, h2, h3, lam): the first two monolayer components on the
-    periodically extended grid, which depend on neither t nor m; h3, which
-    maps mass indices l to the third component (len(l), n, n) at the
-    masses ms[l], taken from the node lattice (models.LatticeField) when
-    a chunk asks for it, so no per-mass table exists; and the Sigma1
-    eigenvalues lam_r; abba mode r adds t lam_r to h1.  The lattice and
-    the mode arrays of a chunk of per cells (SCAN_MODE_BYTES) are bounded
-    before any table exists; no finer grid is ever taken.
+    Returns (h1, h2, h3, lam): the first two monolayer components at the
+    nodes, which depend on neither t nor m; h3, which maps mass indices l
+    to the third component (len(l), n, n) at the masses ms[l], taken from
+    the node lattice (models.LatticeField) when a chunk asks for it, so no
+    per-mass table exists; and the Sigma1 eigenvalues lam_r.  The lattice
+    and the gap-pass arrays of a chunk of per masses (SCAN_GAP_BYTES) are
+    bounded before any table exists.
     """
     lattice = LatticeField(model, grid_n, grid_n)
-    require_mode_size((grid_n + 1) ** 2, layers, per * SCAN_MODE_BYTES)
+    require_mode_size(grid_n ** 2, layers, per * SCAN_GAP_BYTES)
 
     def h3(l):
         return lattice.component(2, ms[l, None, None])
 
-    h1, h2 = (_periodic(lattice.component(i, 0.0)) for i in (0, 1))
+    h1, h2 = (lattice.component(i, 0.0) for i in (0, 1))
     return h1, h2, h3, sine_lam(layers)
 
 
@@ -405,13 +403,11 @@ def _scan_gaps(abba, tables, ts, sm, per):
 
     E_r^2 is the t-dependent part p_r (spectra._level_part) plus h3^2,
     and sqrt is monotone, so each gap is the per-cell 2 min E_r.  The
-    extended grid only repeats nodes, so the minima are taken over the
-    nodes alone.  The parts p_r of a block of t values, SCAN_CHUNK_BYTES
-    in all (one t at the least), are held while each chunk of masses
-    takes its h3^2 once for the whole block.
+    parts p_r of a block of t values, SCAN_CHUNK_BYTES in all (one t at
+    the least), are held while each chunk of masses takes its h3^2 once
+    for the whole block.
     """
     h1, h2, h3, lam = tables
-    h1, h2 = h1[:-1, :-1], h2[:-1, :-1]
     e2 = np.empty((len(ts), sm))
     block = max(1, SCAN_CHUNK_BYTES // (len(lam) * h1.size * 8))
     for b in range(0, len(ts), block):
@@ -423,121 +419,42 @@ def _scan_gaps(abba, tables, ts, sm, per):
     return 2.0 * np.sqrt(e2)
 
 
-def _abba_cells(tables, t, l):
-    """Mode-degree sum of the cells (t, ms[l]).
+def _scan_charges(model, lam, ts, ms, nbytes):
+    """Charge count (_charge_count) of every cell (ts[i], ms[l]), whose
+    mode r is shifted by ts[i] lam_r.
 
-    The levels serve as the field norm.  Returns (chern, certified); a
-    cell is certified when all its modes pass the three checks of
-    chern_two_band.
+    Returns (chern, margin), each (len(ts), len(ms)).  The cells are taken
+    in scan order, in blocks whose (cells, modes, charges) arrays hold at
+    most nbytes (one cell at the least), so the count's arrays are bounded
+    before they exist, for any window.
     """
-    h1, h2, h3, lam = tables
-    h1r = h1 + t[:, None, None, None] * lam[:, None, None]
-    h3 = _periodic(h3(l))[:, None]
-    E = np.sqrt(h1r ** 2 + h2 ** 2 + h3 ** 2)
-    e_min = E.min(axis=(-2, -1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        degree, den_min = _unit_degree(h1r / E, h2 / E, h3 / E)
-        nearest = np.rint(degree)
-        certified = ((e_min >= FIELD_FLOOR) & (den_min >= DEN_FLOOR)
-                     & (np.abs(degree - nearest) < ROUND_TOL)).all(axis=-1)
-    chern = np.where(certified, nearest.sum(axis=-1), 0).astype(int)
-    return chern, certified
+    cells = len(ts) * len(ms)
+    chern = np.empty(cells, dtype=int)
+    margin = np.empty(cells)
+    per = max(1, nbytes // (len(lam) * CHARGES_MAX * 8))
+    for b in range(0, cells, per):
+        i, l = np.divmod(np.arange(b, min(b + per, cells)), len(ms))
+        chern[b:b + per], margin[b:b + per] = _charge_count(model, ts[i, None] * lam, ms[l])
+    return chern.reshape(len(ts), -1), margin.reshape(len(ts), -1)
 
 
-def _closings(layers, model):
-    """Half-filling gap closings of a square-lattice abba stack in the (t, m) plane.
-
-    Returns (w, a) arrays: the closings are the curves
-    (w t)^2 + (m - a)^2 = 1, unit circles in the field coordinates
-    (s, m) = (w t, m).  abba mode r closes where sin ky = 0,
-    sin kx = -t lam_r and m = cos kx + cos ky, so w = lam_r = 2 cos(theta_r)
-    and a = +-1, and the distance of (s, m) from the circles is the
-    smallest modulus the mode field takes.  None for a model without
-    closed-form closings (haldane).
-    """
-    if model != "qwz":
-        return None
-    # modes r and N + 1 - r have opposite w and share their closings
-    w = sine_lam(layers)[:(layers + 1) // 2]
-    w, a = np.broadcast_arrays(w[:, None], np.array([-1.0, 1.0]))
-    return w.ravel(), a.ravel()
-
-
-def _offsets(closings, ts, ms):
-    """|s| = |w t| and |m - a| of every cell centre from the centre of every
-    closing, shaped (closings, len(ts), 1) and (closings, 1, len(ms))."""
-    w, a = closings
-    return np.abs(w[:, None, None] * ts[:, None]), np.abs(ms - a[:, None, None])
-
-
-def _near(closings, ts, ms):
-    """Cells whose box of half-width SCAN_MARGIN meets a closing.
-
-    The box is taken in the field coordinates (s, m) of each closing, so
-    a cell that is not near keeps every mode field at least SCAN_MARGIN
-    from zero.  The closed box meets the unit circle exactly when its
-    nearest point lies within distance 1 of the circle's centre and its
-    farthest corner at distance 1 or more.  Without closed-form closings
-    every cell is near.
-    """
-    if closings is None:
-        return np.ones((len(ts), len(ms)), dtype=bool)
-    s, u = _offsets(closings, ts, ms)
-    d = SCAN_MARGIN
-    nearest = np.maximum(s - d, 0.0) ** 2 + np.maximum(u - d, 0.0) ** 2
-    farthest = (s + d) ** 2 + (u + d) ** 2
-    return ((nearest <= 1.0) & (farthest >= 1.0)).any(axis=0)
-
-
-def _representatives(closings, far, gap, ts, ms):
-    """Flat index of the cell whose Chern number each cell of the scan takes.
-
-    A far cell is labelled by the closings it lies inside, one boolean per
-    closing: (w t)^2 + (m - a)^2 < 1.  The label fixes the Chern number,
-    the sum of the mode degrees.  Each abba mode's degree is constant on
-    the three parts of the plane outside its two tangent circles: inside
-    one, inside the other, and outside both, which is connected.  So far
-    cells with equal labels take the Chern number of their largest-gap
-    cell (the first in scan order on a tie), connected or not; every other
-    cell represents itself.
-    """
-    rep = np.arange(far.size)
-    cells = rep[far.ravel()]
-    if not len(cells):
-        return rep
-    s, u = _offsets(closings, ts, ms)
-    label = (s ** 2 + u ** 2 < 1.0).reshape(len(s), -1)[:, cells]
-    # grouped by label, largest gap first; lexsort is stable, so a tie keeps scan order
-    order = np.lexsort((-gap.ravel()[cells], *label))
-    label = label[:, order]
-    first = np.concatenate([[True], (label[:, 1:] != label[:, :-1]).any(axis=0)])
-    cells = cells[order]
-    rep[cells] = cells[first][np.cumsum(first) - 1]
-    return rep
-
-
-def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n=48, threads=1):
+def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n=48):
     """Scan half-filling Chern numbers over a (t, m) window.
 
     steps may be an int or a (t_steps, m_steps) pair; cells are sampled
     at their centres so exact phase boundaries are met only through the
-    GAP_TOL_DEFAULT flagging.  The gap of every cell is computed, in
-    array passes.  Where the gap closings are known in closed form
-    (_closings), a Chern number is computed only for the cells within
-    SCAN_MARGIN of a closing and for the largest-gap cell of each label,
-    the set of closings a cell lies inside; the other cells with that
-    label copy it (if that cell turns out boundary, they are all
-    computed).  Without closed-form closings every cell is near, which
-    makes the scan dense.  A cell's mode-degree sum is taken for a chunk
-    of cells and all their modes in one array pass on the base grid; a
-    cell whose degrees that grid cannot certify takes the count of its
-    topological charges (_charge_count), and is flagged as boundary only
-    when a charge lies within CHARGE_FLOOR of a closing.  A ba level vanishes
-    only where the monolayer field does (spectra._level_part), and at
-    t = 0 a ba stack is N monolayers, so a ba scan keeps its own gaps and
-    is N times the abba N = 1 scan of its masses at t = 0.  With
-    threads > 1, worker threads take whole chunks; this is the only
-    thread pool of the package.
+    GAP_TOL_DEFAULT flagging.  The gap of every cell is its minimum over
+    the grid_n^2 nodes, taken in array passes (_scan_gaps).  The Chern
+    number of every cell is the count of its topological charges
+    (_charge_count), which needs no momentum grid: the invariant on a
+    band-inversion surface is the signed count of the charges it
+    encloses (L. Zhang, L. Zhang and X.-J. Liu, Phys. Rev. A 99, 053606,
+    2019).  An abba cell sums the counts of its sine-mode fields, shifted
+    by t lam_r.  A ba level vanishes only where the monolayer field does
+    (spectra._level_part), and at t = 0 a ba stack is N monolayers, so a
+    ba cell is N times the monolayer count at its mass (as in
+    charge_chern).  A cell is boundary when its gap is below
+    GAP_TOL_DEFAULT or a charge lies within CHARGE_FLOOR of a closing.
     """
     st, sm = (steps, steps) if np.ndim(steps) == 0 else steps
     if st < 1 or sm < 1:
@@ -548,62 +465,35 @@ def phase_diagram(stacking, layers, t_range, m_range, steps, model="qwz", grid_n
     ts = t_range[0] + (np.arange(st) + 0.5) * (t_range[1] - t_range[0]) / st
     ms = m_range[0] + (np.arange(sm) + 0.5) * (m_range[1] - m_range[0]) / sm
     abba = stacking == "abba"
-    closings = _closings(layers, model) if abba else None
-    # about eight 8-byte words a cell (gap, levels, Chern number, indices)
-    # and three for each closing test, bounded before any of them exists
-    words = 8 + 3 * (0 if closings is None else len(closings[0]))
-    require_size(8.0 * words * st * sm, f"{int(st)} x {int(sm)} scan cells", "use fewer steps")
-    # each (cells, modes, n + 1, n + 1) array of a chunk stays near SCAN_CHUNK_BYTES
-    per = max(1, SCAN_CHUNK_BYTES // (layers * (grid_n + 1) ** 2 * 8))
+    # about eight 8-byte words a cell (gap, levels, Chern number, margin),
+    # bounded before any of them exists
+    require_size(64.0 * st * sm, f"{int(st)} x {int(sm)} scan cells", "use fewer steps")
+    # each (masses, modes, n, n) array of a gap chunk stays near
+    # SCAN_CHUNK_BYTES, and each array of a charge block within its size
+    per = max(1, SCAN_CHUNK_BYTES // (layers * grid_n ** 2 * 8))
     tables = _scan_tables(layers, model, ms, grid_n, per)
     gap = _scan_gaps(abba, tables, ts, sm, per)
-    # a gap-flagged cell takes no degree, so it is never computed
-    gapless = gap < GAP_TOL_DEFAULT
-    boundary = gapless.copy()
-    if not abba:
-        col = phase_diagram("abba", 1, (0.0, 0.0), m_range, (1, sm), model, grid_n, threads)
-        boundary |= col.boundary
-        computed = np.zeros((st, sm), dtype=bool)
-        computed[np.argmax(gap, axis=0), np.arange(sm)] = col.computed[0]
-        return PhaseDiagram(stacking, layers, ts, ms, np.where(boundary, 0, layers * col.chern),
-                            gap, boundary, computed & ~gapless)
-    chern = np.zeros((st, sm), dtype=int)
-
-    far = ~_near(closings, ts, ms)
-    rep = _representatives(closings, far, gap, ts, ms)
-    cells = np.arange(st * sm)
-
-    lam = tables[3]
-
-    def work(chunk):
-        i, l = np.divmod(chunk, sm)
-        chern[i, l], ok = _abba_cells(tables, ts[i], l)
-        # a cell too close to a phase boundary for the base grid takes its charges
-        i, l = i[~ok], l[~ok]
-        count, margin = _charge_count(model, ts[i, None] * lam, ms[l])
-        refused = margin < CHARGE_FLOOR
-        chern[i, l] = np.where(refused, 0, count)
-        boundary[i, l] = refused
-
-    def compute(mask):
-        todo = np.flatnonzero(mask & ~boundary.ravel())
-        chunks = [todo[k:k + per] for k in range(0, len(todo), per)]
-        if threads and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(work, chunks))
-        else:
-            for chunk in chunks:
-                work(chunk)
-
-    own = rep == cells
-    compute(own)
-    # the cells of a boundary representative are computed one by one
-    own |= boundary.ravel()[rep]
-    compute(own & (rep != cells))
-    chern.flat[~own] = chern.flat[rep[~own]]
+    chern, margin = _scan_charges(model, tables[3] if abba else np.zeros(1), ts, ms,
+                                  per * layers * grid_n ** 2 * 8)
+    boundary = (gap < GAP_TOL_DEFAULT) | (margin < CHARGE_FLOOR)
+    chern = np.where(boundary, 0, chern if abba else layers * chern)
     return PhaseDiagram(stacking=stacking, layers=layers, ts=ts, ms=ms, chern=chern,
-                        gap_min=gap, boundary=boundary,
-                        computed=own.reshape(st, sm) & ~gapless)
+                        gap_min=gap, boundary=boundary)
+
+
+def _closings(layers):
+    """Half-filling gap closings of a square-lattice abba stack in the (t, m) plane.
+
+    Returns (w, a) arrays: the closings are the curves
+    (w t)^2 + (m - a)^2 = 1, unit circles in the field coordinates
+    (s, m) = (w t, m).  abba mode r closes where sin ky = 0,
+    sin kx = -t lam_r and m = cos kx + cos ky, so w = lam_r = 2 cos(theta_r)
+    and a = +-1.
+    """
+    # modes r and N + 1 - r have opposite w and share their closings
+    w = sine_lam(layers)[:(layers + 1) // 2]
+    w, a = np.broadcast_arrays(w[:, None], np.array([-1.0, 1.0]))
+    return w.ravel(), a.ravel()
 
 
 def _segment_meets(a, s0, m0, s1, m1):
@@ -631,5 +521,5 @@ def segment_crosses_transition(layers, p0, p1):
 
     Exact: the quadratic root test of _segment_meets on every closing.
     """
-    w, a = _closings(layers, "qwz")
+    w, a = _closings(layers)
     return bool(_segment_meets(a, w * p0[0], p0[1], w * p1[0], p1[1]).any())

@@ -249,7 +249,7 @@ def test_07_phase_structure(capsys):
                 c = chern_fhs(LayeredConfig("ba", layers, t))
                 sb.check(c == layers * mono, f"ba N={layers} t={t}: {c}")
 
-        pd = phase_diagram("abba", 2, (0.0, 2.0), (-1.0, 3.0), 64, threads=4)
+        pd = phase_diagram("abba", 2, (0.0, 2.0), (-1.0, 3.0), 64)
         jumps = 0
         violations = 0
         for i in range(64):

@@ -63,15 +63,6 @@ class TestTasp:
                      "tasp_manifest.json"):
             assert read_bytes(a / name) == read_bytes(b / name)
 
-    def test_qt_threads_env_is_honoured(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert run("tasp", "--grid", "32", "--out", a) == 0
-        monkeypatch.setenv("QT_THREADS", "3")
-        assert run("tasp", "--grid", "32", "--out", b) == 0
-        assert read_bytes(a / "tasp_s3.csv") == read_bytes(b / "tasp_s3.csv")
-        monkeypatch.setenv("QT_THREADS", "many")
-        assert run("tasp", "--grid", "32", "--out", tmp_path) == 2
-
     def test_nudged_node_rows_give_the_sampled_momentum(self, tmp_path):
         # m=2 closes the single-layer gap at node (16, 16) of the 32^2
         # grid, k=(0, 0); that node is sampled half a step away
@@ -172,7 +163,18 @@ class TestChern:
         rep = load_json(tmp_path / "chern.json")
         assert rep["chern_fhs"] == -2
         assert rep["filled"] == 2
-        assert rep["mode_degree_sum"] == -2
+        assert rep["mode_degree_sum"] == rep["charge_chern"] == -2
+
+    def test_degree_refusal_is_reported_when_the_charges_agree(self, tmp_path, capsys):
+        # a haldane cell with a gap of about 0.0075: the mode-degree sum
+        # cannot certify it at 60^2, and chern_fhs equals the charge count
+        assert run("chern", "--stacking", "abba", "--layers", "2", "--model", "haldane",
+                   "--t", "0.50625000000000009", "--m", "2.03125", "--grid", "60",
+                   "--out", tmp_path) == 0
+        rep = load_json(tmp_path / "chern.json")
+        assert rep["chern_fhs"] == rep["charge_chern"] == 0
+        assert rep["mode_degree_sum"].startswith("refused (nearly antipodal plaquette")
+        assert capsys.readouterr().out.startswith("chern = 0 (mode degree sum refused")
 
     @pytest.mark.parametrize("model, m, layers, want", [
         ("qwz", 1.0, 2, -2), ("qwz", 1.0, 3, -3), ("haldane", 1.5, 2, -6)])
@@ -184,6 +186,7 @@ class TestChern:
                    "--m", str(m), "--grid", "64", "--out", tmp_path) == 0
         rep = load_json(tmp_path / "chern.json")
         assert rep["chern_fhs"] == rep["layers_times_monolayer_degree"] == want
+        assert rep["charge_chern"] == want
         assert "mode_degree_sum" not in rep
         assert capsys.readouterr().out == f"chern = {want}\n"
 
@@ -192,7 +195,7 @@ class TestChern:
                    "--out", tmp_path) == 0
         rep = load_json(tmp_path / "chern.json")
         assert rep["chern_fhs"] == 0
-        assert "mode_degree_sum" not in rep
+        assert "mode_degree_sum" not in rep and "charge_chern" not in rep
 
 
 class TestPhaseDiagram:
@@ -208,8 +211,8 @@ class TestPhaseDiagram:
         manifest = load_json(tmp_path / "phase_manifest.json")
         assert manifest["steps"] == 6
         assert isinstance(manifest["boundary_cells"], int)
-        # cells near a gap closing plus one per gapped region, never all 36
-        assert 0 < manifest["cells_computed"] < 36
+        # every cell takes its own charges; there is no count of computed cells
+        assert "cells_computed" not in manifest
         assert manifest["scan_grid"] == 32
         assert "fhs_grid" not in manifest
         # cell centred on (1/6, 4/3) lies inside the doubly inverted phase
@@ -240,7 +243,6 @@ class TestPhaseDiagram:
         assert rows[1].split(",")[:3] == [repr(t), repr(m), "3"]
         manifest = load_json(tmp_path / "phase_manifest.json")
         assert manifest["boundary_cells"] == 0
-        assert manifest["cells_computed"] == 1
 
 
 class TestEstimateT:
@@ -457,12 +459,17 @@ EXIT_SWEEP = [
     (2, ["chern", "--filled", "1", "--grid", "1000000"]),
     # the mode-degree sums (3.0 GB) are refused before the link variables run
     (2, ["chern", "--layers", "1", "--grid", "3900"]),
-    # chern_fhs gives -1 and the mode-degree sum the exact 0
+    # chern_fhs gives -1, and the charges and the mode-degree sum the exact 0
     (1, ["chern", "--stacking", "abba", "--layers", "2", "--model", "haldane",
          "--t", "0.0844259428061247", "--m", "1.9959446315762408", "--grid", "40"]),
-    # chern_fhs gives -4 for the exact -6, and the monolayer degree refuses at 40^2
+    # chern_fhs gives -4 for the exact -6 of the charges, and the monolayer
+    # degree refuses at 40^2
     (1, ["chern", "--stacking", "ba", "--layers", "2", "--model", "haldane",
          "--t", "0.4", "--m", "1.5", "--grid", "40"]),
+    # chern_fhs and the charges give 0; the mode-degree sum refuses at 60^2,
+    # as the gap is about 0.0075 (a grid minimum of 0.75 at 48^2)
+    (0, ["chern", "--stacking", "abba", "--layers", "2", "--model", "haldane",
+         "--t", "0.50625000000000009", "--m", "2.03125", "--grid", "60"]),
     # 10^10 scan cells, and 10^5-layer or 256^2 x 3000-mode arrays,
     # refused before any of them exists
     (2, ["phase-diagram", "--steps", "100000", "--grid", "16"]),

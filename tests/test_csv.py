@@ -226,6 +226,16 @@ CSV_SWEEP = {
                               "--t-max", "1.9375", "--m-min", "-2.125", "--m-max", "1.875"],
     "phase-diagram ba 12": ["phase-diagram", "--stacking", "ba", "--steps", "12",
                             "--m-min", "-1.5", "--m-max", "2.5"],
+    "phase-diagram haldane abba 16": ["phase-diagram", "--model", "haldane", "--steps", "16",
+                                      "--t-min", "0.2", "--t-max", "1.6", "--m-min", "-2.5",
+                                      "--m-max", "2.5", "--grid", "48"],
+    "phase-diagram haldane ba N=3 12": ["phase-diagram", "--model", "haldane", "--stacking",
+                                        "ba", "--layers", "3", "--steps", "12", "--t-min", "0",
+                                        "--t-max", "2", "--m-min", "-6", "--m-max", "6"],
+    "phase-diagram abba N=3 12": ["phase-diagram", "--layers", "3", "--steps", "12"],
+    # mass columns -2, 0 and 2 lie exactly on the square-lattice closings
+    "phase-diagram ba on closings 5": ["phase-diagram", "--stacking", "ba", "--steps", "5",
+                                       "--m-min", "-2.5", "--m-max", "2.5"],
 }
 
 

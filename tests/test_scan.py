@@ -2,28 +2,26 @@
 
 phase_diagram is checked cell for cell against the dense per-cell scan
 in reference_scan.py, over stackings, layer counts, models, grids,
-windows (random ones among them), chunk sizes and thread counts: a
-bitwise-equal gap_min, and equal chern and boundary entries on every
-cell the reference certifies (on its base grid or a grid 2 or 4 times
-finer) or flags by its gap.  A cell that no grid of the reference
-certifies takes its topological charges in the scan; it must not be
-boundary and must equal the link-variable Chern number at 320^2.  The
-share of cells it computes, rather than copies from a region's
-representative, is checked on the benchmark's window shapes.  A ba scan
-is N times the scan of its mass column; its cells are also checked
-against the link-variable Chern number.  The degree kernel is checked
-against the np.cross/einsum/roll solid-angle sum it replaced, on random
-fields.
+windows (random ones among them) and chunk sizes: a bitwise-equal
+gap_min, and equal chern and boundary entries on every cell the
+reference certifies (on its base grid or a grid 2 or 4 times finer) or
+flags by its gap.  The scan takes every cell's topological charges, so a
+cell that no grid of the reference certifies must not be boundary and
+must equal the link-variable Chern number at 320^2.  Haldane scan cells
+are checked against charge_chern of their own configurations, and ba
+cells against the link-variable Chern number.  The degree kernel is
+checked against the np.cross/einsum/roll solid-angle sum it replaced, on
+random fields.
 """
 
 import functools
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from layerquench import LayeredConfig, chern_fhs, phase_diagram, topology
+from layerquench.spectra import sine_lam
 import reference_scan
 
 WINDOW = ((0.0, 2.0), (-1.0, 3.0))
@@ -54,9 +52,12 @@ def dense_reference():
     return reference_scan.phase_diagram("abba", 2, *WINDOW, 32)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
-def test_dense_abba_scan_matches_per_cell_reference(dense_reference, threads):
-    assert_same_scan(phase_diagram("abba", 2, *WINDOW, 32, threads=threads), dense_reference)
+@pytest.mark.parametrize("masses", [1, 2, 4])
+def test_dense_abba_scan_matches_per_cell_reference(dense_reference, monkeypatch, masses):
+    # gap chunks of 1, 2 and 4 masses and t blocks of as many rows (the
+    # default takes 3 of each at the grid of 48)
+    monkeypatch.setattr(topology, "SCAN_CHUNK_BYTES", masses * 2 * 48 ** 2 * 8)
+    assert_same_scan(phase_diagram("abba", 2, *WINDOW, 32), dense_reference)
 
 
 @pytest.mark.parametrize("stacking,layers,window,steps,kwargs", [
@@ -65,20 +66,19 @@ def test_dense_abba_scan_matches_per_cell_reference(dense_reference, threads):
     ("abba", 3, WINDOW, 12, {}),
     ("abba", 5, SHIFTED, 10, {}),
     ("abba", 2, ((0.0, 1.0), (0.0, 8.0)), 10, dict(model="haldane")),
-    ("ba", 2, SHIFTED, 6, dict(threads=2)),
+    ("ba", 2, SHIFTED, 6, {}),
 ])
 def test_scan_matches_per_cell_reference(stacking, layers, window, steps, kwargs):
-    threads = kwargs.pop("threads", 1)
     ref = reference_scan.phase_diagram(stacking, layers, *window, steps, **kwargs)
-    pd = phase_diagram(stacking, layers, *window, steps, threads=threads, **kwargs)
+    pd = phase_diagram(stacking, layers, *window, steps, **kwargs)
     assert_same_scan(pd, ref, kwargs.get("model", "qwz"))
 
 
 def test_refinement_retries_match_reference(monkeypatch):
     # a window hugging the mode-1 transition near (0.42, -0.1): the
     # reference certifies several cells only on a refined grid and
-    # refuses two; the scan takes the charges of every cell its base grid
-    # cannot certify, and never a finer grid
+    # refuses two; the scan takes the charges of every cell, and never a
+    # finer grid
     window = ((0.40, 0.45), (-0.15, -0.05))
     ref = reference_scan.phase_diagram("abba", 2, *window, 8)
     assert np.sum(ref[3] > 1) >= 5
@@ -95,30 +95,25 @@ def test_refinement_retries_match_reference(monkeypatch):
 
     monkeypatch.setattr(topology, "_charge_count", count)
     monkeypatch.setattr(topology, "total_chern_abba", no_finer_grid)
-    for threads in (1, 2):
-        counted.clear()
-        assert_same_scan(phase_diagram("abba", 2, *window, 8, threads=threads), ref)
-        # every cell is near here, and the base grid is the reference's first
-        assert sum(counted) == np.sum((ref[3] != 1) & (ref[1] >= topology.GAP_TOL_DEFAULT)) == 12
+    assert_same_scan(phase_diagram("abba", 2, *window, 8), ref)
+    assert sum(counted) == 64
 
 
 @pytest.mark.parametrize("cells_per_chunk", [1, 3, 4, 35])
 def test_chunk_edges_do_not_change_cells(monkeypatch, cells_per_chunk):
-    # 7 x 5 cells: chunks of 3 and 4 cells cut across rows of the scan and
-    # leave a short last chunk
+    # 7 x 5 cells: gap chunks of 3 and 4 masses (and t blocks of as many
+    # rows) leave a short last chunk, and charge blocks of 3 and 4 cells
+    # cut across rows of the scan
     ref = reference_scan.phase_diagram("abba", 2, *WINDOW, (7, 5))
-    cell_bytes = 2 * 49 ** 2 * 8
-    monkeypatch.setattr(topology, "SCAN_CHUNK_BYTES", cells_per_chunk * cell_bytes)
-    assert_same_scan(phase_diagram("abba", 2, *WINDOW, (7, 5)), ref)
-    # more workers than cores, switching threads as often as possible,
-    # all writing into the same result arrays
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        pd = phase_diagram("abba", 2, *WINDOW, (7, 5), threads=8)
-    finally:
-        sys.setswitchinterval(interval)
+    monkeypatch.setattr(topology, "SCAN_CHUNK_BYTES", cells_per_chunk * 2 * 48 ** 2 * 8)
+    pd = phase_diagram("abba", 2, *WINDOW, (7, 5))
     assert_same_scan(pd, ref)
+    lam = sine_lam(2)
+    one = topology._scan_charges("qwz", lam, pd.ts, pd.ms, 35 * 2 * topology.CHARGES_MAX * 8)
+    blocks = topology._scan_charges("qwz", lam, pd.ts, pd.ms,
+                                    cells_per_chunk * 2 * topology.CHARGES_MAX * 8)
+    for a, b in zip(one, blocks):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @st.composite
@@ -152,82 +147,16 @@ def test_random_windows_match_dense_reference(case):
                      reference_scan.phase_diagram(stacking, layers, *window, steps))
 
 
-def bench_windows(steps):
-    # the benchmark's windows: (0, 2) x (-1, 3) shifted by up to half a cell
-    for shift in (0.0, 0.17, 0.5):
-        yield ((shift * 2 / steps, 2 + shift * 2 / steps),
-               (-1 + shift * 4 / steps, 3 + shift * 4 / steps))
-
-
-def mass_column(window, steps):
-    """The abba N = 1 scan at t = 0 over the masses of a scan window."""
-    return phase_diagram("abba", 1, (0.0, 0.0), window[1], (1, steps))
-
-
-@pytest.mark.parametrize("stacking,steps,share", [("abba", 32, 0.15), ("ba", 12, 0.25)])
-def test_bench_windows_compute_few_cells(stacking, steps, share):
-    for window in bench_windows(steps):
-        pd = phase_diagram(stacking, 2, *window, steps)
-        assert 0 < pd.computed.sum() <= share * steps ** 2
-        gapless = pd.gap_min < topology.GAP_TOL_DEFAULT
-        # a gap-flagged cell takes no degree
-        assert not (pd.computed & gapless).any()
-        if stacking == "abba":
-            # a copied cell with an open gap is never boundary
-            assert not pd.boundary[~pd.computed & ~gapless].any()
-        else:
-            # a ba cell is boundary where its own gap closes or its mass
-            # column's degree is boundary
-            col = mass_column(window, steps)
-            want = (pd.gap_min < topology.GAP_TOL_DEFAULT) | col.boundary
-            assert np.array_equal(pd.boundary, want)
-
-
 @pytest.mark.parametrize("stacking", ["abba", "ba"])
 def test_haldane_scans_compute_every_cell(stacking):
-    # the triangular-lattice model has no closed-form gap closings, so
-    # every cell that takes a degree is computed: each (t, m) cell of an
-    # abba scan, and each mass of a ba scan's column, which marks one
-    # degree per column at its largest-gap cell
+    # the triangular-lattice model has no closed-form closing curves; each
+    # cell still takes its own charges, so it equals charge_chern of its
+    # configuration (a ba cell N times the monolayer count)
     pd = phase_diagram(stacking, 2, (0.0, 1.0), (0.0, 8.0), (3, 4), model="haldane")
-    if stacking == "abba":
-        assert pd.computed.all()
-    else:
-        assert np.array_equal(pd.computed.sum(axis=0), np.ones(4))
-        assert np.array_equal(np.argmax(pd.computed, axis=0), np.argmax(pd.gap_min, axis=0))
-
-
-def test_boundary_representative_computes_its_region(monkeypatch):
-    # the largest-gap cell of a label in the mass column represents its
-    # region; when neither its base grid nor its charges certify it, the
-    # rest of its region is computed cell by cell
-    window, steps = SHIFTED, 4
-    ref = reference_scan.phase_diagram("ba", 2, *window, steps)
-    pd = phase_diagram("ba", 2, *window, steps)
-    # the ms are -0.43, 0.57, 1.57 and 2.57: two columns share the strip 0 < m < 2
-    strip = (pd.ms > 0.0) & (pd.ms < 2.0)
-    assert np.array_equal(pd.computed.sum(axis=0), [1, 1, 0, 1])
-    col = mass_column(window, steps)
-    l = np.flatnonzero(strip)[np.argmax(col.gap_min[0, strip])]
-    real_cells, real_count = topology._abba_cells, topology._charge_count
-
-    def uncertified_cells(tables, t, ls):
-        chern, ok = real_cells(tables, t, ls)
-        return chern, ok & (ls != l)
-
-    def uncertifiable(model, s, m):
-        chern, margin = real_count(model, s, m)
-        return chern, np.where(m == pd.ms[l], 0.0, margin)
-
-    monkeypatch.setattr(topology, "_abba_cells", uncertified_cells)
-    monkeypatch.setattr(topology, "_charge_count", uncertifiable)
-    failed = phase_diagram("ba", 2, *window, steps)
-    assert np.array_equal(failed.computed.sum(axis=0), [1, 1, 1, 1])
-    expected = ref[2].copy()
-    expected[:, l] = True
-    assert np.array_equal(failed.boundary, expected)
-    keep = ~expected
-    assert np.array_equal(failed.chern[keep], ref[0][keep])
+    assert not pd.boundary.any()
+    for i, l in np.ndindex(pd.chern.shape):
+        cfg = LayeredConfig(stacking, 2, float(pd.ts[i]), "haldane", float(pd.ms[l]))
+        assert pd.chern[i, l] == topology.charge_chern(cfg)
 
 
 def test_ba_cell_near_a_line_matches_link_variables():
@@ -252,61 +181,53 @@ def test_haldane_ba_scan_matches_link_variables():
 
 def test_equal_labels_share_one_cell_across_the_window():
     # abba N = 2, 3 x 3 cells: the corner cells (0, 2), (2, 0) and (2, 2)
-    # lie outside all four closing circles, but no path of far cells joins
-    # them inside the window, so joining neighbours computed each of them
+    # lie outside all four closing circles, but no path of such cells
+    # joins them inside the window; each takes its own charges, and the
+    # three share the one Chern number of their label
     window = ((-1.28, 1.31), (-0.99, 2.38))
     pd = phase_diagram("abba", 2, *window, 3)
     assert_same_scan(pd, reference_scan.phase_diagram("abba", 2, *window, 3))
-    assert pd.computed.sum() == 4
-    assert [pd.computed[c] for c in ((0, 2), (2, 0), (2, 2))] == [False, False, True]
+    corners = (0, 2), (2, 0), (2, 2)
+    assert not any(pd.boundary[c] for c in corners)
+    assert len({int(pd.chern[c]) for c in corners}) == 1
 
 
-
-def test_gap_flagged_cells_are_not_computed():
+def test_gap_flagged_cells_are_not_computed(monkeypatch):
     # the one abba cell sits on the monolayer closing at m = 2, and both ba
-    # cells on the closing at m = 0, which their mass column shares
+    # cells on the closing at m = 0; a cell whose grid gap closes is
+    # boundary with chern 0 even where its charges are made to certify it
+    real_count = topology._charge_count
+
+    def certified(model, s, m):
+        return real_count(model, s, m)[0], np.full(np.shape(m), np.inf)
+
+    monkeypatch.setattr(topology, "_charge_count", certified)
     pd = phase_diagram("abba", 1, (0.0, 0.0), (2.0, 2.0), 1)
-    assert pd.gap_min[0, 0] == 0 and pd.boundary[0, 0]
-    assert not pd.computed.any()
+    assert pd.gap_min[0, 0] == 0 and pd.boundary[0, 0] and pd.chern[0, 0] == 0
     pd = phase_diagram("ba", 2, (0.3, 0.5), (-0.01, 0.01), (2, 1))
-    assert (pd.gap_min == 0).all() and pd.boundary.all()
-    assert not pd.computed.any()
-
-@st.composite
-def scan_centres(draw):
-    """Cell centres of a qwz scan window, many of them within a few
-    SCAN_MARGIN of a closing circle (w t)^2 + (m - a)^2 = 1."""
-    # the mass column of a ba scan is the abba N = 1 scan
-    layers = draw(st.one_of(st.just(1), st.integers(1, 6)))
-    closings = topology._closings(layers, "qwz")
-    k = draw(st.integers(0, len(closings[0]) - 1))
-    w, a = closings[0][k], closings[1][k]
-    phi = draw(st.floats(-np.pi, np.pi))
-    r = 1.0 + draw(st.floats(-0.1, 0.1))
-    near_circle = (r * np.sin(phi) / w if abs(w) > 1e-3 else r * np.sin(phi), a + r * np.cos(phi))
-    centre = draw(st.one_of(st.just(near_circle),
-                            st.tuples(st.floats(-3.0, 3.0), st.floats(-3.5, 3.5))))
-    half = draw(st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)))
-    steps = draw(st.tuples(st.integers(1, 30), st.integers(1, 30)))
-    ts, ms = ((c - h) + (np.arange(n) + 0.5) * 2 * h / n for c, h, n in zip(centre, half, steps))
-    return closings, ts, ms
+    assert (pd.gap_min == 0).all() and pd.boundary.all() and not pd.chern.any()
 
 
-@settings(max_examples=100, deadline=None)
-@given(scan_centres())
-def test_near_is_the_four_edge_test(case):
-    # a cell is near when an edge of its box, in the field coordinates
-    # (s, m) = (w t, m) of a closing, meets that closing's unit circle
-    closings, ts, ms = case
-    d = topology.SCAN_MARGIN
-    want = np.zeros((len(ts), len(ms)), dtype=bool)
-    m = ms[None, :]
-    for w, a in zip(*closings):
-        s = w * ts[:, None]
-        for s0, m0, s1, m1 in ((s - d, m - d, s + d, m - d), (s - d, m + d, s + d, m + d),
-                               (s - d, m - d, s - d, m + d), (s + d, m - d, s + d, m + d)):
-            want |= topology._segment_meets(a, s0, m0, s1, m1)
-    assert np.array_equal(topology._near(closings, ts, ms), want)
+@pytest.mark.parametrize("stacking", ["abba", "ba"])
+def test_cells_refused_by_their_charges_are_boundary(monkeypatch, stacking):
+    # with an open grid gap, a cell is boundary (chern 0) when a charge
+    # lies within CHARGE_FLOOR of a closing: here one mass column is made so
+    window, steps = SHIFTED, 4
+    pd = phase_diagram(stacking, 2, *window, steps)
+    assert (pd.gap_min >= topology.GAP_TOL_DEFAULT).all() and not pd.boundary.any()
+    real_count = topology._charge_count
+
+    def refused(model, s, m):
+        chern, margin = real_count(model, s, m)
+        return chern, np.where(m == pd.ms[1], 0.5 * topology.CHARGE_FLOOR, margin)
+
+    monkeypatch.setattr(topology, "_charge_count", refused)
+    failed = phase_diagram(stacking, 2, *window, steps)
+    assert failed.gap_min.tobytes() == pd.gap_min.tobytes()
+    assert np.array_equal(failed.boundary, np.arange(steps)[None, :].repeat(steps, 0) == 1)
+    assert not failed.chern[:, 1].any()
+    keep = np.arange(steps) != 1
+    assert np.array_equal(failed.chern[:, keep], pd.chern[:, keep])
 
 
 def unit_field(h):

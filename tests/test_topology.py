@@ -189,9 +189,8 @@ class TestChargeCount:
 
 
 class TestPhaseDiagram:
-    def make(self, threads=1):
-        return phase_diagram("abba", 2, (0.0, 2.0), (-1.0, 3.0), 8,
-                             threads=threads)
+    def make(self):
+        return phase_diagram("abba", 2, (0.0, 2.0), (-1.0, 3.0), 8)
 
     def test_cell_centres(self):
         pd = self.make()
@@ -209,23 +208,16 @@ class TestPhaseDiagram:
             assert pd.chern[i, l] == expected
         assert np.all(pd.gap_min[~pd.boundary] > 0)
 
-    def test_threads_do_not_change_results(self):
-        a = self.make()
-        b = self.make(threads=4)
-        assert np.array_equal(a.chern, b.chern)
-        assert np.array_equal(a.boundary, b.boundary)
-        assert np.array_equal(a.gap_min, b.gap_min)
-
 
 class TestTransitionCurves:
     def test_curve_count_and_range(self):
         # both N=2 modes shift sin kx by -+t and share the closings
         # t^2 + (m -+ 1)^2 = 1, so they exist up to t=1
-        w, a = topology._closings(2, "qwz")
+        w, a = topology._closings(2)
         assert np.allclose(np.abs(w), 1.0)
         assert sorted(a) == [-1.0, 1.0]
         for layers in range(1, 7):
-            w, a = topology._closings(layers, "qwz")
+            w, a = topology._closings(layers)
             # modes r <= (N + 1) / 2 and N + 1 - r share a circle per sign of cos ky
             pairs = 2 * np.cos(sine_modes(layers).theta[:(layers + 1) // 2])
             assert np.allclose(np.sort(np.abs(w)), np.sort(np.abs(pairs).repeat(2)))
@@ -236,7 +228,7 @@ class TestTransitionCurves:
         # the gap of the mode with 2 cos(theta_r) = w at (kx, ky), cos ky = a
         for layers in (2, 3, 4):
             shifts = 2 * np.cos(sine_modes(layers).theta)
-            for w, a in zip(*topology._closings(layers, "qwz")):
+            for w, a in zip(*topology._closings(layers)):
                 r = np.flatnonzero(np.isclose(shifts, w))
                 assert len(r) == 1
                 # the middle mode of an odd stack closes at any t, for sin kx = 0
@@ -305,10 +297,11 @@ class TestInputFloors:
         def no_field(*args):
             raise AssertionError("field evaluated before the memory check")
 
-        # 1001^2 periodic nodes x 50 modes x 17 float arrays of a one-cell chunk: 7.1 GB
+        # 1000^2 nodes x 50 modes x SCAN_GAP_BYTES of a one-mass gap chunk,
+        # and NODE_BYTES a node: 1.9 GB
         monkeypatch.setattr(topology, "monolayer_field", no_field)
         monkeypatch.setattr(models.LatticeField, "component", no_field)
-        with pytest.raises(UsageError, match="1002001 momenta x 50 mode fields need 7.1 GB"):
+        with pytest.raises(UsageError, match="1000000 momenta x 50 mode fields need 1.9 GB"):
             phase_diagram("abba", 50, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=1000)
 
     def test_chern_fhs_bounds_the_stack_before_the_nodes_exist(self, monkeypatch):
@@ -335,13 +328,13 @@ class TestInputFloors:
 
         # a scan takes no grid finer than its own: at 600 it reaches the
         # field (it was refused for retries at 2400, 2401^2 x
-        # DEGREE_NODE_BYTES = 1.2 GB), and at 1600 its one-cell chunk,
-        # 1601^2 nodes x (SCAN_MODE_BYTES + NODE_BYTES), is refused first
+        # DEGREE_NODE_BYTES = 1.2 GB), and at 2000 its one-mass gap chunk,
+        # 2000^2 nodes x (SCAN_GAP_BYTES + NODE_BYTES), is refused first
         monkeypatch.setattr(models.LatticeField, "component", no_field)
         with pytest.raises(AssertionError, match="field evaluated"):
             phase_diagram("abba", 1, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=600)
-        with pytest.raises(UsageError, match="2563201 momenta x 1 mode fields need 1.0 GB"):
-            phase_diagram("abba", 1, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=1600)
+        with pytest.raises(UsageError, match="4000000 momenta x 1 mode fields need 1.2 GB"):
+            phase_diagram("abba", 1, (0.0, 2.0), (-1.0, 3.0), 2, grid_n=2000)
 
     @pytest.mark.parametrize("model", ["qwz", "haldane"])
     @pytest.mark.parametrize("n", [16, 40])
@@ -357,20 +350,20 @@ class TestInputFloors:
         assert 0.5 * counted < peak <= counted
 
     def test_scan_peak_is_within_the_counted_bytes(self):
-        # 2000 masses at 64^2: h3 is taken per chunk, so the peak stays
-        # within the cells and one chunk's mode arrays (it was 135 MB with
-        # an h3 and an h3^2 table over every mass)
-        n, sm = 64, 2000
+        # 2000 masses at 16^2: h3 is taken per chunk, so the peak stays
+        # within the cells, the nodes and one gap chunk's mode arrays (an
+        # h3 and an h3^2 table over every mass would hold 8.2 MB here).
+        # At 64^2 the scan's nodes hold far less than NODE_BYTES, which
+        # then makes up most of the count
+        n, sm = 16, 2000
         tracemalloc.start()
         try:
             phase_diagram("abba", 1, (0.0, 0.0), (-1.0, 3.0), (1, sm), grid_n=n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        words = 8 + 3 * len(topology._closings(1, "qwz")[0])
-        per = topology.SCAN_CHUNK_BYTES // ((n + 1) ** 2 * 8)
-        counted = 8 * words * sm + models.mode_bytes((n + 1) ** 2, 1,
-                                                     per * topology.SCAN_MODE_BYTES)
+        per = topology.SCAN_CHUNK_BYTES // (n ** 2 * 8)
+        counted = 64 * sm + models.mode_bytes(n ** 2, 1, per * topology.SCAN_GAP_BYTES)
         assert 0.5 * counted < peak <= counted
 
     def test_long_t_scan_peak_is_within_the_counted_bytes(self):
@@ -383,10 +376,8 @@ class TestInputFloors:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        words = 8 + 3 * len(topology._closings(1, "qwz")[0])
-        per = topology.SCAN_CHUNK_BYTES // ((n + 1) ** 2 * 8)
-        counted = 8 * words * st + models.mode_bytes((n + 1) ** 2, 1,
-                                                     per * topology.SCAN_MODE_BYTES)
+        per = topology.SCAN_CHUNK_BYTES // (n ** 2 * 8)
+        counted = 64 * st + models.mode_bytes(n ** 2, 1, per * topology.SCAN_GAP_BYTES)
         assert peak <= counted
 
     def test_floor_grid_is_accepted(self):
