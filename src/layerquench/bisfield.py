@@ -22,8 +22,8 @@ from .errors import (DegenerateFieldError, NonQuantizedWindingError, SingularPoi
 from .models import LatticeField, monolayer_component, monolayer_components, require_mode_size
 # unused here, but the traced benchmark run (perfbench/jobs.py) wraps it in this module
 from .models import monolayer_field
-from .quench import (SINGULAR_E2, gtasp_abba, gtasp_of_field, singular_field_mask,
-                     tasp_closed_form, tasp_of_field)
+from .quench import (SINGULAR_E2, gtasp_abba, gtasp_of_field, require_axis,
+                     singular_field_mask, tasp_closed_form, tasp_of_field)
 from .spectra import sine_lam
 
 # tracked component pair (zero-based) for each quench axis: the two
@@ -193,6 +193,7 @@ def _node_lattice(cfg, j, observable, resolution):
     node.  The per-mode arrays of sampling (SAMPLE_MODE_BYTES) are bounded
     before the field exists.
     """
+    require_axis(j)
     nx, ny = _resolution(resolution)
     lattice = LatticeField(cfg.model, nx, ny)
     require_mode_size(nx * ny, cfg.layers, SAMPLE_MODE_BYTES[cfg.stacking])

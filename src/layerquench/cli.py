@@ -1,11 +1,13 @@
 """Command-line front end.
 
 Subcommands: tasp, bis, winding, phase-diagram, chern, estimate-t,
-selftest.  Options resolve in three layers: built-in defaults, then a
-key=value config file (--config), then explicit flags.  All output is
-deterministic: floats are written as "%.17g" (floattext.g17 for CSV
-columns), line endings are LF, JSON keys are sorted and no timestamps
-are embedded, so identical configurations give byte-identical files.
+selftest.  Each takes only the options it reads (OPTIONS) and the global
+--config, --out and --threads.  Options resolve in three layers: built-in
+defaults, then a key=value config file (--config), then explicit flags.
+All output is deterministic: floats are written as "%.17g"
+(floattext.g17 for CSV columns), line endings are LF, JSON keys are
+sorted and no timestamps are embedded, so identical configurations give
+byte-identical files.
 
 Exit codes: 0 success, 1 numerical failure, 2 usage error.
 """
@@ -17,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,43 +32,116 @@ from .errors import (GaplessError, InconsistentInvariantError, LayerQuenchError,
 from .floattext import WIDTH, g17
 from .hopping import (ba_gapped_magnitudes, ba_reference_magnitudes, estimate_t_abba,
                       estimate_t_ba)
-from .models import LayeredConfig
-from .quench import tasp_closed_form, time_averaged_expectation, mixed_state, global_observable
+from .models import MODELS, STACKINGS, LayeredConfig
+from .quench import (global_observable, mixed_state, require_axis, tasp_closed_form,
+                     time_averaged_expectation)
 from .topology import (charge_chern, chern_fhs, half_filling_degree, phase_diagram,
                        require_degree_size)
 # unused here, but the traced benchmark run (perfbench/jobs.py) wraps it in this module
 from .topology import total_chern_abba
 
-# option name -> (type, default); the single source of truth for config
-# file keys, flag resolution and manifest echo
-OPTIONS = {
-    "model": (str, "qwz"),
-    "m": (float, 1.0),
-    "stacking": (str, "abba"),
-    "layers": (int, 2),
-    "t": (float, 0.4),
-    "axis": (int, 3),
-    "observable": (str, "global"),
-    "grid": (str, "256"),
-    "out": (str, "."),
-    "tol_bis": (float, 1e-6),
-    # accepted and checked (>= 1) but selects nothing: no command runs worker
-    # threads.  The benchmark's cli jobs (perfbench/jobs.py) still pass it;
-    # it goes once they no longer do
-    "threads": (int, 1),
-    "delta": (float, 1e-4),
-    "t_min": (float, 0.0),
-    "t_max": (float, 2.0),
-    "m_min": (float, -1.0),
-    "m_max": (float, 3.0),
-    "steps": (int, 16),
-    "filled": (int, None),
-    "true_t": (float, None),
+
+def parse_grid(spec):
+    """'256' -> (256, 256); '256x128' -> (256, 128)."""
+    s = str(spec).lower()
+    try:
+        if "x" in s:
+            nx, ny = s.split("x", 1)
+            return int(nx), int(ny)
+        n = int(s)
+        return n, n
+    except ValueError:
+        raise UsageError(f"cannot parse grid spec {spec!r}")
+
+
+def parse_observable(spec):
+    """'global' | 'subspace:R' -> observable tuple."""
+    parts = str(spec).split(":")
+    if parts[0] == "global":
+        if len(parts) != 1:
+            raise UsageError("observable 'global' takes no index")
+        return ("global",)
+    if parts[0] == "subspace":
+        if len(parts) != 2:
+            raise UsageError("observable 'subspace' needs an index, e.g. subspace:1")
+        try:
+            r = int(parts[1])
+        except ValueError:
+            raise UsageError(f"bad observable index {parts[1]!r}")
+        return ("subspace", r)
+    raise UsageError(f"unknown observable kind {parts[0]!r}")
+
+
+def _threads(n):
+    if n < 1:
+        raise UsageError("threads must be >= 1")
+
+
+def _sample(text):
+    """'s1=0.41' -> ('s1', 0.41)."""
+    key, _, val = text.partition("=")
+    try:
+        return key.strip(), float(val)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE with a number VALUE, got {text!r}")
+
+
+COMMANDS = {
+    "tasp": "sample the time-averaged spin polarization on a grid",
+    "bis": "extract band-inversion contours with fields and windings",
+    "winding": "winding report only",
+    "phase-diagram": "Chern scan over (t, m)",
+    "chern": "lattice Chern number",
+    "estimate-t": "interlayer hopping estimate",
+    "selftest": "quick internal consistency battery",
 }
+EVERY = tuple(COMMANDS)
+FIELD = ("tasp", "bis", "winding")  # the commands that sample a quench field
+STACK = FIELD + ("phase-diagram", "chern", "estimate-t")  # the commands that build a stack
 
 
-def _fmt(x):
-    return "%.17g" % float(x)
+class Option(NamedTuple):
+    """An option: the flag --name (dashes for underscores) and config key name."""
+
+    type: object  # reads the text of a flag or a config value
+    default: object
+    commands: tuple  # the commands that read it
+    help: str
+    choices: tuple = None
+    check: object = None  # called on the resolved value; raises UsageError to refuse it
+    # "echo": a config key the manifest's config records; "quiet": a config key
+    # it leaves out; "flag": a flag alone; "repeat": a repeatable flag alone
+    kind: str = "echo"
+
+
+# the one list of option names, types and defaults
+OPTIONS = {
+    "config": Option(str, None, EVERY, "key=value config file", kind="flag"),
+    "out": Option(str, ".", EVERY, "output directory", kind="quiet"),
+    # checked, but selects nothing: no command runs worker threads.  It goes
+    # once the benchmark's cli jobs (perfbench/jobs.py) no longer pass it
+    "threads": Option(int, 1, EVERY, "accepted (>= 1); selects nothing", check=_threads,
+                      kind="quiet"),
+    "model": Option(str, "qwz", STACK, "monolayer model", choices=MODELS),
+    "m": Option(float, 1.0, FIELD + ("chern", "estimate-t"), "monolayer mass"),
+    "stacking": Option(str, "abba", STACK, "stacking pattern", choices=STACKINGS),
+    "layers": Option(int, 2, STACK, "number of layers N"),
+    "t": Option(float, 0.4, FIELD + ("chern",), "interlayer hopping"),
+    "axis": Option(int, 3, FIELD + ("estimate-t",), "quench axis 1, 2 or 3", check=require_axis),
+    "observable": Option(str, "global", FIELD, "global | subspace:R", check=parse_observable),
+    "grid": Option(str, "256", STACK, "resolution, N or NXxNY", check=parse_grid),
+    "tol_bis": Option(float, 1e-6, ("bis", "winding"), "residual bound of a kept contour"),
+    "delta": Option(float, 1e-4, ("bis", "winding"), "normal step for the dynamical field"),
+    "t_min": Option(float, 0.0, ("phase-diagram",), "lowest t of the scan", kind="quiet"),
+    "t_max": Option(float, 2.0, ("phase-diagram",), "highest t of the scan", kind="quiet"),
+    "m_min": Option(float, -1.0, ("phase-diagram",), "lowest m of the scan", kind="quiet"),
+    "m_max": Option(float, 3.0, ("phase-diagram",), "highest m of the scan", kind="quiet"),
+    "steps": Option(int, 16, ("phase-diagram",), "cells per scan axis", kind="quiet"),
+    "filled": Option(int, None, ("chern",), "number of filled bands (default N)", kind="quiet"),
+    "true_t": Option(float, None, ("estimate-t",), "hidden t of synthetic data", kind="quiet"),
+    "sample": Option(_sample, None, ("estimate-t",), "ba magnitude, e.g. s1=0.41; repeatable",
+                     kind="repeat"),
+}
 
 
 # rows are assembled and written in blocks of about this many bytes.  On a
@@ -161,8 +237,9 @@ def _write_json(path, obj):
         f.write("\n")
 
 
-def read_config_file(path):
-    """Parse a key=value config file; blank lines and # comments ignored."""
+def read_config_file(path, command):
+    """{key: value} of the options command reads in a key=value config file;
+    blank lines, # comments and the keys of other commands are ignored."""
     out = {}
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -177,46 +254,33 @@ def read_config_file(path):
             raise UsageError(f"{path}:{ln}: expected key=value, got {raw.strip()!r}")
         key, val = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in OPTIONS:
+        opt = OPTIONS.get(key)
+        if opt is None or opt.kind in ("flag", "repeat"):
             raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
-        typ = OPTIONS[key][0]
+        if command not in opt.commands:
+            continue
         try:
-            out[key] = typ(val)
+            out[key] = opt.type(val)
         except ValueError:
-            raise UsageError(f"{path}:{ln}: cannot parse {val!r} as {typ.__name__}")
+            raise UsageError(f"{path}:{ln}: cannot parse {val!r} as {opt.type.__name__}")
     return out
 
 
 def resolve_options(args):
-    """Merge defaults, config file and flags (flags win); returns a dict."""
-    fromfile = read_config_file(args.config) if getattr(args, "config", None) else {}
+    """The options args.command reads, {name: value}: a flag wins over the
+    config file, which wins over the default.  Every value, from either
+    source, goes through its option's choices and check."""
+    fromfile = read_config_file(args.config, args.command) if args.config else {}
     opts = {}
-    for key, (_, default) in OPTIONS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            opts[key] = flag
-        elif key in fromfile:
-            opts[key] = fromfile[key]
-        else:
-            opts[key] = default
-    if opts["threads"] < 1:
-        raise UsageError("threads must be >= 1")
-    if opts["axis"] not in (1, 2, 3):
-        raise UsageError("axis must be 1, 2 or 3")
+    for name, opt in OPTIONS.items():
+        if args.command in opt.commands:
+            value = getattr(args, name)
+            value = opts[name] = fromfile.get(name, opt.default) if value is None else value
+            if opt.choices and value not in opt.choices:
+                raise UsageError(f"{name} must be one of {', '.join(opt.choices)}, not {value!r}")
+            if opt.check:
+                opt.check(value)
     return opts
-
-
-def parse_grid(spec):
-    """'256' -> (256, 256); '256x128' -> (256, 128)."""
-    s = str(spec).lower()
-    try:
-        if "x" in s:
-            nx, ny = s.split("x", 1)
-            return int(nx), int(ny)
-        n = int(s)
-        return n, n
-    except ValueError:
-        raise UsageError(f"cannot parse grid spec {spec!r}")
 
 
 def square_grid(spec):
@@ -227,33 +291,13 @@ def square_grid(spec):
     return nx
 
 
-def parse_observable(spec):
-    """'global' | 'subspace:R' -> observable tuple."""
-    parts = str(spec).split(":")
-    if parts[0] == "global":
-        if len(parts) != 1:
-            raise UsageError("observable 'global' takes no index")
-        return ("global",)
-    if parts[0] == "subspace":
-        if len(parts) != 2:
-            raise UsageError("observable 'subspace' needs an index, e.g. subspace:1")
-        try:
-            r = int(parts[1])
-        except ValueError:
-            raise UsageError(f"bad observable index {parts[1]!r}")
-        return ("subspace", r)
-    raise UsageError(f"unknown observable kind {parts[0]!r}")
-
-
 def layered_config(opts):
     return LayeredConfig(stacking=opts["stacking"], layers=opts["layers"],
                          t=opts["t"], model=opts["model"], m=opts["m"])
 
 
 def _manifest(command, opts, extra):
-    # the options that shape a command's results; threads selects nothing
-    echo = {k: opts[k] for k in ("model", "m", "stacking", "layers", "t", "axis",
-                                 "observable", "grid", "tol_bis")}
+    echo = {k: v for k, v in opts.items() if OPTIONS[k].kind == "echo"}
     obj = {"command": command, "config": echo, "version": __version__}
     obj.update(extra)
     return obj
@@ -403,39 +447,33 @@ def cmd_chern(opts):
     return 0
 
 
-def cmd_estimate_t(opts, samples):
+def cmd_estimate_t(opts):
+    ba = opts["stacking"] == "ba"
+    if opts["sample"] and not ba:
+        raise UsageError("--sample takes ba magnitudes; it needs --stacking ba")
+    # hopping's reference magnitudes are those of square-lattice stacks
+    if ba and opts["model"] != "qwz":
+        raise UsageError(f"ba estimates take the qwz model, not {opts['model']!r}")
     out = _outdir(opts, "estimate.json")
-    if samples:
-        parsed = {}
-        for item in samples:
-            if "=" not in item:
-                raise UsageError(f"--sample expects name=value, got {item!r}")
-            key, val = item.split("=", 1)
-            try:
-                parsed[key.strip()] = float(val)
-            except ValueError:
-                raise UsageError(f"cannot parse sample value {val!r}")
-        est = estimate_t_ba(parsed, m=opts["m"], layers=opts["layers"], j=opts["axis"])
-        extra = {"samples": {k: parsed[k] for k in sorted(parsed)}}
-    elif opts["true_t"] is not None:
-        hidden = float(opts["true_t"])
-        if opts["stacking"] == "abba":
-            cfg = LayeredConfig(stacking="abba", layers=opts["layers"], t=hidden,
-                                model=opts["model"], m=opts["m"])
-            est = estimate_t_abba(cfg, parse_grid(opts["grid"]), j=opts["axis"])
-        else:
-            if hidden < 0:
-                raise UsageError(f"--true-t {hidden!r} is negative; ba magnitudes are even in t, "
-                                 f"so only t >= 0 can be recovered")
-            mags = ba_gapped_magnitudes(hidden, m=opts["m"], layers=opts["layers"],
-                                        j=opts["axis"])
-            est = estimate_t_ba(mags, m=opts["m"], layers=opts["layers"], j=opts["axis"])
-        extra = {"true_t": hidden, "error": abs(est.t_hat - hidden)}
-    else:
+    hidden, ba_stack = opts["true_t"], {"m": opts["m"], "layers": opts["layers"], "j": opts["axis"]}
+    if opts["sample"]:
+        samples = dict(sorted(dict(opts["sample"]).items()))
+        est, extra = estimate_t_ba(samples, **ba_stack), {"samples": samples}
+    elif hidden is None:
         raise UsageError("estimate-t needs either --sample entries or --true-t")
+    else:
+        if not ba:
+            est = estimate_t_abba(layered_config({**opts, "t": hidden}), parse_grid(opts["grid"]),
+                                  j=opts["axis"])
+        elif hidden < 0:
+            raise UsageError(f"--true-t {hidden!r} is negative; ba magnitudes are even in t, "
+                             f"so only t >= 0 can be recovered")
+        else:
+            est = estimate_t_ba(ba_gapped_magnitudes(hidden, **ba_stack), **ba_stack)
+        extra = {"true_t": hidden, "error": abs(est.t_hat - hidden)}
     extra.update({"t_hat": est.t_hat, "method": est.method, "residual": est.residual})
     _write_json(os.path.join(out, "estimate.json"), _manifest("estimate-t", opts, extra))
-    print(f"t_hat = {_fmt(est.t_hat)} ({est.method}, residual {_fmt(est.residual)})")
+    print("t_hat = %.17g (%s, residual %.17g)" % (est.t_hat, est.method, est.residual))
     return 0
 
 
@@ -491,78 +529,39 @@ def cmd_selftest(opts):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Refuse with one line on stderr, in place of the usage block (exit 2)."""
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser():
-    """The argument parser, built on the first call and reused: argparse
-    keeps no state of a parse in it (parse_args makes a fresh namespace,
-    and --sample, the one appending option, starts from no list)."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="key=value config file")
-    common.add_argument("--model", choices=("qwz", "haldane"))
-    common.add_argument("--m", type=float)
-    common.add_argument("--stacking", choices=("abba", "ba"))
-    common.add_argument("--layers", type=int)
-    common.add_argument("--t", type=float)
-    common.add_argument("--axis", type=int, help="quench axis j (1, 2 or 3)")
-    common.add_argument("--observable", help="global | subspace:R")
-    common.add_argument("--grid", help="resolution, N or NXxNY")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--tol-bis", dest="tol_bis", type=float)
-    common.add_argument("--threads", type=int, help="accepted (>= 1); selects nothing")
-    common.add_argument("--delta", type=float, help="normal step for the dynamical field")
-
-    p = argparse.ArgumentParser(prog="layerquench",
-                                description="Quench dynamics of layered two-band stacks")
+    """The argument parser, built from OPTIONS on the first call and reused:
+    argparse keeps no state of a parse in it (parse_args makes a fresh
+    namespace, and --sample, the one appending option, starts from no list).
+    Flags match only in full, so --t cannot stand for selftest's --threads."""
+    p = _Parser(prog="layerquench", description="Quench dynamics of layered two-band stacks")
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("tasp", parents=[common],
-                   help="sample the time-averaged spin polarization on a grid")
-    sub.add_parser("bis", parents=[common],
-                   help="extract band-inversion contours with fields and windings")
-    sub.add_parser("winding", parents=[common], help="winding report only")
-    pd = sub.add_parser("phase-diagram", parents=[common], help="Chern scan over (t, m)")
-    pd.add_argument("--t-min", dest="t_min", type=float)
-    pd.add_argument("--t-max", dest="t_max", type=float)
-    pd.add_argument("--m-min", dest="m_min", type=float)
-    pd.add_argument("--m-max", dest="m_max", type=float)
-    pd.add_argument("--steps", type=int)
-    ch = sub.add_parser("chern", parents=[common], help="lattice Chern number")
-    ch.add_argument("--filled", type=int, help="number of filled bands (default N)")
-    et = sub.add_parser("estimate-t", parents=[common], help="interlayer hopping estimate")
-    et.add_argument("--true-t", dest="true_t", type=float,
-                    help="self-generate synthetic data from this hidden t")
-    et.add_argument("--sample", action="append", metavar="NAME=VALUE",
-                    help="measured magnitude, e.g. s1=0.41 (repeatable)")
-    sub.add_parser("selftest", parents=[common], help="quick internal consistency battery")
+    for command, text in COMMANDS.items():
+        sp = sub.add_parser(command, help=text, allow_abbrev=False)
+        for name, opt in OPTIONS.items():
+            if command in opt.commands:
+                sp.add_argument("--" + name.replace("_", "-"), dest=name, type=opt.type,
+                                choices=opt.choices, help=opt.help,
+                                action="append" if opt.kind == "repeat" else "store")
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        opts = resolve_options(args)
-        if args.command == "tasp":
-            return cmd_tasp(opts)
-        if args.command == "bis":
-            return cmd_bis(opts)
-        if args.command == "winding":
-            return cmd_winding(opts)
-        if args.command == "phase-diagram":
-            return cmd_phase_diagram(opts)
-        if args.command == "chern":
-            return cmd_chern(opts)
-        if args.command == "estimate-t":
-            return cmd_estimate_t(opts, getattr(args, "sample", None))
-        if args.command == "selftest":
-            return cmd_selftest(opts)
-        raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, UnsupportedStackingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # looked up by name, so a command the traced benchmark run wraps is called
+        return globals()["cmd_" + args.command.replace("-", "_")](resolve_options(args))
     except LayerQuenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (UsageError, UnsupportedStackingError)) else 1
     except OSError as exc:
         # the config file is read in resolve_options, which reports its own
         # errors, so what fails here is creating or writing an output

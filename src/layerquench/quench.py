@@ -26,10 +26,18 @@ def _require_gap(e2, cfg):
         raise SingularPointError(f"gap closes (E=0) for {cfg} at sample index {at}")
 
 
-@lru_cache(maxsize=16)
+def require_axis(j):
+    """Raise UsageError unless j is a quench axis: the integer 1, 2 or 3."""
+    if isinstance(j, bool) or not isinstance(j, (int, np.integer)) or j not in (1, 2, 3):
+        raise UsageError(f"quench axis must be 1, 2 or 3, got {j!r}")
+
+
+# typed, so that 3.0 or True is checked, not served the entry of 3 or 1
+@lru_cache(maxsize=16, typed=True)
 def mixed_state(N, j):
     """Fully layer-mixed, spin-polarized density matrix (1/N) (x) (1 - s_j)/2,
     read-only and built once per (N, j)."""
+    require_axis(j)
     rho = np.kron(np.eye(N) / N, 0.5 * (np.eye(2) - PAULI[j - 1]))
     rho.flags.writeable = False
     return rho
@@ -40,6 +48,7 @@ def pure_state(c, j):
 
     c is a complex layer amplitude vector; it is normalized here.
     """
+    require_axis(j)
     c = np.asarray(c, dtype=complex)
     c = c / np.linalg.norm(c)
     psi = np.kron(c, np.linalg.eigh(PAULI[j - 1])[1][:, 0])
@@ -221,6 +230,7 @@ def tasp_of_field(h, cfg, j, component=None):
     The abba mode sum adds h_r^i h_r^j / E_r^2 in mode order from +0.0,
     negated after the sum, which keeps the sign of zeros.
     """
+    require_axis(j)
     if cfg.stacking != "abba":
         col = _ba_column(h, cfg, j)
         if component is not None:
@@ -255,6 +265,7 @@ def gtasp_of_field(h, cfg, j, r=None, component=None):
     """gtasp_abba at monolayer field components h = (h1, h2, h3); mode r
     and component alone are computed when given, bit for bit, but every
     mode's gap is checked."""
+    require_axis(j)
     if cfg.stacking != "abba":
         raise UnsupportedStackingError("subsystem fields require the abba stacking")
     if r is not None and not 1 <= r <= cfg.layers:

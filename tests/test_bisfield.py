@@ -402,6 +402,15 @@ class TestWinding:
 
 
 class TestCharacterize:
+    @pytest.mark.parametrize("j", [0, -1, 4, 5])
+    def test_bad_quench_axis_is_a_usage_error(self, j):
+        # axis 0 gave total_w 0, and 4 or 5 an IndexError
+        cfg = LayeredConfig("abba", 2, 0.4)
+        with pytest.raises(UsageError, match="quench axis must be 1, 2 or 3"):
+            characterize(cfg, j, 64)
+        with pytest.raises(UsageError, match="quench axis must be 1, 2 or 3"):
+            sample_grid(cfg, j, resolution=32)
+
     def test_bilayer_summary(self):
         cfg = LayeredConfig("abba", 2, 0.4)
         result = characterize(cfg, resolution=128)

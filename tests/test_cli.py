@@ -1,6 +1,9 @@
 """End-to-end tests of the command line driver (in-process, no subprocess)."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +106,26 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             run("tasp", "--stacking", "zz")
         assert exc.value.code == 2
+
+    def test_keys_of_other_commands_are_ignored(self, tmp_path):
+        # steps is read by phase-diagram and tol_bis by bis and winding alone;
+        # neither value is parsed, checked or echoed by tasp
+        cfgfile = tmp_path / "run.conf"
+        cfgfile.write_text("t = 0.7\nsteps = x\ntol_bis = nan\ngrid = 16\n")
+        assert run("tasp", "--config", cfgfile, "--out", tmp_path / "out") == 0
+        config = load_json(tmp_path / "out" / "tasp_manifest.json")["config"]
+        assert config["t"] == 0.7 and config["grid"] == "16"
+        assert "steps" not in config and "tol_bis" not in config
+
+    @pytest.mark.parametrize("line", ["axis = 0", "model = foo", "stacking = zz", "threads = 0",
+                                      "grid = 12q", "observable = orbit:1", "layers = x"])
+    def test_file_values_take_the_flag_checks(self, tmp_path, capsys, line):
+        cfgfile = tmp_path / "run.conf"
+        cfgfile.write_text(line + "\n")
+        assert run("tasp", "--config", cfgfile, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestModeIndex:
@@ -450,6 +473,11 @@ EXIT_SWEEP = [
     (1, ["estimate-t", "--stacking", "ba", "--sample", "s3=0.3", "--m", "2"]),
     # synthetic data leaves out the s3 channel there and recovers t from s1 and s2
     (0, ["estimate-t", "--stacking", "ba", "--true-t", "0.4", "--m", "2"]),
+    # ba data are square-lattice magnitudes: --sample needs --stacking ba,
+    # and both ba paths the qwz model
+    (2, ["estimate-t", "--sample", "s1=0.3"]),
+    (2, ["estimate-t", "--stacking", "ba", "--true-t", "0.4", "--model", "haldane"]),
+    (2, ["estimate-t", "--stacking", "ba", "--sample", "s1=0.3", "--model", "haldane"]),
     # lattices of 10^11 nodes and more, refused before any node array exists
     (2, ["tasp", "--grid", "99999999999"]),
     (2, ["bis", "--grid", "400000x400000"]),
@@ -500,3 +528,128 @@ def test_selftest_battery(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+# the options each command takes besides --config, --out and --threads; a
+# command takes only what it reads
+OPTIONS_READ = {
+    "tasp": ["model", "m", "stacking", "layers", "t", "axis", "observable", "grid"],
+    "bis": ["model", "m", "stacking", "layers", "t", "axis", "observable", "grid", "tol-bis",
+            "delta"],
+    "winding": ["model", "m", "stacking", "layers", "t", "axis", "observable", "grid",
+                "tol-bis", "delta"],
+    "phase-diagram": ["model", "stacking", "layers", "grid", "t-min", "t-max", "m-min", "m-max",
+                      "steps"],
+    "chern": ["model", "m", "stacking", "layers", "t", "grid", "filled"],
+    "estimate-t": ["model", "m", "stacking", "layers", "axis", "grid", "true-t", "sample"],
+    "selftest": [],
+}
+
+# flags that other commands read, per command that does not read them, a
+# valid value for each flag, and a cheap run of each command
+DROPPED = {
+    "tasp": ["tol-bis", "delta"],
+    "phase-diagram": ["m", "t", "axis", "observable", "tol-bis", "delta"],
+    "chern": ["axis", "observable", "tol-bis", "delta"],
+    "estimate-t": ["t", "observable", "tol-bis", "delta"],
+    "selftest": ["model", "m", "stacking", "layers", "t", "axis", "observable", "grid", "tol-bis",
+                 "delta"],
+}
+VALUES = {"model": "qwz", "m": "1", "stacking": "abba", "layers": "2", "t": "0.4", "axis": "3",
+          "observable": "global", "grid": "256", "tol-bis": "1e-6", "delta": "1e-4"}
+BASE = {"tasp": ["--grid", "16"], "phase-diagram": ["--steps", "2", "--grid", "16"],
+        "chern": ["--grid", "16"], "estimate-t": ["--true-t", "0.4", "--grid", "64"],
+        "selftest": []}
+
+
+def subparsers():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_command_takes_the_options_it_reads():
+    for command, sub in subparsers().items():
+        flags = [s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")]
+        read = [f"--{o}" for o in OPTIONS_READ[command]]
+        assert flags == ["--config", "--out", "--threads"] + read
+    assert list(subparsers()) == list(OPTIONS_READ)
+
+
+@pytest.mark.parametrize("command, flag",
+                         [(c, f) for c, flags in DROPPED.items() for f in flags])
+def test_options_a_command_does_not_read_are_refused(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        run(command, *BASE[command], f"--{flag}", VALUES[flag], "--out", tmp_path)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: unrecognized arguments: --{flag} {VALUES[flag]}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["tasp", "--layers", "x"],
+    ["tasp", "--foo", "1"],
+    ["tasp", "--stacking", "zz"],
+    ["tasp", "--tol-deg", "1e-9"],
+    ["estimate-t", "--stacking", "ba", "--sample", "s1"],
+    # a prefix names no flag
+    ["selftest", "--t", "1"],
+])
+def test_argparse_refusals_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["chern", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(*argv)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: layerquench") or out.startswith("layerquench ")
+
+
+def _finite_only(name):
+    raise ValueError(f"non-finite constant {name} in a manifest")
+
+
+# (argv, manifest, the keys of its config): the options the command reads,
+# less the globals and those recorded under manifest keys of their own
+MANIFESTS = [
+    (["tasp", "--grid", "16"], "tasp_manifest.json",
+     {"model", "m", "stacking", "layers", "t", "axis", "observable", "grid"}),
+    (["bis", "--grid", "64"], "bis_summary.json",
+     {"model", "m", "stacking", "layers", "t", "axis", "observable", "grid", "tol_bis", "delta"}),
+    (["winding", "--grid", "64"], "winding.json",
+     {"model", "m", "stacking", "layers", "t", "axis", "observable", "grid", "tol_bis", "delta"}),
+    (["phase-diagram", "--steps", "2", "--grid", "16"], "phase_manifest.json",
+     {"model", "stacking", "layers", "grid"}),
+    (["chern", "--grid", "16"], "chern.json", {"model", "m", "stacking", "layers", "t", "grid"}),
+    (["chern", "--grid", "32", "--filled", "4"], "chern.json",
+     {"model", "m", "stacking", "layers", "t", "grid"}),
+    (["estimate-t", "--true-t", "0.4", "--grid", "64"], "estimate.json",
+     {"model", "m", "stacking", "layers", "axis", "grid"}),
+    (["estimate-t", "--stacking", "ba", "--true-t", "0.4"], "estimate.json",
+     {"model", "m", "stacking", "layers", "axis", "grid"}),
+    (["estimate-t", "--stacking", "ba", "--sample", "s1=0.3"], "estimate.json",
+     {"model", "m", "stacking", "layers", "axis", "grid"}),
+]
+
+
+@pytest.mark.parametrize("argv, name, keys", MANIFESTS, ids=[" ".join(a) for a, _, _ in MANIFESTS])
+def test_manifest_config_echoes_the_options_read(tmp_path, argv, name, keys):
+    assert run(*argv, "--threads", "2", "--out", tmp_path) == 0
+    manifest = json.loads((tmp_path / name).read_text(), parse_constant=_finite_only)
+    assert set(manifest["config"]) == keys
+    assert manifest["command"] == argv[0]
+
+
+def test_readme_lists_each_commands_options():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", section, re.M))
+    assert {c: re.findall(r"`--([a-z-]+)`", r) for c, r in rows.items()} == OPTIONS_READ

@@ -24,6 +24,14 @@ from layerquench import bisfield
 from layerquench.hopping import REFERENCE_MOMENTA, ba_gapped_magnitudes
 
 
+@pytest.mark.parametrize("j", [0, 4])
+def test_bad_quench_axis_is_a_usage_error(j):
+    with pytest.raises(UsageError, match="quench axis must be 1, 2 or 3"):
+        estimate_t_ba({"s1": 0.3}, j=j)
+    with pytest.raises(UsageError, match="quench axis must be 1, 2 or 3"):
+        estimate_t_abba(LayeredConfig("abba", 2, 0.4), 64, j=j)
+
+
 class TestAbbaEstimator:
     @pytest.mark.parametrize("t", [0.0, 0.2, 0.4, 0.7, 0.9])
     def test_round_trip(self, t):

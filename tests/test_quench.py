@@ -31,6 +31,17 @@ def test_mixed_state_properties():
     assert abs(np.trace(rho @ global_observable(3, 3)) + 1.0) < 1e-14
 
 
+@pytest.mark.parametrize("j", [0, 4, -1, 3.0, True])
+def test_bad_quench_axis_is_a_usage_error(j):
+    abba, ba = LayeredConfig("abba", 2, 0.4), LayeredConfig("ba", 2, 0.4)
+    calls = [lambda: mixed_state(2, j), lambda: pure_state([1.0, 0.0], j),
+             lambda: tasp_closed_form(0.3, 0.2, abba, j), lambda: tasp_closed_form(0.3, 0.2, ba, j),
+             lambda: gtasp_abba(0.3, 0.2, abba, j)]
+    for call in calls:
+        with pytest.raises(UsageError, match="quench axis must be 1, 2 or 3"):
+            call()
+
+
 def test_pure_state_properties():
     rho = pure_state([1.0, 2.0, 0.5j], 1)
     assert abs(np.trace(rho) - 1.0) < 1e-12
