@@ -6,10 +6,10 @@ field component h_j, or its mode-shifted version for subspace data)
 extracted by marching squares on the periodic sampling cell, so torus
 wrapping is handled natively and every contour is closed.  All crossing
 edges are refined together by batched bisection, with one source
-evaluation per step over every edge still open, and the loops are
-linked by walking the crossing cells only.  Contour orientation is
-canonicalized so that the negative side of the source lies to the right
-of travel.
+evaluation per step over every edge, and the loops are linked by
+walking the crossing cells only.  The walk orients every loop from the
+signs it gave the lattice nodes, so that the negative side of the
+source lies to the right of travel.
 """
 
 import operator
@@ -79,11 +79,13 @@ class TaspGrid:
 class BisContour:
     """Closed zero contour of a signed source criterion.
 
-    points are physical momenta (oriented, not endpoint-repeated); frac
-    the unwrapped cell fractions; wraps counts torus periods along the
-    two cell directions (nonzero for contours stitched across the
-    boundary).  residual is the largest polarization magnitude of the
-    defining grid over the contour.
+    points are physical momenta (not endpoint-repeated), oriented with
+    the nodes where the source is negative on the right of travel, as the
+    marching-squares walk classed them; frac the unwrapped cell fractions;
+    wraps counts torus periods along the two cell directions (nonzero for
+    contours stitched across the boundary), so that frac[0] + wraps
+    continues frac[-1].  residual is the largest polarization magnitude
+    of the defining grid over the contour.
     """
 
     points: np.ndarray
@@ -253,6 +255,9 @@ _ENTRY = np.array([TOP, LEFT, BOTTOM, RIGHT])
 _SADDLE_SAME = np.array([RIGHT, BOTTOM, LEFT, TOP])
 _SADDLE_OTHER = np.array([LEFT, TOP, RIGHT, BOTTOM])
 _SADDLE_OTHER_ORDER = np.array([LEFT, BOTTOM, RIGHT, TOP])
+# for each entry side: the (di, dl) offset of the cell corner on the right
+# of travel, the corner counter-clockwise after that side
+_RIGHT_CORNER = np.array([[1, 0], [1, 1], [0, 1], [0, 0]])
 
 
 def _bisect_edges(phi, a, b):
@@ -261,38 +266,22 @@ def _bisect_edges(phi, a, b):
     a and b hold the segment ends coordinate first, (2, E); the roots
     come back point first, (E, 2).  Each bracket is halved until its two
     ends agree to 1e-9 in both coordinates and is then frozen; phi is
-    called once per step, on the midpoints of the brackets still open.
-
-    The brackets of a lattice all start one grid step wide, so on an
-    nx = ny lattice they all stay open until the same step.  While every
-    bracket is open, lo and hi are updated as whole arrays; from the first
-    freeze on (unequal axis steps, or a rounding tie at the 1e-9 test) the
-    open brackets are gathered and updated alone.  Either way each bracket
-    sees the same midpoints, signs and freeze step.
+    called once per step, on the midpoints of every bracket, and only the
+    ends of the brackets still open move, as whole-array updates with no
+    index gather or scatter.
     """
     flip = phi(a[0], a[1]) > 0
     lo = np.where(flip, b, a)  # non-positive end
     hi = np.where(flip, a, b)
-    live = None  # every bracket is open
+    open_ = np.ones(a.shape[1], dtype=bool)
     for _ in range(64):
-        if live is None:
-            mid = 0.5 * (lo + hi)
-            up = phi(mid[0], mid[1]) > 0
-            np.copyto(hi, mid, where=up)
-            np.copyto(lo, mid, where=~up)
-            w = np.abs(hi - lo)
-            open_ = np.maximum(w[0], w[1]) > 1e-9
-            if open_.all():
-                continue
-            live = np.flatnonzero(open_)
-        else:
-            mid = 0.5 * (lo[:, live] + hi[:, live])
-            up = phi(mid[0], mid[1]) > 0
-            hi[:, live[up]] = mid[:, up]
-            lo[:, live[~up]] = mid[:, ~up]
-            w = np.abs(hi[:, live] - lo[:, live])
-            live = live[np.maximum(w[0], w[1]) > 1e-9]
-        if not len(live):
+        mid = 0.5 * (lo + hi)
+        up = phi(mid[0], mid[1]) > 0
+        np.copyto(hi, mid, where=up & open_)
+        np.copyto(lo, mid, where=~up & open_)
+        w = np.abs(hi - lo)
+        open_ = np.maximum(w[0], w[1]) > 1e-9
+        if not open_.any():
             break
     return (0.5 * (lo + hi)).T
 
@@ -303,8 +292,14 @@ def _marching_loops(phi, nodes, nx, ny):
     phi maps arrays of fractional (u, v) to signed values; nodes is the
     precomputed (nx, ny) node array of phi.  Returns a list of
     (points, wraps): unwrapped fractional polylines and their integer
-    period counts.  Nodes exactly at zero are classed with the negative
-    side, so zero sets through nodes still produce closed loops.
+    period counts, with points[0] + wraps continuing points[-1].  Nodes
+    exactly at zero are classed with the negative side, so zero sets
+    through nodes still produce closed loops.
+
+    Each loop is oriented with the negative nodes on the right of travel:
+    the walk enters its first cell through a side whose two corners have
+    opposite signs, and when the corner on the right of that entry is
+    positive the loop is reversed (points[::-1], -wraps).
 
     All sign-change edges are bisected in one batch and saddle cells are
     resolved by one batch of centre samples.  Loops are then linked by
@@ -378,34 +373,18 @@ def _marching_loops(phi, nodes, nx, ny):
             s = succ[s]
         if seq:
             steps = shift[seq]
-            loops.append((r[seq] + (np.cumsum(steps, axis=0) - steps), steps.sum(axis=0)))
+            frac, wraps = r[seq] + (np.cumsum(steps, axis=0) - steps), steps.sum(axis=0)
+            k0, e0 = divmod(seq[0], 4)
+            di, dl = _RIGHT_CORNER[e0]
+            if pos[(ci[k0] + di) % nx, (cl[k0] + dl) % ny]:
+                frac, wraps = frac[::-1].copy(), -wraps
+            loops.append((frac, wraps))
     return loops
 
 
-def _orient(points, frac, src):
-    """Put the negative side of the source on the right of travel."""
-    m = len(points)
-    seglen = np.hypot(*(np.roll(points, -1, axis=0) - points).T)
-    typical = np.median(seglen)
-    for p in range(m):
-        a = points[p]
-        b = points[(p + 1) % m]
-        L = seglen[p]
-        if L < 1e-12 or L > 5.0 * typical + 1e-9:
-            continue  # skip degenerate and torus-closure segments
-        tau = (b - a) / L
-        right = np.array([tau[1], -tau[0]])
-        mid = 0.5 * (a + b)
-        val = src(mid[0] + max(L, 1e-4) * right[0], mid[1] + max(L, 1e-4) * right[1])
-        if abs(val) > 1e-10:
-            if val > 0:
-                return points[::-1].copy(), frac[::-1].copy()
-            return points, frac
-    raise DegenerateFieldError("cannot orient contour: source vanishes on both sides")
-
-
 def _oriented_loops(grid, node_source, src):
-    """Zero loops of src on the lattice of grid, as oriented (points, frac, wraps).
+    """Zero loops of src on the lattice of grid, as (points, frac, wraps)
+    in the orientation of _marching_loops, with points the momenta of frac.
 
     node_source is the (nx, ny) array of src at the unnudged nodes.
     """
@@ -415,8 +394,7 @@ def _oriented_loops(grid, node_source, src):
     out = []
     for frac, wraps in _marching_loops(phi, node_source, grid.nx, grid.ny):
         kx, ky = grid.cell.k_at(frac[:, 0], frac[:, 1])
-        points, frac = _orient(np.stack([kx, ky], axis=-1), frac, src)
-        out.append((points, frac, wraps))
+        out.append((np.stack([kx, ky], axis=-1), frac, wraps))
     return out
 
 

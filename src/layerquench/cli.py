@@ -32,7 +32,7 @@ from .errors import (GaplessError, InconsistentInvariantError, LayerQuenchError,
 from .floattext import WIDTH, g17
 from .hopping import (ba_gapped_magnitudes, ba_reference_magnitudes, estimate_t_abba,
                       estimate_t_ba)
-from .models import MODELS, STACKINGS, LayeredConfig
+from .models import MIN_GRID, MODELS, STACKINGS, LayeredConfig
 from .quench import (global_observable, mixed_state, require_axis, tasp_closed_form,
                      time_averaged_expectation)
 from .topology import (charge_chern, chern_fhs, half_filling_degree, phase_diagram,
@@ -42,16 +42,17 @@ from .topology import total_chern_abba
 
 
 def parse_grid(spec):
-    """'256' -> (256, 256); '256x128' -> (256, 128)."""
+    """'256' -> (256, 256); '256x128' -> (256, 128).  An axis below
+    MIN_GRID is refused, as every lattice refuses it."""
     s = str(spec).lower()
     try:
-        if "x" in s:
-            nx, ny = s.split("x", 1)
-            return int(nx), int(ny)
-        n = int(s)
-        return n, n
+        nx, ny = map(int, s.split("x", 1)) if "x" in s else (int(s), int(s))
     except ValueError:
         raise UsageError(f"cannot parse grid spec {spec!r}")
+    if min(nx, ny) < MIN_GRID:
+        raise UsageError(f"grid resolution must be at least {MIN_GRID} per axis, "
+                         f"got {min(nx, ny)}")
+    return nx, ny
 
 
 def parse_observable(spec):
@@ -451,6 +452,8 @@ def cmd_estimate_t(opts):
     ba = opts["stacking"] == "ba"
     if opts["sample"] and not ba:
         raise UsageError("--sample takes ba magnitudes; it needs --stacking ba")
+    if opts["sample"] and opts["true_t"] is not None:
+        raise UsageError("estimate-t takes either --sample entries or --true-t, not both")
     # hopping's reference magnitudes are those of square-lattice stacks
     if ba and opts["model"] != "qwz":
         raise UsageError(f"ba estimates take the qwz model, not {opts['model']!r}")

@@ -478,6 +478,10 @@ EXIT_SWEEP = [
     (2, ["estimate-t", "--sample", "s1=0.3"]),
     (2, ["estimate-t", "--stacking", "ba", "--true-t", "0.4", "--model", "haldane"]),
     (2, ["estimate-t", "--stacking", "ba", "--sample", "s1=0.3", "--model", "haldane"]),
+    # one estimate per run: a sample and a hidden t together are refused
+    (2, ["estimate-t", "--stacking", "ba", "--sample", "s1=0.3", "--true-t", "0.4"]),
+    # the ba paths read no lattice, yet a grid below 16 is refused as elsewhere
+    (2, ["estimate-t", "--stacking", "ba", "--true-t", "0.4", "--grid", "8"]),
     # lattices of 10^11 nodes and more, refused before any node array exists
     (2, ["tasp", "--grid", "99999999999"]),
     (2, ["bis", "--grid", "400000x400000"]),

@@ -1,16 +1,20 @@
 """Tests for the vectorized contour engine (bisfield._marching_loops).
 
 The engine is checked point for point against the per-cell reference walk
-in reference_contours.py, and by properties that any marching-squares
-extraction on the torus must have, over random low-order trigonometric
-sources.
+in reference_contours.py, up to the direction of each loop, and by
+properties that any marching-squares extraction on the torus must have,
+over random low-order trigonometric sources and over the contours that
+extract_bis, component_zero_curves and characterize return.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from layerquench import LayeredConfig, bisfield, component_zero_curves, extract_bis, sample_grid
+from layerquench import (LayeredConfig, LayerQuenchError, bisfield, characterize,
+                         component_zero_curves, extract_bis, sample_grid)
 from reference_contours import reference_marching_loops
 
 
@@ -69,6 +73,19 @@ CASES = {
 }
 
 
+def loop_bytes(*arrays):
+    return [(a.dtype, a.shape, np.ascontiguousarray(a).tobytes()) for a in arrays]
+
+
+def is_reference_loop(got, want):
+    """got is the reference loop want, or want read backwards with its
+    periods negated: the engine orients its loops, the reference walk
+    does not."""
+    *arrays, wraps = want
+    return loop_bytes(*got) in (loop_bytes(*want),
+                                loop_bytes(*[a[::-1] for a in arrays], -wraps))
+
+
 @pytest.mark.parametrize("case", list(CASES))
 def test_engine_matches_reference(case, monkeypatch):
     got = CASES[case]()
@@ -76,11 +93,8 @@ def test_engine_matches_reference(case, monkeypatch):
     want = CASES[case]()
     assert got
     assert len(got) == len(want)
-    # equal oriented points also mean equal orientation and start point
-    for (p, f, w), (p0, f0, w0) in zip(got, want):
-        assert np.array_equal(p, p0)
-        assert np.array_equal(f, f0)
-        assert np.array_equal(w, w0)
+    for loop, ref in zip(got, want):
+        assert is_reference_loop(loop, ref)
 
 
 def test_saddle_cases_have_saddle_cells():
@@ -202,9 +216,8 @@ def test_random_sources_match_reference(source):
     got = bisfield._marching_loops(phi, nodes, nx, ny)
     want = reference_marching_loops(phi, nodes, nx, ny)
     assert len(got) == len(want)
-    for (p, w), (p0, w0) in zip(got, want):
-        assert np.array_equal(p, p0)
-        assert np.array_equal(w, w0)
+    for loop, ref in zip(got, want):
+        assert is_reference_loop(loop, ref)
 
 
 def scalar_root(phi, a, b):
@@ -227,9 +240,9 @@ def scalar_root(phi, a, b):
 @example(trig_source(24, 24, 0.1, [(1, 0, 1.0, 0.3), (0, 1, 1.0, 1.1)]), False)
 @example(trig_source(17, 40, -0.2, [(1, 1, 1.0, 0.0), (2, -1, 0.5, 2.0)]), False)
 def test_edges_are_bisected_as_one_edge_alone(source, square):
-    # the batched bisection, whole-array while every bracket is open and
-    # compacted after the first freeze, gives every edge the bits of its
-    # own scalar bisection, on square lattices and on nx != ny ones
+    # the batched bisection, which moves only the open brackets' ends
+    # and freezes each one alone, gives every edge the bits of its own
+    # scalar bisection, on square lattices and on nx != ny ones
     nx, ny, phi, _ = source
     if square:
         ny = nx
@@ -244,3 +257,129 @@ def test_edges_are_bisected_as_one_edge_alone(source, square):
     roots = bisfield._bisect_edges(phi, a, b)
     want = np.array([scalar_root(phi, a[:, e], b[:, e]) for e in range(a.shape[1])])
     assert roots.tobytes() == want.tobytes()
+
+
+# ------------------------------------------------- contours of the pipeline
+
+def pipeline_contours(cfg, j, observable, resolution):
+    """(contour, nodes) of every contour that extract_bis (kept and
+    rejected), component_zero_curves of each component and characterize
+    return, with nodes the (nx, ny) values whose signs the contour's zero
+    set separates: h_j plus the mode's source shift at the unnudged nodes,
+    or the component at the grid's nodes.  A call that raises adds none."""
+    try:
+        grid = sample_grid(cfg, j, observable, resolution)
+    except LayerQuenchError:
+        return []
+
+    def source(contour):
+        tag = contour.source.split(".")[0]
+        obs = ("subspace", int(tag[4:])) if tag.startswith("mode") else ("global",)
+        return grid.hj + bisfield._source_shift(replace(grid, observable=obs))
+
+    calls = [(lambda: sum(extract_bis(grid, include_rejected=True), []), source),
+             (lambda: characterize(cfg, j, resolution, observable=observable)["contours"],
+              source)]
+    calls += [(lambda c=c: component_zero_curves(grid, c), lambda _, c=c: grid.values[..., c - 1])
+              for c in (1, 2, 3)]
+    out = []
+    for call, nodes in calls:
+        try:
+            out += [(c, nodes(c)) for c in call()]
+        except LayerQuenchError:
+            pass
+    return out
+
+
+def near_inside_signs(frac, nodes):
+    """node > 0 at the lattice nodes inside the closed polyline frac (even-odd
+    rule) that lie within one grid step of it."""
+    nx, ny = nodes.shape
+    p = frac * (nx, ny)  # grid units, the nodes at the integer points
+    q = np.roll(p, -1, axis=0)
+    # a segment joins two sides of one cell, so a node within one step of it
+    # lies within two steps of one of its ends
+    offsets = np.stack(np.meshgrid(np.arange(-2, 4), np.arange(-2, 4)), axis=-1).reshape(-1, 2)
+    cand = np.unique((np.floor(p)[:, None, :] + offsets).reshape(-1, 2), axis=0)
+    d = q - p
+    dd = np.einsum("si,si->s", d, d)
+    rel = cand[:, None, :] - p
+    t = np.clip(np.einsum("csi,si->cs", rel, d) / np.where(dd > 0, dd, 1.0), 0.0, 1.0)
+    dist = np.linalg.norm(rel - t[..., None] * d, axis=-1).min(axis=1)
+    y = cand[:, 1:]
+    straddle = (p[:, 1] > y) != (q[:, 1] > y)
+    x_cross = p[:, 0] + (y - p[:, 1]) * d[:, 0] / np.where(straddle, d[:, 1], 1.0)
+    inside = np.count_nonzero(straddle & (x_cross > cand[:, :1]), axis=1) % 2 == 1
+    near = cand[inside & (dist <= 1.0)].astype(int)
+    return nodes[near[:, 0] % nx, near[:, 1] % ny] > 0
+
+
+def shoelace(frac):
+    # about the first point: a loop around a node at zero is ~1e-9 wide
+    u, v = (frac - frac[0]).T
+    return 0.5 * np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v)
+
+
+@st.composite
+def pipeline_cases(draw):
+    """(cfg, j, observable, resolution) of a random stack of either model."""
+    model = draw(st.sampled_from(["qwz", "haldane"]))
+    stacking = draw(st.sampled_from(["abba", "ba"]))
+    layers = draw(st.integers(1, 3))
+    bound = 3.2 if model == "qwz" else 5.5
+    m = draw(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(-bound, bound))
+    cfg = LayeredConfig(stacking, layers, draw(st.floats(-1.6, 1.6)), model, m)
+    mode = draw(st.integers(0, layers)) if stacking == "abba" else 0
+    observable = ("subspace", mode) if mode else ("global",)
+    resolution = draw(st.sampled_from([32, 48, 64, (40, 56), 96]))
+    return cfg, draw(st.integers(1, 3)), observable, resolution
+
+
+# the s1 rings of the bilayer wrap the torus once along v
+BILAYER_S1 = (LayeredConfig("abba", 2, 0.4), 1, ("global",), 64)
+# four of the eight sigma3 zero loops of this grid lie beside a probe's reach
+HALDANE_ZERO_S3 = (LayeredConfig("ba", 4, 1.5932529808100593, "haldane", 1.911173155636809), 2,
+                   ("global",), 96)
+
+
+@settings(max_examples=20, deadline=None)
+@given(pipeline_cases())
+@example(BILAYER_S1)
+@example(HALDANE_ZERO_S3)
+def test_pipeline_contours_close(case):
+    # consecutive points share a cell, and so do the last point and the
+    # first one moved by the contour's torus periods
+    for contour, nodes in pipeline_contours(*case):
+        cell = 1.0 / np.array(nodes.shape) * (1 + 1e-9)
+        closed = np.vstack([contour.frac, contour.frac[:1] + contour.wraps])
+        assert np.all(np.abs(np.diff(closed, axis=0)) <= cell)
+
+
+@settings(max_examples=20, deadline=None)
+@given(pipeline_cases())
+@example(BILAYER_S1)
+@example(HALDANE_ZERO_S3)
+def test_pipeline_contours_keep_negative_source_on_the_right(case):
+    # a contractible contour runs counter-clockwise (positive area) exactly
+    # when the nodes just inside it are positive; contours whose near
+    # inside nodes are mixed (nested or saddle-joined zero sets) are skipped
+    for contour, nodes in pipeline_contours(*case):
+        if np.any(contour.wraps):
+            continue
+        signs = near_inside_signs(contour.frac, nodes)
+        if len(signs) and (signs.all() or not signs.any()):
+            assert signs[0] == (shoelace(contour.frac) > 0)
+
+
+def test_pipeline_contour_cases_are_checked():
+    # the two fixed cases reach both checks: the bilayer's s1 rings wrap
+    # and its s3 curves do not, and every sigma3 zero loop of the haldane
+    # grid has one sign of node just inside it
+    loops = pipeline_contours(*BILAYER_S1)
+    assert any(np.any(c.wraps) for c, _ in loops)
+    grid = sample_grid(*HALDANE_ZERO_S3)
+    zero = component_zero_curves(grid, 3)
+    assert len(zero) == 8
+    for c in zero:
+        signs = near_inside_signs(c.frac, grid.values[..., 2])
+        assert not np.any(c.wraps) and len(signs) and (signs.all() or not signs.any())
